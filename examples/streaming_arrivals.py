@@ -45,7 +45,6 @@ def serve(experiment, subjects, policy: str) -> dict:
     scheduler = FleetScheduler(
         experiment.runtime(),
         Constraint.max_mae(5.60),
-        max_workers=1,
         use_oracle_difficulty=True,
         policy=policy,
         slo_s=SLO_S,

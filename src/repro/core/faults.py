@@ -37,6 +37,13 @@ Two further helpers damage durable state directly (no injection site
 needed): :func:`corrupt_staged_shard` tears or bit-flips a staged shard
 file, and :func:`stale_journal` rewrites a journal's fingerprint so a
 resume must treat it as belonging to a different fleet.
+
+Retry policy
+------------
+Every recovery loop that re-executes failed work — the fleet executor's
+serial and pooled shard runners and the scheduler's batch retries —
+sleeps :func:`backoff_delay` between attempts: capped exponential
+backoff, at most :data:`BACKOFF_CAP_S` per sleep.
 """
 
 from __future__ import annotations
@@ -58,7 +65,12 @@ __all__ = [
     "injected_faults",
     "corrupt_staged_shard",
     "stale_journal",
+    "BACKOFF_CAP_S",
+    "backoff_delay",
 ]
+
+#: Upper bound on one retry backoff sleep, whatever the attempt count.
+BACKOFF_CAP_S = 2.0
 
 #: Exit status of an injected ``"exit"`` fault — distinctive enough to
 #: recognize in a crashed worker's status, unlike a generic 1.
@@ -214,6 +226,18 @@ def fire(site: str, shard: int | None = None) -> None:
             return
         plan = FaultPlan(directory)
     plan.fire(site, shard)
+
+
+# ---------------------------------------------------------- retry policy
+def backoff_delay(base_s: float, attempt: int) -> float:
+    """Sleep before retry number ``attempt`` (0-based), in seconds.
+
+    ``min(BACKOFF_CAP_S, base_s * 2**attempt)``; a non-positive base
+    disables the sleep.
+    """
+    if base_s <= 0:
+        return 0.0
+    return min(BACKOFF_CAP_S, base_s * (2.0 ** attempt))
 
 
 # -------------------------------------------------- durable-state damage

@@ -10,22 +10,23 @@ order (:meth:`FleetExecutor.run_fleet`).
 
 Decision-for-decision equivalence with sequential replay
 --------------------------------------------------------
-Each shard replays through the runtime's mega-batched path, including
-the stacked-state fused dispatch for stateful predictors
-(:meth:`~repro.models.base.HeartRatePredictor.predict_fleet` with one
-state slot per shard subject) — shard boundaries, like subject
-boundaries, are state-slot boundaries, not serialization points.
-Sequential ``run_many`` resets per-run predictor state before every
-subject, but *cross-run* state — the calibrated models' Laplace streams —
-advances monotonically across the whole fleet, so a shard that starts at
-subject ``k`` must first put every predictor in the state sequential
-replay would have reached after subjects ``0..k-1``.  The parent
-therefore plans the entire fleet once (planning is vectorized and
-side-effect free), derives each model's per-subject window counts, and
-every shard task fast-forwards its private predictor copies with
-:meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state` before
-replaying its subjects.  The result is bit-identical to the sequential
-path no matter how many workers execute or how shards are interleaved.
+The parent plans the entire fleet once (planning is vectorized and
+side-effect free) and ships each shard its slice of the plans, so
+difficulty inference and routing run exactly once per fleet.  Each
+shard executes its plans through the runtime's fleet path
+(:meth:`~repro.core.runtime.CHRISRuntime._run_many_planned`), including
+the stacked-state fused dispatch for stateful predictors — shard
+boundaries, like subject boundaries, are state-slot boundaries, not
+serialization points.  Per-subject replay resets per-run predictor state
+before every subject, but *cross-run* state — the calibrated models'
+Laplace streams — advances monotonically across the whole fleet, so a
+shard that starts at subject ``k`` must first put every predictor in the
+state replay would have reached after subjects ``0..k-1``.  Every shard
+task therefore fast-forwards its private predictor copies with
+:meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state` by the
+per-model window counts of the plans before it.  The result is
+bit-identical to ``run_many`` no matter how many workers execute or how
+shards are interleaved.
 (With a runtime built under ``equivalence="tolerance"`` the contract
 relaxes exactly as documented in :mod:`repro.core.runtime`:
 tolerance-fused models' predictions may move within the documented
@@ -56,7 +57,8 @@ on request via ``share_signals=True``).
 Durability and fault tolerance
 ------------------------------
 A failed shard no longer takes the fleet down with it: shard tasks are
-retried with capped exponential backoff (``max_retries`` /
+retried with the capped exponential backoff of
+:func:`repro.core.faults.backoff_delay` (``max_retries`` /
 ``retry_backoff_s``), a worker *death* (``BrokenProcessPool``) rebuilds
 the pool and retries every in-flight shard, and a shard that exhausts
 its retries is **quarantined** — its subjects surface as per-subject
@@ -105,13 +107,10 @@ from repro.core.runtime import (
     CHRISRuntime,
     FleetResult,
     RunResult,
-    _check_unique_subject_ids,
+    _check_fleet_inputs,
 )
 from repro.data.dataset import WindowedSubject
 from repro.hw.platform import CostTableRegistry, WearableSystem
-
-#: Upper bound on one retry backoff sleep, whatever the attempt count.
-_BACKOFF_CAP_S = 2.0
 
 #: Worker-process state installed by :func:`_init_fleet_worker`.
 #: Deliberately lock-free (REP002 scans this module but nothing here is
@@ -237,7 +236,6 @@ class SharedSubjectStore:
 def _init_fleet_worker(
     runtime: CHRISRuntime,
     subjects: "Sequence[WindowedSubject] | None",
-    traces: Mapping[str, np.ndarray],
     registry_json: str,
     systems: Mapping[str, WearableSystem],
     shared_manifest: "dict | None",
@@ -255,7 +253,6 @@ def _init_fleet_worker(
         _WORKER_STATE["shared_handles"] = handles
     _WORKER_STATE["runtime"] = runtime
     _WORKER_STATE["subjects"] = subjects
-    _WORKER_STATE["traces"] = traces
     registry = CostTableRegistry.from_json(registry_json)
     # The parent profiled every revision the fleet can touch before
     # serializing; a miss in the worker therefore means the wrong or a
@@ -265,56 +262,45 @@ def _init_fleet_worker(
     _WORKER_STATE["systems"] = systems
 
 
+def _replay_shard(
+    runtime: CHRISRuntime,
+    subjects: Sequence[WindowedSubject],
+    prior_windows: Mapping[str, int],
+    plans: list,
+    systems: Mapping[str, WearableSystem],
+) -> list[tuple[str, RunResult]]:
+    """Execute one shard's ``plans`` on a private ``runtime`` copy.
+
+    ``prior_windows`` maps each zoo model to the number of windows the
+    plan routes to it across all subjects *before* this shard; advancing
+    by those counts reproduces the predictor state replay would carry
+    into the shard's first subject.
+    """
+    for entry in runtime.zoo:
+        entry.predictor.advance_fleet_state(int(prior_windows.get(entry.name, 0)))
+    shard_ids = {s.subject_id for s in subjects}
+    shard_systems = {sid: sys for sid, sys in systems.items() if sid in shard_ids}
+    fleet = runtime._run_many_planned(subjects, plans, systems=shard_systems)
+    return list(fleet.results.items())
+
+
 def _run_fleet_shard(
     shard_index: int,
     start: int,
     stop: int,
     prior_windows: Mapping[str, int],
-    constraint: Constraint,
-    use_oracle_difficulty: bool,
-    batched: bool,
-    mega_batched: bool,
-    plans: "list | None",
+    plans: list,
 ) -> list[tuple[str, RunResult]]:
-    """Replay ``subjects[start:stop]`` from a pristine, fast-forwarded state.
-
-    ``prior_windows`` maps each zoo model to the number of windows the
-    plan routes to it across all subjects *before* this shard; advancing
-    by those counts reproduces the predictor state sequential replay
-    would carry into subject ``start``.  When the parent ships this
-    shard's execution ``plans`` (mega-batched dispatch), the worker
-    executes them directly instead of re-planning — difficulty inference
-    and routing run exactly once per fleet.
-    """
+    """Worker side of one shard: :func:`_replay_shard` on ``subjects[start:stop]``."""
     faults.fire("fleet.shard", shard=shard_index)
     runtime: CHRISRuntime = copy.deepcopy(_WORKER_STATE["runtime"])
     runtime.system.cost_registry = _WORKER_STATE["cost_registry"]
     systems: Mapping[str, WearableSystem] = _WORKER_STATE["systems"]
     for system in systems.values():
         system.cost_registry = _WORKER_STATE["cost_registry"]
-    for entry in runtime.zoo:
-        entry.predictor.advance_fleet_state(int(prior_windows.get(entry.name, 0)))
-    subjects = _WORKER_STATE["subjects"][start:stop]
-    shard_ids = {s.subject_id for s in subjects}
-    shard_systems = {sid: sys for sid, sys in systems.items() if sid in shard_ids}
-    if plans is not None:
-        fleet = runtime._run_many_planned(subjects, plans, systems=shard_systems)
-    else:
-        traces = {
-            sid: trace
-            for sid, trace in _WORKER_STATE["traces"].items()
-            if sid in shard_ids
-        }
-        fleet = runtime.run_many(
-            subjects,
-            constraint,
-            use_oracle_difficulty=use_oracle_difficulty,
-            batched=batched,
-            mega_batched=mega_batched,
-            connected_traces=traces,
-            systems=shard_systems,
-        )
-    return list(fleet.results.items())
+    return _replay_shard(
+        runtime, _WORKER_STATE["subjects"][start:stop], prior_windows, plans, systems
+    )
 
 
 class FleetExecutor:
@@ -342,9 +328,6 @@ class FleetExecutor:
         Target shards per worker; more shards stream results at a finer
         granularity and balance uneven subjects at the cost of a little
         per-shard setup.
-    mega_batched:
-        Whether each shard uses cross-subject mega-batched execution
-        (default) or per-subject replay inside the worker.
     start_method:
         ``multiprocessing`` start method; the platform default when
         omitted (``fork`` on Linux, which shares the subjects' signal
@@ -369,7 +352,7 @@ class FleetExecutor:
         shard on its first error.
     retry_backoff_s:
         Base of the capped exponential backoff between retries of one
-        shard (attempt ``k`` sleeps ``min(2 s, retry_backoff_s * 2**k)``).
+        shard (:func:`repro.core.faults.backoff_delay`).
     """
 
     def __init__(
@@ -377,7 +360,6 @@ class FleetExecutor:
         runtime: CHRISRuntime,
         max_workers: int | None = None,
         shards_per_worker: int = 4,
-        mega_batched: bool = True,
         start_method: str | None = None,
         share_signals: bool | None = None,
         checkpoint_dir: "str | os.PathLike | None" = None,
@@ -395,18 +377,11 @@ class FleetExecutor:
         self.runtime = runtime
         self.max_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         self.shards_per_worker = shards_per_worker
-        self.mega_batched = mega_batched
         self.start_method = start_method
         self.share_signals = share_signals
         self.checkpoint_dir = checkpoint_dir
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-
-    def _backoff_delay(self, attempt: int) -> float:
-        """Sleep before retry number ``attempt`` (0-based), capped."""
-        if self.retry_backoff_s <= 0:
-            return 0.0
-        return min(_BACKOFF_CAP_S, self.retry_backoff_s * (2.0 ** attempt))
 
     # ------------------------------------------------------------- sharding
     def shard_bounds(self, n_subjects: int) -> list[tuple[int, int]]:
@@ -440,7 +415,6 @@ class FleetExecutor:
         subjects: Iterable[WindowedSubject],
         constraint: Constraint,
         use_oracle_difficulty: bool = False,
-        batched: bool = True,
         connected_traces: Mapping[str, np.ndarray] | None = None,
         systems: Mapping[str, WearableSystem] | None = None,
         failures: "dict[str, str] | None" = None,
@@ -462,58 +436,26 @@ class FleetExecutor:
         subjects = list(subjects)
         traces = dict(connected_traces or {})
         systems = dict(systems or {})
-        _check_unique_subject_ids(s.subject_id for s in subjects)
-        known = {s.subject_id for s in subjects}
-        unknown = sorted(set(traces) - known)
-        if unknown:
-            raise KeyError(f"connection traces for unknown subjects: {unknown}")
-        unknown = sorted(set(systems) - known)
-        if unknown:
-            raise KeyError(f"systems for unknown subjects: {unknown}")
+        _check_fleet_inputs(subjects, traces, systems)
         if not subjects:
             return
-        bounds = self.shard_bounds(len(subjects))
-        if self.checkpoint_dir is None and (len(bounds) <= 1 or self.max_workers == 1):
-            # In-process fast path: no pool, no planning pass, same
-            # decisions.  The whole fleet replays as a single local shard
-            # on a pristine runtime copy, so the executor never advances
-            # the parent runtime's predictor streams — with retry and
-            # quarantine semantics identical to the sharded paths.
-            yield from self._drain_shards(
-                self._run_shards_inprocess(
-                    subjects,
-                    [(0, len(subjects))],
-                    [{}],
-                    [None],
-                    constraint,
-                    use_oracle_difficulty,
-                    batched,
-                    traces,
-                    systems,
-                    [0],
-                    None,
-                ),
-                subjects,
-                [(0, len(subjects))],
-                None,
-                None,
-                failures,
-            )
-            return
-
         # Plan the entire fleet once, in the parent: the plans give every
-        # shard's fast-forward counts, and (on the mega-batched path) are
-        # shipped to the workers so difficulty inference and routing are
-        # never repeated per shard.
+        # shard's fast-forward counts and are shipped to the shards, so
+        # difficulty inference and routing never repeat per shard.
         plans = self.runtime._plan_fleet(
             subjects, constraint, use_oracle_difficulty, traces, systems=systems
         )
+        bounds = self.shard_bounds(len(subjects))
+        if self.checkpoint_dir is None and (len(bounds) <= 1 or self.max_workers == 1):
+            # In-process fast path: the whole fleet replays as one local
+            # shard on a pristine runtime copy, so the executor never
+            # advances the parent runtime's predictor streams — with retry
+            # and quarantine semantics identical to the sharded paths.
+            bounds = [(0, len(subjects))]
+        else:
+            self._profile_cost_tables(systems)
         priors = self._prior_window_counts(plans, bounds)
-        ship_plans = batched and self.mega_batched
-        self._profile_cost_tables(systems)
-        plan_slices = [
-            plans[start:stop] if ship_plans else None for start, stop in bounds
-        ]
+        plan_slices = [plans[start:stop] for start, stop in bounds]
 
         journal = stager = None
         todo = list(range(len(bounds)))
@@ -533,13 +475,11 @@ class FleetExecutor:
 
         if self.max_workers == 1 or len(todo) <= 1:
             runner = self._run_shards_inprocess(
-                subjects, bounds, priors, plan_slices, constraint,
-                use_oracle_difficulty, batched, traces, systems, todo, journal,
+                subjects, bounds, priors, plan_slices, systems, todo, journal
             )
         else:
             runner = self._run_shards_pooled(
-                subjects, bounds, priors, plan_slices, constraint,
-                use_oracle_difficulty, batched, traces, systems, todo, journal,
+                subjects, bounds, priors, plan_slices, systems, todo, journal
             )
         yield from self._drain_shards(
             runner, subjects, bounds, journal, stager, failures
@@ -595,7 +535,6 @@ class FleetExecutor:
             "zoo": list(self.runtime.zoo.names),
             "equivalence": self.runtime.equivalence,
             "dtype": str(self.runtime.dtype),
-            "mega_batched": bool(self.mega_batched),
             "use_oracle_difficulty": bool(use_oracle_difficulty),
             "traced_subjects": sorted(traces),
             "hardware": sorted(
@@ -656,51 +595,22 @@ class FleetExecutor:
         subjects: Sequence[WindowedSubject],
         bound: tuple[int, int],
         prior: Mapping[str, int],
-        plans: "list | None",
-        constraint: Constraint,
-        use_oracle_difficulty: bool,
-        batched: bool,
-        traces: Mapping[str, np.ndarray],
+        plans: list,
         systems: Mapping[str, WearableSystem],
     ) -> list[tuple[str, RunResult]]:
         """In-process twin of :func:`_run_fleet_shard` (same fault site)."""
         faults.fire("fleet.shard", shard=index)
         start, stop = bound
-        runtime = copy.deepcopy(self.runtime)
-        for entry in runtime.zoo:
-            entry.predictor.advance_fleet_state(int(prior.get(entry.name, 0)))
-        shard_subjects = subjects[start:stop]
-        shard_ids = {s.subject_id for s in shard_subjects}
-        shard_systems = {sid: sys for sid, sys in systems.items() if sid in shard_ids}
-        if plans is not None:
-            fleet = runtime._run_many_planned(
-                shard_subjects, plans, systems=shard_systems
-            )
-        else:
-            shard_traces = {
-                sid: trace for sid, trace in traces.items() if sid in shard_ids
-            }
-            fleet = runtime.run_many(
-                shard_subjects,
-                constraint,
-                use_oracle_difficulty=use_oracle_difficulty,
-                batched=batched,
-                mega_batched=self.mega_batched,
-                connected_traces=shard_traces,
-                systems=shard_systems,
-            )
-        return list(fleet.results.items())
+        return _replay_shard(
+            copy.deepcopy(self.runtime), subjects[start:stop], prior, plans, systems
+        )
 
     def _run_shards_inprocess(
         self,
         subjects: Sequence[WindowedSubject],
         bounds: Sequence[tuple[int, int]],
         priors: Sequence[Mapping[str, int]],
-        plan_slices: Sequence["list | None"],
-        constraint: Constraint,
-        use_oracle_difficulty: bool,
-        batched: bool,
-        traces: Mapping[str, np.ndarray],
+        plan_slices: Sequence[list],
         systems: Mapping[str, WearableSystem],
         todo: Sequence[int],
         journal: "FleetJournal | None",
@@ -718,15 +628,14 @@ class FleetExecutor:
                 try:
                     records = self._execute_shard_local(
                         index, subjects, bounds[index], priors[index],
-                        plan_slices[index], constraint, use_oracle_difficulty,
-                        batched, traces, systems,
+                        plan_slices[index], systems,
                     )
                 except Exception as exc:
                     attempts += 1
                     if attempts > self.max_retries:
                         yield index, None, f"{type(exc).__name__}: {exc}"
                         break
-                    time.sleep(self._backoff_delay(attempts - 1))
+                    time.sleep(faults.backoff_delay(self.retry_backoff_s, attempts - 1))
                 else:
                     yield index, records, None
                     break
@@ -736,11 +645,7 @@ class FleetExecutor:
         subjects: Sequence[WindowedSubject],
         bounds: Sequence[tuple[int, int]],
         priors: Sequence[Mapping[str, int]],
-        plan_slices: Sequence["list | None"],
-        constraint: Constraint,
-        use_oracle_difficulty: bool,
-        batched: bool,
-        traces: Mapping[str, np.ndarray],
+        plan_slices: Sequence[list],
         systems: Mapping[str, WearableSystem],
         todo: Sequence[int],
         journal: "FleetJournal | None",
@@ -785,7 +690,6 @@ class FleetExecutor:
                 initargs=(
                     self.runtime,
                     None if store is not None else subjects,
-                    traces,
                     registry_json,
                     systems,
                     store.manifest if store is not None else None,
@@ -802,10 +706,6 @@ class FleetExecutor:
                 start,
                 stop,
                 priors[index],
-                constraint,
-                use_oracle_difficulty,
-                batched,
-                self.mega_batched,
                 plan_slices[index],
             )
             inflight[future] = index
@@ -834,7 +734,9 @@ class FleetExecutor:
                         if attempts[index] > self.max_retries:
                             yield index, None, f"{type(exc).__name__}: {exc}"
                         else:
-                            time.sleep(self._backoff_delay(attempts[index] - 1))
+                            time.sleep(
+                                faults.backoff_delay(self.retry_backoff_s, attempts[index] - 1)
+                            )
                             retry.append(index)
                     else:
                         yield index, records, None
@@ -885,7 +787,6 @@ class FleetExecutor:
         subjects: Iterable[WindowedSubject],
         constraint: Constraint,
         use_oracle_difficulty: bool = False,
-        batched: bool = True,
         connected_traces: Mapping[str, np.ndarray] | None = None,
         systems: Mapping[str, WearableSystem] | None = None,
     ) -> FleetResult:
@@ -904,7 +805,6 @@ class FleetExecutor:
                 subjects,
                 constraint,
                 use_oracle_difficulty=use_oracle_difficulty,
-                batched=batched,
                 connected_traces=connected_traces,
                 systems=systems,
                 failures=failures,

@@ -1,6 +1,6 @@
-"""CHRIS runtime simulator (vectorized batched execution engine).
+"""CHRIS runtime simulator (vectorized fleet execution engine).
 
-The runtime plays a windowed recording through the full CHRIS loop: the
+The runtime plays windowed recordings through the full CHRIS loop: the
 decision engine selects a configuration from the stored table according to
 the user constraint and the BLE connection status, then for every window
 the activity recognizer predicts a difficulty level, the configuration
@@ -12,62 +12,59 @@ energy, and offload statistics.
 
 Execution model
 ---------------
-Processing is split into a cheap *planning* phase and an *execution*
-phase:
+Every run — one recording or a whole fleet — takes the same path,
+:meth:`CHRISRuntime._plan_fleet` → :meth:`CHRISRuntime._run_many_planned`
+→ :meth:`CHRISRuntime._execute_fleet`; :meth:`CHRISRuntime.run`,
+:meth:`~CHRISRuntime.run_with_configuration` and
+:meth:`~CHRISRuntime.run_with_connection_trace` are one-subject fleet
+runs.
 
 1. **Plan** — difficulty prediction, configuration (re-)selection and
-   per-window model routing are computed up front as NumPy arrays.  For
-   :meth:`CHRISRuntime.run_with_connection_trace` the plan is built
-   segment-wise: the feasible configuration set changes with the BLE
-   status, so the engine re-selects exactly at each connection-status
-   change and phone targets degrade to the watch while disconnected.
-2. **Execute** — by default window indices are grouped by model and each
-   group is dispatched through the predictor's batch
-   :meth:`~repro.models.base.HeartRatePredictor.predict` API, with
-   per-window costs filled from a cached per-``(deployment, target)``
-   lookup (:meth:`repro.hw.platform.WearableSystem.cached_prediction_cost`).
-   Within each group the windows keep their recording order, so stateful
-   predictors (trackers, calibrated error models with a private random
-   stream) see exactly the same inputs in exactly the same order as the
-   reference per-window path — the two paths are decision-for-decision
-   identical.  Pass ``batched=False`` (or construct the runtime with
-   ``batched=False``) to force the reference per-window path.
+   per-window model routing are computed up front as NumPy arrays, every
+   subject individually (so per-subject difficulty streams, connection
+   traces and configuration segments are preserved).  Routing maps each
+   difficulty level through a per-``(configuration, connection status)``
+   lookup table.  A traced subject's plan is built segment-wise: the
+   feasible configuration set changes with the BLE status, so the engine
+   re-selects exactly at each connection-status change and phone targets
+   degrade to the watch while disconnected.
+2. **Execute** — all subjects' windows are stacked into per-model groups
+   across the whole population and **one** fused call per model is
+   dispatched for the entire fleet.  How that call looks depends on the
+   predictor:
+
+   * ``FLEET_BATCHABLE = True`` — predictions read no per-run temporal
+     state, so the fused call is a plain batch
+     :meth:`~repro.models.base.HeartRatePredictor.predict` over the stack.
+   * ``FLEET_BATCHABLE = False`` (stateful trackers, anything consuming
+     ``_last_estimate``-style state) — the fused call is **stacked-state**
+     :meth:`~repro.models.base.HeartRatePredictor.predict_fleet`: a
+     :class:`~repro.models.base.FleetState` carries one state slot per
+     subject, a ``subject_index`` vector names each window's slot, and
+     the per-subject ``reset()`` boundaries of sequential replay become
+     fresh state slots instead of serialization points.
+
+   Within each group windows are subject-major in recording order, so
+   every predictor (trackers, calibrated error models with a private
+   random stream) sees exactly the inputs, in exactly the order, that
+   one-subject-at-a-time replay feeds it.  Per-window costs come from a
+   ``(hardware revision, model, target)`` lookup table filled through
+   :meth:`repro.hw.platform.WearableSystem.cached_prediction_cost`.
+
+A fleet run is therefore decision-for-decision identical to a loop of
+per-subject :meth:`~CHRISRuntime.run` calls, and a run is identical to
+the per-window reference (one ``predict_window`` per window), which the
+tests and :func:`repro.eval.benchmarking.benchmark_runtime` reach through
+:meth:`CHRISRuntime._run_scalar_oracle`.
 
 Results are stored as a struct-of-arrays :class:`RunResult`; the familiar
 :class:`WindowDecision` objects are materialized lazily on first access to
-:attr:`RunResult.decisions`.  :meth:`CHRISRuntime.run_many` replays a
-fleet of subjects and aggregates them into a :class:`FleetResult`.
-
-Fleet mega-batching
--------------------
-By default :meth:`CHRISRuntime.run_many` *mega-batches* the fleet: every
-subject is planned individually (so per-subject difficulty streams,
-connection traces and configuration segments are preserved), but
-execution stacks all subjects' windows into per-model groups across the
-whole population and dispatches **one** fused call per model for the
-entire fleet.  How that call looks depends on the predictor:
-
-* ``FLEET_BATCHABLE = True`` — predictions read no per-run temporal
-  state, so the fused call is a plain batch
-  :meth:`~repro.models.base.HeartRatePredictor.predict` over the stack.
-* ``FLEET_BATCHABLE = False`` (stateful trackers, anything consuming
-  ``_last_estimate``-style state) — the fused call is **stacked-state**
-  :meth:`~repro.models.base.HeartRatePredictor.predict_fleet`: a
-  :class:`~repro.models.base.FleetState` carries one state slot per
-  subject, a ``subject_index`` vector names each window's slot, and the
-  per-subject ``reset()`` boundaries of sequential replay become fresh
-  state slots instead of serialization points.  Vectorized
-  implementations advance all subjects' streams in lock-step.
-  Constructing the runtime with ``stacked_state=False`` restores the
-  legacy dispatch of one batch per ``(model, subject)`` segment.
-
-Both dispatches are decision-for-decision identical to sequential
-:meth:`run_many`.  Multi-process sharding on top of this lives in
-:mod:`repro.core.fleet`; dynamically arriving/leaving sessions in
-:mod:`repro.core.scheduler` (each mega-batch allocates state slots for
-the sessions it fuses — arrivals get fresh slots, retired sessions are
-never planned and never occupy one).  Zero-window subjects are legal in
-every multi-subject path and contribute an empty per-subject result.
+:attr:`RunResult.decisions`.  :meth:`CHRISRuntime.run_many` aggregates a
+fleet into a :class:`FleetResult`.  Multi-process sharding on top of
+this lives in :mod:`repro.core.fleet`; dynamically arriving/leaving
+sessions in :mod:`repro.core.scheduler`.  Zero-window subjects are legal
+in every entry point except :meth:`~CHRISRuntime.run_with_configuration`
+and contribute an empty result.
 
 Equivalence policy
 ------------------
@@ -112,7 +109,7 @@ entry point accepts ``systems``, a per-subject-id mapping to the
 (subjects absent from the mapping use the runtime's default system).
 Difficulty prediction and model routing are hardware-independent; per
 subject, the connection status of *its* system gates configuration
-selection, and the cost fill groups windows by hardware revision so each
+selection, and the cost table has a hardware-revision axis so each
 ``(deployment, target)`` pair is looked up once per revision through the
 shared :class:`~repro.hw.platform.CostTableRegistry`.
 """
@@ -231,29 +228,26 @@ _NPZ_ARRAY_FIELDS = (
 )
 
 
-def _fleet_signal_template(subjects: "Sequence[WindowedSubject]") -> np.ndarray | None:
-    """One representative signal row for signal-free fused dispatch.
+def _check_fleet_inputs(
+    subjects: Iterable[WindowedSubject],
+    traces: Mapping[str, np.ndarray],
+    systems: Mapping[str, WearableSystem],
+) -> None:
+    """Validate a fleet before anything executes.
 
-    Signal-free predictors only read the batch length, so the fused call
-    broadcasts a single window across the group.  The row must come from
-    a subject that actually *has* windows — a fleet whose first subject
-    produced none yet would otherwise broadcast an empty ``(0, ...)``
-    template.  Returns ``None`` only for an all-empty fleet, in which
-    case no group has windows to dispatch.
+    Raises like :meth:`FleetResult.add` would on the first duplicate
+    subject id, and ``KeyError`` for traces or systems of subjects not
+    in the fleet.
     """
-    for subject in subjects:
-        if subject.n_windows:
-            return subject.ppg_windows[:1]
-    return None
-
-
-def _check_unique_subject_ids(subject_ids: Iterable[str]) -> None:
-    """Raise like :meth:`FleetResult.add` would on the first duplicate id."""
     seen: set[str] = set()
-    for sid in subject_ids:
-        if sid in seen:
-            raise ValueError(f"subject {sid!r} already recorded")
-        seen.add(sid)
+    for subject in subjects:
+        if subject.subject_id in seen:
+            raise ValueError(f"subject {subject.subject_id!r} already recorded")
+        seen.add(subject.subject_id)
+    for what, keyed in (("connection traces", traces), ("systems", systems)):
+        unknown = sorted(set(keyed) - seen)
+        if unknown:
+            raise KeyError(f"{what} for unknown subjects: {unknown}")
 
 
 @dataclass(eq=False)
@@ -618,23 +612,6 @@ class CHRISRuntime:
     zoo, engine, system, activity_classifier:
         The CHRIS building blocks (hardware co-model and difficulty
         detector are optional).
-    batched:
-        Default execution path: ``True`` dispatches window groups through
-        the predictors' batch API (fast), ``False`` replays windows one by
-        one through ``predict_window`` (reference).  Both paths produce
-        identical decisions; each ``run*`` method also accepts a
-        per-call ``batched`` override.
-    mega_batched:
-        Default fleet execution path of :meth:`run_many`: ``True`` stacks
-        all subjects' windows into per-model groups across the whole fleet
-        (fast, identical decisions), ``False`` replays subjects one at a
-        time.  Only effective when ``batched`` resolves to ``True``.
-    stacked_state:
-        How the mega path dispatches stateful (``FLEET_BATCHABLE =
-        False``) predictors: ``True`` (default) fuses one
-        ``predict_fleet`` call per model with stacked per-subject state
-        vectors; ``False`` restores the legacy one-batch-per-``(model,
-        subject)`` dispatch.  Identical decisions either way.
     equivalence:
         Fast-path reproduction contract (see the module docstring):
         ``"bitwise"`` keeps every fast path bit-identical to sequential
@@ -650,11 +627,11 @@ class CHRISRuntime:
         Floating dtype of the inference hot path (``"float64"`` default,
         or ``"float32"``).  Float32 re-freezes every TimePPG in the zoo
         to single-precision folded weights and pins the AT kernels to
-        float32 inputs, so the batched/fleet paths run with zero float64
+        float32 inputs, so the fleet path runs with zero float64
         temporaries on the signal arrays; ``predicted_hr`` is reported in
         this dtype.  Routing, energy costs and ``true_hr`` stay float64 —
-        they never depend on signal precision.  The scalar reference path
-        (``batched=False``) computes and reports at this dtype too.
+        they never depend on signal precision.  The per-window oracle
+        computes and reports at this dtype too.
         Constructing a non-float64 runtime re-pins the (shared) zoo's
         predictors in place; when comparing dtypes side by side, build
         each runtime over its own zoo instance.
@@ -666,9 +643,6 @@ class CHRISRuntime:
         engine: DecisionEngine,
         system: WearableSystem | None = None,
         activity_classifier: ActivityClassifier | None = None,
-        batched: bool = True,
-        mega_batched: bool = True,
-        stacked_state: bool = True,
         equivalence: str | None = None,
         dtype: str | np.dtype = "float64",
     ) -> None:
@@ -689,9 +663,6 @@ class CHRISRuntime:
         self.engine = engine
         self.system = system or WearableSystem()
         self.activity_classifier = activity_classifier
-        self.batched = batched
-        self.mega_batched = mega_batched
-        self.stacked_state = stacked_state
         self.equivalence = equivalence
         if self.dtype != np.dtype("float64"):
             # Re-pin every predictor's compute dtype (float64 runtimes
@@ -701,7 +672,7 @@ class CHRISRuntime:
 
     # ------------------------------------------------------------ difficulty
     def _predicted_difficulty(self, windows: WindowedSubject, use_oracle: bool) -> np.ndarray:
-        if use_oracle or self.activity_classifier is None:
+        if use_oracle or self.activity_classifier is None or windows.n_windows == 0:
             return windows.difficulty
         return self.activity_classifier.predict_difficulty(windows.accel_windows)
 
@@ -715,37 +686,15 @@ class CHRISRuntime:
         """Index of a model in the zoo's registration order."""
         return self.zoo.names.index(name)
 
-    def _route_windows(
-        self,
-        configuration: ProfiledConfiguration,
-        difficulties: np.ndarray,
-        connected: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized model selection for a block of difficulty levels.
-
-        Returns ``(model_codes, offloaded)`` arrays; phone targets degrade
-        to the watch when the link is down, exactly like the per-window
-        reference path.
-        """
-        model_codes = np.zeros(difficulties.shape[0], dtype=np.intp)
-        offloaded = np.zeros(difficulties.shape[0], dtype=bool)
-        for level in np.unique(difficulties):
-            name, target = self.engine.select_model(configuration, int(level))
-            if target is ExecutionTarget.PHONE and not connected:
-                target = ExecutionTarget.WATCH
-            mask = difficulties == level
-            model_codes[mask] = self._model_code(name)
-            offloaded[mask] = target is ExecutionTarget.PHONE
-        return model_codes, offloaded
-
     def _fleet_router(self):
-        """A drop-in for :meth:`_route_windows` that amortizes across a fleet.
+        """The routing function every plan maps its difficulties through.
 
         Routing is a pure function of ``(configuration, connection
-        status)`` per difficulty level, so the fleet planner resolves all
-        nine levels once into a lookup table and maps every further
-        subject's difficulty array through it — same decisions as the
-        per-subject path, without re-querying the engine per subject.
+        status)`` per difficulty level, so the router resolves all nine
+        levels once per key into a lookup table and maps every further
+        difficulty array through it, without re-querying the engine per
+        subject.  Phone targets degrade to the watch when the link is
+        down.
         """
         lut_cache: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -777,7 +726,7 @@ class CHRISRuntime:
         windows: WindowedSubject,
         configuration: ProfiledConfiguration,
         use_oracle_difficulty: bool,
-        route=None,
+        route,
         connected: bool | None = None,
     ) -> _ExecutionPlan:
         """Routing plan for one recording under a fixed configuration.
@@ -786,14 +735,10 @@ class CHRISRuntime:
         heterogeneous fleets route each subject against the status of its
         own hardware.
         """
-        if windows.n_windows == 0:
-            raise ValueError("the recording contains no windows")
         if connected is None:
             connected = self.system.connected
         difficulties = self._predicted_difficulty(windows, use_oracle_difficulty)
-        model_codes, offloaded = (route or self._route_windows)(
-            configuration, difficulties, connected=connected
-        )
+        model_codes, offloaded = route(configuration, difficulties, connected=connected)
         return _ExecutionPlan(
             configuration=configuration,
             difficulties=difficulties,
@@ -808,24 +753,16 @@ class CHRISRuntime:
         constraint: Constraint,
         connected: np.ndarray,
         use_oracle_difficulty: bool,
-        route=None,
+        route,
     ) -> _ExecutionPlan:
         """Segment-wise routing plan for a recording with a BLE trace.
 
         The engine re-selects the operating configuration at every
         connection-status change; the resulting plan carries one
         configuration segment per change and the configuration active at
-        the *end* of the run.
+        the *end* of the run.  ``connected`` has been validated to one
+        entry per window, and the recording has at least one.
         """
-        connected = np.asarray(connected, dtype=bool)
-        if connected.shape != (windows.n_windows,):
-            raise ValueError(
-                f"connected must have one entry per window "
-                f"({windows.n_windows}), got shape {connected.shape}"
-            )
-        if windows.n_windows == 0:
-            raise ValueError("the recording contains no windows")
-
         difficulties = self._predicted_difficulty(windows, use_oracle_difficulty)
 
         n = windows.n_windows
@@ -844,9 +781,7 @@ class CHRISRuntime:
                 )
             configuration = configuration_by_status[status]
             segments.append((int(start), configuration))
-            codes, off = (route or self._route_windows)(
-                configuration, difficulties[start:end], connected=status
-            )
+            codes, off = route(configuration, difficulties[start:end], connected=status)
             model_codes[start:end] = codes
             offloaded[start:end] = off
 
@@ -859,84 +794,30 @@ class CHRISRuntime:
         )
 
     # ------------------------------------------------------------- execution
-    def _execute(
+    def _run_result(
         self,
-        windows: WindowedSubject,
+        subject: WindowedSubject,
         plan: _ExecutionPlan,
-        batched: bool,
-        system: WearableSystem | None = None,
+        names: np.ndarray,
+        predicted_hr: np.ndarray,
+        costs: Iterable[np.ndarray],
     ) -> RunResult:
-        system = system if system is not None else self.system
-        if batched:
-            predicted_hr, costs = self._execute_batched(windows, plan, system)
-        else:
-            predicted_hr, costs = self._execute_scalar(windows, plan, system)
+        """One subject's result from its plan and its executed arrays."""
         return RunResult(
             configuration=plan.configuration,
-            window_index=np.arange(windows.n_windows, dtype=int),
+            window_index=np.arange(subject.n_windows, dtype=int),
             predicted_difficulty=plan.difficulties.astype(int),
-            true_difficulty=windows.difficulty.astype(int),
-            model_names=np.array(self.zoo.names, dtype=object)[plan.model_codes],
+            true_difficulty=subject.difficulty.astype(int),
+            model_names=names[plan.model_codes],
             offloaded=plan.offloaded,
             predicted_hr=predicted_hr,
-            true_hr=np.asarray(windows.hr, dtype=float).copy(),
+            true_hr=np.asarray(subject.hr, dtype=float).copy(),
             configuration_segments=plan.segments,
             **dict(zip(_COST_FIELDS, costs)),
         )
 
-    def _execute_batched(
-        self, windows: WindowedSubject, plan: _ExecutionPlan, system: WearableSystem
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Group windows by model and dispatch each group as one batch.
-
-        Window order is preserved inside each group, so every predictor
-        consumes its windows in recording order — the property that makes
-        this path bit-identical to the per-window reference.
-        """
-        n = windows.n_windows
-        hr = np.asarray(windows.hr, dtype=float)
-        activity = np.asarray(windows.activity, dtype=int)
-        predicted_hr = np.empty(n, dtype=self.dtype)
-        for code, name in enumerate(self.zoo.names):
-            idx = np.flatnonzero(plan.model_codes == code)
-            if idx.size == 0:
-                continue
-            entry = self.zoo.entry(name)
-            if entry.predictor.REQUIRES_SIGNALS:
-                ppg = windows.ppg_windows[idx]
-                accel = windows.accel_windows[idx]
-            else:
-                # Signal-free predictors (calibrated stand-ins) only need
-                # the batch length and the context — skip the expensive
-                # fancy-indexed copies of the big signal arrays.
-                ppg = np.broadcast_to(
-                    windows.ppg_windows[:1], (idx.size,) + windows.ppg_windows.shape[1:]
-                )
-                accel = None
-            predictions = entry.predictor.predict(
-                ppg,
-                accel,
-                true_hr=hr[idx],
-                activity=activity[idx],
-            )
-            predicted_hr[idx] = np.asarray(predictions, dtype=self.dtype)
-
-        cost_arrays = tuple(np.empty(n, dtype=float) for _ in _COST_FIELDS)
-        for code, name in enumerate(self.zoo.names):
-            for offloaded in (False, True):
-                mask = (plan.model_codes == code) & (plan.offloaded == offloaded)
-                if not np.any(mask):
-                    continue
-                target = ExecutionTarget.PHONE if offloaded else ExecutionTarget.WATCH
-                cost = system.cached_prediction_cost(
-                    self.zoo.entry(name).deployment, target
-                )
-                for array, value in zip(cost_arrays, _cost_values(cost)):
-                    array[mask] = value
-        return predicted_hr, cost_arrays
-
     def _execute_scalar(
-        self, windows: WindowedSubject, plan: _ExecutionPlan, system: WearableSystem
+        self, windows: WindowedSubject, plan: _ExecutionPlan
     ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Reference per-window path: one ``predict_window`` call per window."""
         n = windows.n_windows
@@ -954,12 +835,30 @@ class CHRISRuntime:
                 )
             )
             if plan.offloaded[i]:
-                cost = system.offloaded_cost(entry.deployment)
+                cost = self.system.offloaded_cost(entry.deployment)
             else:
-                cost = system.local_prediction_cost(entry.deployment)
+                cost = self.system.local_prediction_cost(entry.deployment)
             for array, value in zip(cost_arrays, _cost_values(cost)):
                 array[i] = value
         return predicted_hr, cost_arrays
+
+    def _run_scalar_oracle(
+        self, windows: WindowedSubject, plan: _ExecutionPlan
+    ) -> RunResult:
+        """Execute one planned recording window by window (the oracle).
+
+        The per-window reference the fleet path is pinned against: one
+        ``predict_window`` call and one uncached cost computation per
+        window, through :meth:`_execute_scalar`.  It is not an execution
+        mode of the runtime; the tests and
+        :func:`repro.eval.benchmarking.benchmark_runtime` call it with a
+        plan from :meth:`_plan_fleet` (or :meth:`_plan_plain` for an
+        explicit configuration).
+        """
+        self._reset_predictors()
+        predicted_hr, costs = self._execute_scalar(windows, plan)
+        names = np.array(self.zoo.names, dtype=object)
+        return self._run_result(windows, plan, names, predicted_hr, costs)
 
     # ----------------------------------------------------------------- run
     def run(
@@ -967,7 +866,6 @@ class CHRISRuntime:
         windows: WindowedSubject,
         constraint: Constraint,
         use_oracle_difficulty: bool = False,
-        batched: bool | None = None,
         system: WearableSystem | None = None,
     ) -> RunResult:
         """Process a windowed recording under a user constraint.
@@ -976,42 +874,39 @@ class CHRISRuntime:
         the current connection status (as the paper does: re-selection
         only happens when the constraint or the connection changes).
         ``system`` overrides the runtime's default hardware for this run
-        (heterogeneous fleets pass each subject's own device).
+        (heterogeneous fleets pass each subject's own device).  This is a
+        one-subject :meth:`run_many`.
         """
-        system = system if system is not None else self.system
-        configuration = self.engine.select_or_closest(
-            constraint, connected=system.connected
-        )
-        return self.run_with_configuration(
-            windows,
-            configuration,
-            use_oracle_difficulty=use_oracle_difficulty,
-            batched=batched,
-            system=system,
-        )
+        return self._run_one(windows, constraint, use_oracle_difficulty, None, system)
 
     def run_with_configuration(
         self,
         windows: WindowedSubject,
         configuration: ProfiledConfiguration,
         use_oracle_difficulty: bool = False,
-        batched: bool | None = None,
         system: WearableSystem | None = None,
     ) -> RunResult:
         """Process a recording with an explicitly chosen configuration.
 
         Phone-mapped windows degrade to local execution when the BLE link
         is currently down (the configuration itself would be re-selected
-        at the next decision point).
+        at the next decision point).  A recording without windows is
+        rejected.
         """
+        if windows.n_windows == 0:
+            raise ValueError("the recording contains no windows")
         system = system if system is not None else self.system
         plan = self._plan_plain(
-            windows, configuration, use_oracle_difficulty, connected=system.connected
+            windows,
+            configuration,
+            use_oracle_difficulty,
+            self._fleet_router(),
+            connected=system.connected,
         )
-        self._reset_predictors()
-        return self._execute(
-            windows, plan, self.batched if batched is None else batched, system=system
+        fleet = self._run_many_planned(
+            [windows], [plan], systems={windows.subject_id: system}
         )
+        return fleet.results[windows.subject_id]
 
     def run_with_connection_trace(
         self,
@@ -1019,7 +914,6 @@ class CHRISRuntime:
         constraint: Constraint,
         connected: np.ndarray,
         use_oracle_difficulty: bool = False,
-        batched: bool | None = None,
         system: WearableSystem | None = None,
     ) -> RunResult:
         """Process a recording while the BLE connection comes and goes.
@@ -1034,11 +928,28 @@ class CHRISRuntime:
         :class:`RunResult` carries the configuration active at the *end*
         of the run; per-window decisions record what actually executed.
         """
-        plan = self._plan_traced(windows, constraint, connected, use_oracle_difficulty)
-        self._reset_predictors()
-        return self._execute(
-            windows, plan, self.batched if batched is None else batched, system=system
+        return self._run_one(
+            windows, constraint, use_oracle_difficulty, connected, system
         )
+
+    def _run_one(
+        self,
+        windows: WindowedSubject,
+        constraint: Constraint,
+        use_oracle_difficulty: bool,
+        connected: np.ndarray | None,
+        system: WearableSystem | None,
+    ) -> RunResult:
+        """The one-subject :meth:`run_many` behind :meth:`run` and the trace run."""
+        sid = windows.subject_id
+        fleet = self.run_many(
+            [windows],
+            constraint,
+            use_oracle_difficulty=use_oracle_difficulty,
+            connected_traces=None if connected is None else {sid: connected},
+            systems=None if system is None else {sid: system},
+        )
+        return fleet.results[sid]
 
     # ------------------------------------------------------------- run_many
     def run_many(
@@ -1046,37 +957,29 @@ class CHRISRuntime:
         subjects: Iterable[WindowedSubject],
         constraint: Constraint,
         use_oracle_difficulty: bool = False,
-        batched: bool | None = None,
-        mega_batched: bool | None = None,
         connected_traces: Mapping[str, np.ndarray] | None = None,
         systems: Mapping[str, WearableSystem] | None = None,
     ) -> FleetResult:
         """Replay a fleet of subjects under one constraint.
 
-        Predictor state is reset before every subject, so the order of
-        subjects never changes any individual result for stateless
-        predictors; subjects are processed in the given order.
+        Every subject is planned individually, the whole population
+        executes in one fused call per model, and the fleet arrays are
+        split back into per-subject :class:`RunResult` views (see the
+        module docstring).  The result is decision-for-decision identical
+        to a loop of per-subject :meth:`run` calls in the given order:
+        predictor state is reset before every subject, while cross-run
+        streams (the calibrated models' random streams) advance across
+        the fleet.  Zero-window subjects contribute an empty result.
 
         Parameters
         ----------
-        subjects, constraint, use_oracle_difficulty, batched:
+        subjects, constraint, use_oracle_difficulty:
             As in :meth:`run`.
-        mega_batched:
-            Override of the constructor's fleet execution path: ``True``
-            stacks all subjects' windows into per-model groups across the
-            whole fleet and dispatches one fused call per model for the
-            entire population (batch ``predict`` for stateless models,
-            stacked-state ``predict_fleet`` for stateful ones — see the
-            module docstring);  ``False`` replays subjects one at a
-            time.  Both paths are decision-for-decision identical;
-            mega-batching requires the batched per-subject path.
-            Zero-window subjects are legal on every path and contribute
-            an empty result.
         connected_traces:
             Optional per-subject BLE traces keyed by subject id; traced
-            subjects are replayed via the connection-trace path (segment
-            re-selection), the others with the connection's current
-            status.
+            subjects are planned like :meth:`run_with_connection_trace`
+            (segment re-selection), the others with their system's current
+            connection status.
         systems:
             Optional per-subject hardware keyed by subject id — one fleet
             run can mix device revisions.  Subjects absent from the
@@ -1085,80 +988,13 @@ class CHRISRuntime:
         subjects = list(subjects)
         traces = dict(connected_traces or {})
         systems = dict(systems or {})
-        known = {s.subject_id for s in subjects}
-        unknown = sorted(set(traces) - known)
-        if unknown:
-            raise KeyError(f"connection traces for unknown subjects: {unknown}")
-        unknown = sorted(set(systems) - known)
-        if unknown:
-            raise KeyError(f"systems for unknown subjects: {unknown}")
-
-        use_batched = self.batched if batched is None else batched
-        use_mega = self.mega_batched if mega_batched is None else mega_batched
-        if use_batched and use_mega and subjects:
-            return self._run_many_mega(
-                subjects, constraint, use_oracle_difficulty, traces, systems
-            )
-
-        fleet = FleetResult()
-        for subject in subjects:
-            system = systems.get(subject.subject_id)
-            if subject.n_windows == 0:
-                fleet.add(
-                    subject.subject_id,
-                    self._empty_run_result(
-                        constraint, traces.get(subject.subject_id), system
-                    ),
-                )
-                continue
-            if subject.subject_id in traces:
-                result = self.run_with_connection_trace(
-                    subject,
-                    constraint,
-                    traces[subject.subject_id],
-                    use_oracle_difficulty=use_oracle_difficulty,
-                    batched=batched,
-                    system=system,
-                )
-            else:
-                result = self.run(
-                    subject,
-                    constraint,
-                    use_oracle_difficulty=use_oracle_difficulty,
-                    batched=batched,
-                    system=system,
-                )
-            fleet.add(subject.subject_id, result)
-        return fleet
-
-    def _empty_run_result(
-        self,
-        constraint: Constraint,
-        trace: np.ndarray | None,
-        system: WearableSystem | None,
-    ) -> RunResult:
-        """The result of a zero-window subject: no decisions, no state touched.
-
-        Single-subject :meth:`run` keeps rejecting empty recordings (a
-        user error there), but a *fleet* legitimately contains devices
-        that produced no windows yet — they contribute an empty result
-        with the configuration the engine would select right now.
-        """
-        system = system if system is not None else self.system
-        if trace is not None:
-            trace = np.asarray(trace, dtype=bool)
-            if trace.shape != (0,):
-                raise ValueError(
-                    f"connected must have one entry per window (0), "
-                    f"got shape {trace.shape}"
-                )
-        configuration = self.engine.select_or_closest(
-            constraint, connected=system.connected
+        _check_fleet_inputs(subjects, traces, systems)
+        if not subjects:
+            return FleetResult()
+        plans = self._plan_fleet(
+            subjects, constraint, use_oracle_difficulty, traces, systems=systems
         )
-        return RunResult(
-            configuration=configuration,
-            configuration_segments=[(0, configuration)],
-        )
+        return self._run_many_planned(subjects, plans, systems=systems)
 
     # --------------------------------------------------------- fleet planning
     def _plan_fleet(
@@ -1172,12 +1008,12 @@ class CHRISRuntime:
         """One execution plan per subject, in fleet order.
 
         Untraced subjects on the same connection status share one
-        configuration: sequential replay re-selects per subject, but
-        selection is a deterministic function of ``(constraint,
-        connection status)``, so selecting once per status is
-        decision-identical.  With per-subject ``systems`` the status is
-        each subject's own hardware's.  Planning never touches predictor
-        state.
+        configuration: selection is a deterministic function of
+        ``(constraint, connection status)``, so selecting once per status
+        is decision-identical to selecting per subject.  With per-subject
+        ``systems`` the status is each subject's own hardware's.  A
+        zero-window subject plans to nothing, under the configuration its
+        current status selects.  Planning never touches predictor state.
         """
         systems = systems or {}
         route = self._fleet_router()
@@ -1193,31 +1029,17 @@ class CHRISRuntime:
         plans = []
         for subject in subjects:
             trace = traces.get(subject.subject_id)
-            if subject.n_windows == 0:
-                # Zero-window subjects plan to nothing; mirror the
-                # sequential path's empty result (current-status
-                # configuration, one empty segment).
-                if trace is not None and np.asarray(trace).shape != (0,):
-                    raise ValueError(
-                        f"connected must have one entry per window (0), "
-                        f"got shape {np.asarray(trace).shape}"
-                    )
-                status = bool(systems.get(subject.subject_id, self.system).connected)
-                configuration = configuration_for(status)
-                plans.append(
-                    _ExecutionPlan(
-                        configuration=configuration,
-                        difficulties=np.empty(0, dtype=int),
-                        model_codes=np.empty(0, dtype=np.intp),
-                        offloaded=np.empty(0, dtype=bool),
-                        segments=[(0, configuration)],
-                    )
-                )
-                continue
             if trace is not None:
+                trace = np.asarray(trace, dtype=bool)
+                if trace.shape != (subject.n_windows,):
+                    raise ValueError(
+                        f"connected must have one entry per window "
+                        f"({subject.n_windows}), got shape {trace.shape}"
+                    )
+            if trace is not None and subject.n_windows:
                 plans.append(
                     self._plan_traced(
-                        subject, constraint, trace, use_oracle_difficulty, route=route
+                        subject, constraint, trace, use_oracle_difficulty, route
                     )
                 )
             else:
@@ -1229,7 +1051,7 @@ class CHRISRuntime:
                         subject,
                         configuration_for(status),
                         use_oracle_difficulty,
-                        route=route,
+                        route,
                         connected=status,
                     )
                 )
@@ -1273,28 +1095,7 @@ class CHRISRuntime:
         )
         return self.model_window_counts(plans)
 
-    # -------------------------------------------------------- mega execution
-    def _run_many_mega(
-        self,
-        subjects: Sequence[WindowedSubject],
-        constraint: Constraint,
-        use_oracle_difficulty: bool,
-        traces: Mapping[str, np.ndarray],
-        systems: Mapping[str, WearableSystem] | None = None,
-    ) -> FleetResult:
-        """Cross-subject mega-batched fleet replay.
-
-        Plans every subject individually, executes the whole population in
-        per-model groups, then splits the fleet arrays back into
-        per-subject :class:`RunResult` views (NumPy slices of the shared
-        arrays, so the split allocates nothing per subject).
-        """
-        _check_unique_subject_ids(s.subject_id for s in subjects)
-        plans = self._plan_fleet(
-            subjects, constraint, use_oracle_difficulty, traces, systems=systems
-        )
-        return self._run_many_planned(subjects, plans, systems=systems)
-
+    # ------------------------------------------------------- fleet execution
     def _run_many_planned(
         self,
         subjects: Sequence[WindowedSubject],
@@ -1303,11 +1104,14 @@ class CHRISRuntime:
         fleet_states: Mapping[str, "FleetState"] | None = None,
         fleet_slots: np.ndarray | None = None,
     ) -> FleetResult:
-        """Execute precomputed fleet plans (mega-batched).
+        """Execute precomputed fleet plans.
 
-        Split out of :meth:`_run_many_mega` so fleet-executor workers can
-        replay a shard from plans computed once in the parent instead of
-        re-planning (and re-running difficulty inference) per shard.
+        Executes the whole population in per-model groups, then splits the
+        fleet arrays back into per-subject :class:`RunResult` views (NumPy
+        slices of the shared arrays, so the split allocates nothing per
+        subject).  Split from planning so fleet-executor workers replay a
+        shard from plans computed once in the parent, and the scheduler
+        executes batches it planned on its dispatcher thread.
 
         ``fleet_states``/``fleet_slots`` switch stateful predictors from
         fresh per-batch state to **streaming continuations**: instead of a
@@ -1335,20 +1139,12 @@ class CHRISRuntime:
             end = start + subject.n_windows
             fleet.add(
                 subject.subject_id,
-                RunResult(
-                    configuration=plan.configuration,
-                    window_index=np.arange(subject.n_windows, dtype=int),
-                    predicted_difficulty=plan.difficulties.astype(int),
-                    true_difficulty=subject.difficulty.astype(int),
-                    model_names=names[plan.model_codes],
-                    offloaded=plan.offloaded,
-                    predicted_hr=predicted_hr[start:end],
-                    true_hr=np.asarray(subject.hr, dtype=float).copy(),
-                    configuration_segments=plan.segments,
-                    **{
-                        field_name: array[start:end]
-                        for field_name, array in zip(_COST_FIELDS, cost_arrays)
-                    },
+                self._run_result(
+                    subject,
+                    plan,
+                    names,
+                    predicted_hr[start:end],
+                    (array[start:end] for array in cost_arrays),
                 ),
             )
             start = end
@@ -1365,28 +1161,26 @@ class CHRISRuntime:
         """Execute all subjects' plans in per-model fleet-wide groups.
 
         Window order within each group is subject-major with recording
-        order inside every subject — exactly the order in which sequential
-        replay feeds each predictor, which is what makes the fused calls
-        bit-identical.  Stateless predictors (``FLEET_BATCHABLE = True``)
-        fuse into one batch ``predict`` per model; stateful predictors
-        fuse into one ``predict_fleet`` per model with a subject-index
-        vector and a fresh :class:`~repro.models.base.FleetState` whose
-        slots re-enact the per-subject ``reset()`` boundaries (or, with
-        ``stacked_state=False``, fall back to one batch per ``(model,
-        subject)`` segment).  Under the ``"tolerance"`` equivalence
-        policy, stateless-but-not-bit-stable predictors
+        order inside every subject — exactly the order in which
+        one-subject-at-a-time replay feeds each predictor, which is what
+        makes the fused calls bit-identical.  Stateless predictors
+        (``FLEET_BATCHABLE = True``) fuse into one batch ``predict`` per
+        model; stateful predictors fuse into one ``predict_fleet`` per
+        model with a subject-index vector and a fresh
+        :class:`~repro.models.base.FleetState` whose slots re-enact the
+        per-subject ``reset()`` boundaries.  Under the ``"tolerance"``
+        equivalence policy, stateless-but-not-bit-stable predictors
         (``TOLERANCE_FUSABLE``, the TimePPG TCNs) also fuse into one
         plain batch ``predict`` — their predictions may then differ from
-        sequential replay within :data:`EQUIVALENCE_ATOL` /
+        per-subject replay within :data:`EQUIVALENCE_ATOL` /
         :data:`EQUIVALENCE_RTOL`, everything else stays bit-identical.
 
-        With heterogeneous ``systems`` the cost fill additionally groups
-        windows by hardware revision, so each ``(deployment, target)``
-        lookup happens once per revision for the whole fleet.
+        Costs are gathered from a ``(hardware revision, model, target)``
+        value table: each combination the plans route is looked up once
+        for the whole fleet, whatever the mix of ``systems``.
         """
         counts = [s.n_windows for s in subjects]
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        n_total = int(bounds[-1])
+        n_total = int(sum(counts))
         window_slots = np.repeat(np.arange(len(subjects), dtype=np.intp), counts)
         model_codes = np.concatenate([p.model_codes for p in plans])
         offloaded = np.concatenate([p.offloaded for p in plans])
@@ -1403,148 +1197,79 @@ class CHRISRuntime:
             plain_fused = predictor.FLEET_BATCHABLE or (
                 self.equivalence == "tolerance" and predictor.TOLERANCE_FUSABLE
             )
-            if plain_fused or self.stacked_state:
-                if not predictor.FLEET_BATCHABLE:
-                    # Fused dispatch of a predictor sequential replay
-                    # would reset per subject: per-run instance state is
-                    # reset once; for the stacked-state path the
-                    # per-subject boundaries live in fresh state slots.
-                    predictor.reset()
-                idx = np.flatnonzero(model_codes == code)
-                if idx.size == 0:
-                    continue
-                if predictor.REQUIRES_SIGNALS:
-                    ppg = np.concatenate(
-                        [
-                            s.ppg_windows[p.model_codes == code]
-                            for s, p in zip(subjects, plans)
-                        ]
-                    )
-                    accel = np.concatenate(
-                        [
-                            s.accel_windows[p.model_codes == code]
-                            for s, p in zip(subjects, plans)
-                        ]
-                    )
-                else:
-                    # Signal-free predictors only need the batch length;
-                    # the template row comes from any non-empty subject
-                    # (a fleet whose first subject has zero windows must
-                    # not broadcast an empty template).
-                    template = _fleet_signal_template(subjects)
-                    ppg = np.broadcast_to(
-                        template, (idx.size,) + template.shape[1:]
-                    )
-                    accel = None
-                if plain_fused:
-                    predictions = predictor.predict(
-                        ppg, accel, true_hr=hr[idx], activity=activity[idx]
-                    )
-                else:
-                    # Streaming continuation: gather the batch's long-lived
-                    # slots into a batch-local sub-state (slots = batch
-                    # positions, monotone as predict_fleet requires) while
-                    # the windows keep arrival order — the order every
-                    # predictor's random stream consumes — then scatter
-                    # the advanced slot values back for the next batch.
-                    persistent = (
-                        fleet_states.get(name) if fleet_states is not None else None
-                    )
-                    if persistent is not None:
-                        batch_slots = np.asarray(fleet_slots, dtype=np.intp)
-                        state = persistent.take_slots(batch_slots)
-                    else:
-                        state = predictor.make_fleet_state(len(subjects))
-                    predictions = predictor.predict_fleet(
-                        ppg,
-                        accel,
-                        subject_index=window_slots[idx],
-                        state=state,
-                        true_hr=hr[idx],
-                        activity=activity[idx],
-                    )
-                    if persistent is not None:
-                        persistent.restore_slots(batch_slots, state)
-                predicted_hr[idx] = np.asarray(predictions, dtype=self.dtype)
+            if not predictor.FLEET_BATCHABLE:
+                # Per-run instance state is reset once; the per-subject
+                # boundaries live in fresh state slots.
+                predictor.reset()
+            idx = np.flatnonzero(model_codes == code)
+            if idx.size == 0:
+                continue
+            if predictor.REQUIRES_SIGNALS:
+                ppg = np.concatenate(
+                    [s.ppg_windows[p.model_codes == code] for s, p in zip(subjects, plans)]
+                )
+                accel = np.concatenate(
+                    [s.accel_windows[p.model_codes == code] for s, p in zip(subjects, plans)]
+                )
             else:
-                for offset, subject, plan in zip(bounds[:-1], subjects, plans):
-                    # Sequential replay resets before every subject whether
-                    # or not this model receives windows from it.
-                    predictor.reset()
-                    local_idx = np.flatnonzero(plan.model_codes == code)
-                    if local_idx.size == 0:
-                        continue
-                    if predictor.REQUIRES_SIGNALS:
-                        ppg = subject.ppg_windows[local_idx]
-                        accel = subject.accel_windows[local_idx]
-                    else:
-                        ppg = np.broadcast_to(
-                            subject.ppg_windows[:1],
-                            (local_idx.size,) + subject.ppg_windows.shape[1:],
-                        )
-                        accel = None
-                    predictions = predictor.predict(
-                        ppg,
-                        accel,
-                        true_hr=np.asarray(subject.hr, dtype=float)[local_idx],
-                        activity=np.asarray(subject.activity, dtype=int)[local_idx],
-                    )
-                    predicted_hr[offset + local_idx] = np.asarray(predictions, dtype=self.dtype)
+                # Signal-free predictors only need the batch length: one
+                # window of any non-empty subject, broadcast over the group.
+                template = next(s.ppg_windows[:1] for s in subjects if s.n_windows)
+                ppg = np.broadcast_to(template, (idx.size,) + template.shape[1:])
+                accel = None
+            if plain_fused:
+                predictions = predictor.predict(
+                    ppg, accel, true_hr=hr[idx], activity=activity[idx]
+                )
+            else:
+                # Streaming continuation: gather the batch's long-lived
+                # slots into a batch-local sub-state (slots = batch
+                # positions, monotone as predict_fleet requires) while the
+                # windows keep arrival order — the order every predictor's
+                # random stream consumes — then scatter the advanced slot
+                # values back for the next batch.
+                persistent = fleet_states.get(name) if fleet_states is not None else None
+                if persistent is not None:
+                    batch_slots = np.asarray(fleet_slots, dtype=np.intp)
+                    state = persistent.take_slots(batch_slots)
+                else:
+                    state = predictor.make_fleet_state(len(subjects))
+                predictions = predictor.predict_fleet(
+                    ppg,
+                    accel,
+                    subject_index=window_slots[idx],
+                    state=state,
+                    true_hr=hr[idx],
+                    activity=activity[idx],
+                )
+                if persistent is not None:
+                    persistent.restore_slots(batch_slots, state)
+            predicted_hr[idx] = np.asarray(predictions, dtype=self.dtype)
 
-        # Group subjects by the hardware that executes them; a homogeneous
-        # fleet collapses to one group and skips the per-group masking.
+        # Hardware revisions in first-seen order; a homogeneous fleet has
+        # one, and its windows all index revision 0 of the table.
         systems = systems or {}
-        group_systems: list[WearableSystem] = []
-        group_by_revision: dict[tuple, int] = {}
-        subject_groups = np.empty(len(subjects), dtype=np.intp)
+        revision_systems: list[WearableSystem] = []
+        revision_index: dict[tuple, int] = {}
+        subject_revisions = np.empty(len(subjects), dtype=np.intp)
         for i, subject in enumerate(subjects):
             system = systems.get(subject.subject_id, self.system)
-            revision = system.hardware_revision()
-            gid = group_by_revision.get(revision)
-            if gid is None:
-                gid = len(group_systems)
-                group_by_revision[revision] = gid
-                group_systems.append(system)
-            subject_groups[i] = gid
-        if len(group_systems) > 1:
-            window_groups = np.repeat(subject_groups, counts)
-            group_masks = [window_groups == gid for gid in range(len(group_systems))]
-        else:
-            group_masks = [None]
-
-        if len(group_systems) == 1:
-            # Homogeneous fleet: fill costs through a small per-(model,
-            # target) value table and one gather per cost field instead
-            # of a boolean mask pass per combination.  Only combinations
-            # the plan actually routes are looked up (and memoized).
-            system = group_systems[0]
-            packed = model_codes * 2 + offloaded
-            lut = np.zeros((2 * len(self.zoo.names), len(_COST_FIELDS)))
-            for key in np.flatnonzero(
-                np.bincount(packed, minlength=lut.shape[0])
-            ):
-                code, is_offloaded = divmod(int(key), 2)
-                target = ExecutionTarget.PHONE if is_offloaded else ExecutionTarget.WATCH
-                cost = system.cached_prediction_cost(
-                    self.zoo.entry(self.zoo.names[code]).deployment, target
-                )
-                lut[key] = _cost_values(cost)
-            cost_arrays = tuple(lut[packed, j] for j in range(len(_COST_FIELDS)))
-            return predicted_hr, cost_arrays
-
-        cost_arrays = tuple(np.empty(n_total, dtype=float) for _ in _COST_FIELDS)
-        for code, name in enumerate(self.zoo.names):
-            deployment = self.zoo.entry(name).deployment
-            for is_offloaded in (False, True):
-                base_mask = (model_codes == code) & (offloaded == is_offloaded)
-                if not np.any(base_mask):
-                    continue
-                target = ExecutionTarget.PHONE if is_offloaded else ExecutionTarget.WATCH
-                for system, group_mask in zip(group_systems, group_masks):
-                    mask = base_mask & group_mask
-                    if not np.any(mask):
-                        continue
-                    cost = system.cached_prediction_cost(deployment, target)
-                    for array, value in zip(cost_arrays, _cost_values(cost)):
-                        array[mask] = value
-        return predicted_hr, cost_arrays
+            rid = revision_index.setdefault(system.hardware_revision(), len(revision_systems))
+            if rid == len(revision_systems):
+                revision_systems.append(system)
+            subject_revisions[i] = rid
+        n_models = len(self.zoo.names)
+        packed = model_codes * 2 + offloaded
+        if len(revision_systems) > 1:
+            packed = packed + np.repeat(subject_revisions, counts) * (2 * n_models)
+        # Only combinations the plans actually route are looked up.
+        lut = np.zeros((len(revision_systems) * 2 * n_models, len(_COST_FIELDS)))
+        for key in np.flatnonzero(np.bincount(packed, minlength=lut.shape[0])):
+            rid, rest = divmod(int(key), 2 * n_models)
+            code, is_offloaded = divmod(rest, 2)
+            target = ExecutionTarget.PHONE if is_offloaded else ExecutionTarget.WATCH
+            cost = revision_systems[rid].cached_prediction_cost(
+                self.zoo.entry(self.zoo.names[code]).deployment, target
+            )
+            lut[key] = _cost_values(cost)
+        return predicted_hr, tuple(lut[packed, j] for j in range(len(_COST_FIELDS)))

@@ -16,9 +16,13 @@ Execution model
 ---------------
 A dispatcher thread drains the arrival queue into *batches*: every
 session waiting when the dispatcher wakes (bounded by
-``max_batch_size``) is planned and executed as one cross-subject
-mega-batch (:meth:`~repro.core.runtime.CHRISRuntime._run_many_planned`),
-dispatched onto a bounded worker pool of ``max_workers`` threads.
+``max_batch_size``) is planned on the dispatcher
+(:meth:`~repro.core.runtime.CHRISRuntime._plan_fleet`) and handed to
+one worker thread that executes it as one cross-subject mega-batch
+(:meth:`~repro.core.runtime.CHRISRuntime._run_many_planned`), so the
+next batch is planned while the current one executes.  Process
+parallelism belongs to :class:`~repro.core.fleet.FleetExecutor`; the
+scheduler executes its batches one at a time, in dispatch order.
 Stateful predictors ride the same fused path: each mega-batch allocates
 a stacked :class:`~repro.models.base.FleetState` with one state slot
 per session it fuses — an arriving session gets a fresh slot in the
@@ -60,33 +64,33 @@ tracker state across batches, so nothing ever replays a whole session.
 Pushes that are still queued coalesce in place (one growing window
 batch per stream), which keeps at most one queued session per stream
 and lets the deadline policy fuse an entire SLO window's worth of
-arrivals into one mega-batch.  Streaming requires ``max_workers=1``
-(continuations serialize on the long-lived state) and a
-``stacked_state`` runtime.
+arrivals into one mega-batch.
+
+Admission
+---------
+Inputs are validated once, when they are admitted, so a bad input
+raises to its caller and never reaches a batch.  Besides per-session
+checks (empty recordings, trace shape, one window per push), the
+scheduler records the PPG and accelerometer window shapes of the first
+recording or window it admits; :meth:`FleetScheduler.submit` and
+:meth:`StreamSession.push` reject any later input of another geometry,
+which the fused ``np.concatenate`` of a batch could not stack.
 
 Equivalence contract
 --------------------
 The scheduler is **decision-for-decision identical to sequential
 replay**: collecting every completed session's result reproduces exactly
 ``runtime.run_many(subjects, constraint)`` over the completed sessions
-in submission order, no matter how arrivals were batched or how many
-workers executed.  (Under the runtime's ``equivalence="tolerance"``
-policy the contract relaxes exactly as documented in
+in submission order, no matter how arrivals were batched.  (Under the
+runtime's ``equivalence="tolerance"`` policy the contract relaxes
+exactly as documented in
 :mod:`repro.core.runtime`: tolerance-fused models' *predictions* may
 move within the documented atol/rtol because batch composition depends
 on arrival coalescing; routing, costs and every other field stay
-bit-identical.)  Two mechanisms guarantee this:
-
-* batches are *planned* in submission order on the scheduler's private
-  stream runtime, whose predictors are then fast-forwarded with
-  :meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state` by
-  exactly the windows the batch routes to each model — so the next batch
-  starts from the state sequential replay would have reached;
-* each batch executes on a copy of the stream runtime snapshotted
-  *before* that fast-forward, so concurrent batches never share mutable
-  predictor state (with one worker, batches run serially in dispatch
-  order and the stream runtime executes them directly — execution itself
-  is the fast-forward).
+bit-identical.)  Batches are planned in submission order and executed
+in dispatch order on the scheduler's private stream runtime, so
+execution itself advances the predictor streams exactly like sequential
+replay.
 
 Sessions retired while still queued are never planned and never advance
 any predictor stream — the contract holds over the sessions that
@@ -94,8 +98,9 @@ actually ran.
 
 Fault tolerance: degrade, don't die
 -----------------------------------
-A batch that fails during execution is retried with capped exponential
-backoff (``max_retries`` / ``retry_backoff_s``); a batch that exhausts
+A batch that fails during execution is retried with the capped
+exponential backoff of :func:`repro.core.faults.backoff_delay`
+(``max_retries`` / ``retry_backoff_s``); a batch that exhausts
 its retries is **quarantined** — its sessions resolve ``FAILED`` with
 the error attached while the scheduler keeps serving every other
 session.  Stream accounting is *as-if-planned*: the scheduler's
@@ -106,8 +111,10 @@ succeeded — one bad recording cannot invalidate its neighbours.  (The
 flip side: after a quarantine, later sessions match sequential replay
 over *all dispatched* sessions, not over the successful subset.)
 
-Retries execute on runtimes rebuilt from the construction-time zoo
-snapshot fast-forwarded to the batch's planned start position —
+A failed attempt leaves the stream runtime partway through its batch,
+so its zoo is rebuilt from the construction-time zoo snapshot,
+fast-forwarded to the batch's planned start position for a retry and to
+the as-if-planned position after the batch once retries are exhausted —
 cross-run predictor state is a pure function of cumulative windows
 consumed (see :meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state`),
 so a rebuilt attempt is bit-identical to a first attempt.  Only when
@@ -139,9 +146,6 @@ from repro.core.runtime import CHRISRuntime, RunResult
 from repro.data.dataset import DEFAULT_WINDOW_SPEC, WindowedSubject, WindowSpec
 from repro.hw.platform import WearableSystem
 from repro.models.base import FleetState
-
-#: Upper bound on one retry backoff sleep, whatever the attempt count.
-_BACKOFF_CAP_S = 2.0
 
 #: Re-poll cadence of a deadline-policy dispatcher holding a batch back.
 #: ``Condition.wait`` sleeps in *wall* time while deadlines live in
@@ -305,8 +309,6 @@ class FleetScheduler:
         Operating constraint shared by every session — the same role it
         plays in :meth:`~repro.core.runtime.CHRISRuntime.run_many`, whose
         sequential replay the scheduler reproduces bit-identically.
-    max_workers:
-        Worker-thread pool size executing dispatched batches.
     max_batch_size:
         Upper bound on sessions fused into one mega-batch; ``None``
         (default) fuses everything waiting at dispatch time.
@@ -319,7 +321,7 @@ class FleetScheduler:
         error.
     retry_backoff_s:
         Base of the capped exponential backoff between retries of one
-        batch (attempt ``k`` sleeps ``min(2 s, retry_backoff_s * 2**k)``).
+        batch (:func:`repro.core.faults.backoff_delay`).
     policy:
         Batching policy: ``"drain"`` releases a batch the moment anything
         is waiting (the historical behaviour); ``"deadline"`` holds the
@@ -341,14 +343,13 @@ class FleetScheduler:
         deterministic latency tests and benchmarks.
 
     Use as a context manager (or call :meth:`close`) so the dispatcher
-    thread and worker pool are torn down deterministically.
+    and worker threads are torn down deterministically.
     """
 
     def __init__(
         self,
         runtime: CHRISRuntime,
         constraint: Constraint,
-        max_workers: int = 1,
         max_batch_size: int | None = None,
         use_oracle_difficulty: bool = False,
         max_retries: int = 2,
@@ -359,8 +360,6 @@ class FleetScheduler:
         max_streams: int = 64,
         clock: "Callable[[], float] | None" = None,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_batch_size is not None and max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_retries < 0:
@@ -376,7 +375,6 @@ class FleetScheduler:
         if max_streams < 1:
             raise ValueError(f"max_streams must be >= 1, got {max_streams}")
         self.constraint = constraint
-        self.max_workers = max_workers
         self.max_batch_size = max_batch_size
         self.use_oracle_difficulty = use_oracle_difficulty
         self.max_retries = max_retries
@@ -387,16 +385,16 @@ class FleetScheduler:
         self.max_streams = max_streams
         #: Monotonic time source; set once here, read-only afterwards.
         self._clock = clock if clock is not None else time.monotonic
-        #: Stream runtime: planned in submission order and fast-forwarded
-        #: batch by batch; always holds the predictor state sequential
-        #: replay would have after every dispatched session.
+        #: Stream runtime: plans batches in submission order and executes
+        #: them in dispatch order; after every executed batch it holds the
+        #: predictor state sequential replay would have.
         self._runtime = copy.deepcopy(runtime)
         #: Construction-time zoo snapshot plus cumulative per-model window
         #: totals of every batch planned so far.  Together they let the
-        #: scheduler *rebuild* any stream position (retry attempts, serial
+        #: scheduler *rebuild* any stream position (retry attempts, the
         #: restore after a mid-execution failure): predictor state is a
         #: pure function of cumulative windows consumed.  ``_stream_totals``
-        #: is touched only by the dispatcher thread; workers receive
+        #: is touched only by the dispatcher thread; the worker receives
         #: immutable per-batch copies.
         self._pristine_zoo = copy.deepcopy(self._runtime.zoo)
         self._stream_totals: dict[str, int] = {}
@@ -417,6 +415,9 @@ class FleetScheduler:
         #: fast-forward).  Ordinary batch failures never set it — they
         #: retry and then quarantine (see the module docstring).
         self._corrupted = False  # guarded-by: _lock, _arrivals, _resolved
+        #: ``(ppg, accel)`` per-window shapes of the first admitted input;
+        #: every later recording or pushed window must match them.
+        self._window_shapes: tuple | None = None  # guarded-by: _lock, _arrivals, _resolved
         # ----------------------------------------- serving / latency state
         #: Open streams by id and the freelist of long-lived state slots.
         self._streams: dict[str, StreamSession] = {}  # guarded-by: _lock, _arrivals, _resolved
@@ -424,10 +425,10 @@ class FleetScheduler:
         #: Long-lived per-model fleet states backing streaming
         #: continuations.  Created under the lock by the first
         #: ``open_stream`` — before any streaming session can exist — and
-        #: thereafter its *contents* are touched only by the (single,
-        #: streaming requires ``max_workers=1``) executing worker and by
-        #: slot recycling after a stream's last session resolved, so the
-        #: gather/execute/scatter cycle itself runs unlocked.
+        #: thereafter its *contents* are touched only by the single
+        #: executing worker and by slot recycling after a stream's last
+        #: session resolved, so the gather/execute/scatter cycle itself
+        #: runs unlocked.
         self._fleet_states: dict[str, FleetState] | None = None
         #: Latency samples (one per arrival event): enqueue→dispatch and
         #: enqueue→complete, plus deadline misses and per-batch window
@@ -439,8 +440,9 @@ class FleetScheduler:
         self._deadline_misses = 0  # guarded-by: _lock, _arrivals, _resolved
         self._batch_windows: list[int] = []  # guarded-by: _lock, _arrivals, _resolved
         self._done_q: "queue.Queue[FleetSession]" = queue.Queue()
+        #: The one worker thread executing dispatched batches in order.
         self._pool = ThreadPoolExecutor(  # lifecycle-ok: owned by the scheduler, shut down in close()
-            max_workers=max_workers, thread_name_prefix="fleet-worker"
+            1, thread_name_prefix="fleet-worker"
         )
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="fleet-dispatcher", daemon=True
@@ -466,7 +468,9 @@ class FleetScheduler:
         rejected (their results would be indistinguishable).  The session
         id is authoritative: a recording carrying a different
         ``subject_id`` is relabeled, so one recording can back several
-        session ids.
+        session ids.  A recording whose window geometry differs from the
+        scheduler's (see *Admission* in the module docstring) raises
+        ``ValueError`` and is not enqueued.
         """
         if slo_s is not None and slo_s <= 0:
             raise ValueError(f"slo_s must be > 0, got {slo_s}")
@@ -484,16 +488,11 @@ class FleetScheduler:
                     f"({recording.n_windows}), got shape {connected_trace.shape}"
                 )
         with self._lock:
-            if self._closed:
-                raise RuntimeError("scheduler is closed")
-            if self._corrupted:
-                raise RuntimeError(
-                    "scheduler predictor streams could not be rebuilt after "
-                    "an earlier failure; results could no longer match "
-                    "sequential replay — create a fresh scheduler"
-                )
             if subject_id in self._active_ids:
                 raise ValueError(f"session for subject {subject_id!r} is already live")
+            self._admit_locked(
+                recording.ppg_windows.shape[1:], recording.accel_windows.shape[1:]
+            )
             session = FleetSession(
                 subject_id=subject_id,
                 recording=recording,
@@ -541,33 +540,11 @@ class FleetScheduler:
         state slot per open stream, so a wearer's tracker state survives
         across batches without replaying whole sessions.  ``slo_s``
         overrides the scheduler deadline budget for this stream's
-        windows; ``spec`` declares the window geometry (defaults to the
+        windows; ``spec`` labels the stream's windows (defaults to the
         corpus-wide :data:`~repro.data.dataset.DEFAULT_WINDOW_SPEC`).
-
-        Requires ``max_workers=1`` — continuations serialize on the
-        long-lived state, which is exactly the single-worker execution
-        order — and a ``stacked_state`` runtime (the per-(model, subject)
-        fallback path has no state slots to continue).
         """
-        if self.max_workers != 1:
-            raise ValueError(
-                "streaming dispatch requires max_workers=1: predict_fleet "
-                "continuations serialize on the long-lived state slots"
-            )
-        if not self._runtime.stacked_state:
-            raise ValueError(
-                "streaming dispatch requires a stacked_state runtime "
-                "(state slots are what carries a stream across batches)"
-            )
         with self._lock:
-            if self._closed:
-                raise RuntimeError("scheduler is closed")
-            if self._corrupted:
-                raise RuntimeError(
-                    "scheduler predictor streams could not be rebuilt after "
-                    "an earlier failure; results could no longer match "
-                    "sequential replay — create a fresh scheduler"
-                )
+            self._admit_locked()
             if stream_id in self._streams:
                 raise ValueError(f"stream {stream_id!r} is already open")
             if not self._free_slots:
@@ -621,16 +598,9 @@ class FleetScheduler:
         activity_arr = np.asarray([activity], dtype=int)
         hr_arr = np.asarray([hr], dtype=float)
         with self._lock:
-            if self._closed:
-                raise RuntimeError("scheduler is closed")
-            if self._corrupted:
-                raise RuntimeError(
-                    "scheduler predictor streams could not be rebuilt after "
-                    "an earlier failure; results could no longer match "
-                    "sequential replay — create a fresh scheduler"
-                )
             if not stream._open:
                 raise RuntimeError(f"stream {stream.stream_id!r} is closed")
+            self._admit_locked(ppg.shape[1:], accel.shape[1:])
             now = self._clock()
             live = stream._live
             if (
@@ -677,6 +647,39 @@ class FleetScheduler:
             self._unresolved += 1
             self._arrivals.notify_all()
         return session
+
+    def _admit_locked(  # unguarded-ok: _closed, _corrupted, _window_shapes
+        self, ppg_shape: tuple | None = None, accel_shape: tuple | None = None
+    ) -> None:
+        """The accept guard of every submission path (lock held).
+
+        Raises ``RuntimeError`` when the scheduler is closed or its
+        predictor streams can no longer be rebuilt.  Given an input's
+        per-window PPG and accelerometer shapes, also raises
+        ``ValueError`` when they differ from the first admitted input's,
+        and records them on the first call — so callers make it their
+        last check before enqueueing, and a rejected input records
+        nothing.
+        """
+        if self._closed:
+            raise RuntimeError("scheduler is closed")
+        if self._corrupted:
+            raise RuntimeError(
+                "scheduler predictor streams could not be rebuilt after "
+                "an earlier failure; results could no longer match "
+                "sequential replay — create a fresh scheduler"
+            )
+        if ppg_shape is None:
+            return
+        shapes = (tuple(ppg_shape), tuple(accel_shape))
+        if self._window_shapes is None:
+            self._window_shapes = shapes
+        elif shapes != self._window_shapes:
+            raise ValueError(
+                f"window geometry (PPG {shapes[0]}, accel {shapes[1]}) does not "
+                f"match the geometry this scheduler admitted first "
+                f"(PPG {self._window_shapes[0]}, accel {self._window_shapes[1]})"
+            )
 
     def _close_stream(self, stream: StreamSession) -> None:
         """Close a stream; recycle its slot once every push resolved."""
@@ -760,47 +763,31 @@ class FleetScheduler:
                 )
                 continue
             try:
-                task_runtime, plans, systems, prior, post, slots = self._prepare_batch(batch)
+                plans, systems, prior, post, slots = self._prepare_batch(batch)
             except BaseException as exc:  # noqa: BLE001 - reported per session
                 self._fail_batch(batch, exc)
                 continue
             try:
-                self._pool.submit(
-                    self._execute_batch, task_runtime, batch, plans, systems, prior, post, slots
-                )
+                self._pool.submit(self._execute_batch, batch, plans, systems, prior, post, slots)
             except BaseException as exc:  # noqa: BLE001 - pool shut down mid-flight
-                if self.max_workers == 1:
-                    # The serial stream runtime only advances by
-                    # *executing*; with the batch never executing, roll
-                    # the as-if-planned accounting back so the stream
-                    # position and the totals agree again.  (The snapshot
-                    # path already fast-forwarded the stream as planned —
-                    # later batches stay consistent without it.)
-                    self._stream_totals = dict(prior)
+                # The stream runtime only advances by *executing*; with the
+                # batch never executing, roll the as-if-planned accounting
+                # back so the stream position and the totals agree again.
+                self._stream_totals = dict(prior)
                 self._fail_batch(batch, exc)
 
     def _prepare_batch(
         self, batch: list[FleetSession]
-    ) -> tuple[
-        CHRISRuntime,
-        list,
-        dict[str, WearableSystem],
-        dict[str, int],
-        dict[str, int],
-        np.ndarray | None,
-    ]:
-        """Plan a batch on the stream runtime and snapshot its execution state.
+    ) -> tuple[list, dict[str, WearableSystem], dict[str, int], dict[str, int], np.ndarray | None]:
+        """Plan a batch on the stream runtime (dispatcher side).
 
-        Planning is side-effect free; the execution snapshot is taken
-        *before* the stream runtime is fast-forwarded by the batch's
-        per-model window counts, so the snapshot starts exactly where
-        sequential replay would and the next batch starts exactly after
-        it.  Returns ``(task_runtime, plans, systems, prior_totals,
-        post_totals, fleet_slots)`` — the cumulative per-model window
-        totals before and after this batch, which retries and the serial
-        restore path use to rebuild stream positions, plus the long-lived
-        state slot of each session for a streaming batch (``None``
-        otherwise; batches are kind-homogeneous by construction).
+        Planning is side-effect free on predictor state.  Returns
+        ``(plans, systems, prior_totals, post_totals, fleet_slots)`` —
+        the cumulative per-model window totals before and after this
+        batch, which retries and the failure restore use to rebuild
+        stream positions, plus the long-lived state slot of each session
+        for a streaming batch (``None`` otherwise; batches are
+        kind-homogeneous by construction).
         """
         subjects = [s.recording for s in batch]
         fleet_slots = (
@@ -818,86 +805,39 @@ class FleetScheduler:
             subjects, self.constraint, self.use_oracle_difficulty, traces, systems=systems
         )
         self._profile_cost_tables(systems.values())
-        totals: dict[str, int] = {}
-        for counts in self._runtime.model_window_counts(plans):
-            for name, count in counts.items():
-                totals[name] = totals.get(name, 0) + count
         # As-if-planned accounting: the stream position moves past this
         # batch now, whether or not execution ultimately succeeds — a
         # quarantined batch must not invalidate its successors.
         prior = dict(self._stream_totals)
-        for name, count in totals.items():
-            self._stream_totals[name] = self._stream_totals.get(name, 0) + count
+        for counts in self._runtime.model_window_counts(plans):
+            for name, count in counts.items():
+                self._stream_totals[name] = self._stream_totals.get(name, 0) + count
         post = dict(self._stream_totals)
-        if self.max_workers == 1:
-            # A single worker executes batches strictly in dispatch order,
-            # so the stream runtime can execute them itself: execution
-            # advances the predictor streams exactly like sequential
-            # replay, with no snapshot and no double fast-forward.
-            return self._runtime, plans, systems, prior, post, fleet_slots
-        # Concurrent batches must not share mutable predictor state:
-        # snapshot only what execution mutates — the zoo.  The engine,
-        # system and classifier are read-only during execution (cost
-        # tables were just profiled eagerly), so sharing them keeps the
-        # per-batch snapshot cost proportional to the zoo, not the whole
-        # experiment.  The stream runtime is then fast-forwarded by the
-        # batch's per-model window counts so the next batch starts from
-        # the state sequential replay would have reached.
-        task_runtime = self._clone_runtime(copy.deepcopy(self._runtime.zoo))
-        try:
-            for entry in self._runtime.zoo:
-                entry.predictor.advance_fleet_state(totals.get(entry.name, 0))
-        except BaseException:
-            # A half-applied fast-forward leaves the stream position
-            # undefined; poison the scheduler rather than let later
-            # sessions silently diverge from sequential replay.
-            self._mark_corrupt()
-            raise
-        return task_runtime, plans, systems, prior, post, fleet_slots
+        return plans, systems, prior, post, fleet_slots
 
-    def _clone_runtime(self, zoo) -> CHRISRuntime:
-        """A runtime sharing everything read-only with the stream runtime."""
-        return CHRISRuntime(
-            zoo=zoo,
-            engine=self._runtime.engine,
-            system=self._runtime.system,
-            activity_classifier=self._runtime.activity_classifier,
-            batched=self._runtime.batched,
-            mega_batched=self._runtime.mega_batched,
-            stacked_state=self._runtime.stacked_state,
-            equivalence=self._runtime.equivalence,
-            dtype=self._runtime.dtype,
-        )
-
-    def _rebuild_runtime(self, totals: Mapping[str, int]) -> CHRISRuntime:
-        """A runtime positioned at cumulative stream position ``totals``.
+    def _rebuild_zoo(self, totals: Mapping[str, int]):
+        """A stream zoo positioned at cumulative stream position ``totals``.
 
         Built from the construction-time pristine zoo: predictor state is
         a pure function of cumulative windows consumed, so this is
-        bit-identical to the live stream runtime at the same position.
+        bit-identical to the live stream zoo at the same position.
         """
         zoo = copy.deepcopy(self._pristine_zoo)
         for entry in zoo:
             entry.predictor.advance_fleet_state(int(totals.get(entry.name, 0)))
-        return self._clone_runtime(zoo)
+        return zoo
 
     def _mark_corrupt(self) -> None:
         """Record that stream positions can no longer be reconstructed."""
         with self._lock:
             self._corrupted = True
 
-    def _backoff_delay(self, attempt: int) -> float:
-        """Sleep before retry number ``attempt`` (0-based), capped."""
-        if self.retry_backoff_s <= 0:
-            return 0.0
-        return min(_BACKOFF_CAP_S, self.retry_backoff_s * (2.0 ** attempt))
-
     def _profile_cost_tables(self, systems) -> None:
-        """Profile every revision up front so worker threads only read.
+        """Profile every revision up front so the worker thread only reads.
 
-        Registries are plain dicts shared across worker threads; eager
-        profiling in the (single) dispatcher thread makes every later
-        lookup a read-only hit.
+        Registries are plain dicts shared with the worker thread; eager
+        profiling in the dispatcher thread makes every later lookup a
+        read-only hit.
         """
         deployments = [entry.deployment for entry in self._runtime.zoo]
         self._runtime.system.cost_registry.profile_system(self._runtime.system, deployments)
@@ -906,7 +846,6 @@ class FleetScheduler:
 
     def _execute_batch(
         self,
-        runtime: CHRISRuntime,
         batch: list[FleetSession],
         plans: list,
         systems: dict[str, WearableSystem],
@@ -916,39 +855,30 @@ class FleetScheduler:
     ) -> None:
         """Execute one batch with retry/backoff and quarantine-on-exhaustion.
 
-        Attempt 0 runs on the prepared ``runtime`` (the serial stream
-        runtime itself, or the snapshot); every retry runs on a runtime
-        rebuilt at the batch's planned start position (``prior_totals``),
-        which is bit-identical to a first attempt.  A serial attempt that
-        fails mid-execution leaves the stream runtime partway through the
-        batch, so the stream zoo is restored to the as-if-planned
-        position (``post_totals``) before anything else happens —
-        subsequent batches were planned assuming this batch's windows
-        were consumed.  A streaming batch (``fleet_slots``) additionally
-        snapshots the long-lived continuation states up front and
-        restores them on failure, so a retried or quarantined batch never
-        leaves a stream's tracker half-advanced.
+        Every attempt runs on the stream runtime: batches execute one at a
+        time in dispatch order, so execution advances the predictor
+        streams exactly like sequential replay.  A failed attempt leaves
+        the stream runtime partway through the batch, so its zoo is
+        rebuilt — at the batch's planned start position
+        (``prior_totals``) for a retry, which is bit-identical to a first
+        attempt, or at the as-if-planned position after the batch
+        (``post_totals``) once retries are exhausted, since subsequent
+        batches were planned assuming this batch's windows were consumed.
+        A streaming batch (``fleet_slots``) additionally snapshots the
+        long-lived continuation states up front and restores them on
+        failure, so a retried or quarantined batch never leaves a
+        stream's tracker half-advanced.
         """
         subjects = [s.recording for s in batch]
-        serial = runtime is self._runtime
         state_snapshot = (
             {name: copy.deepcopy(state) for name, state in self._fleet_states.items()}
             if fleet_slots is not None
             else None
         )
-        attempt = 0
-        while True:
-            attempt_runtime = runtime
-            if attempt > 0:
-                try:
-                    attempt_runtime = self._rebuild_runtime(prior_totals)
-                except BaseException as exc:  # noqa: BLE001 - poisons, reported per session
-                    self._mark_corrupt()
-                    self._fail_batch(batch, exc)
-                    return
+        for attempt in itertools.count():
             try:
                 faults.fire("scheduler.batch")
-                fleet = attempt_runtime._run_many_planned(
+                fleet = self._runtime._run_many_planned(
                     subjects,
                     plans,
                     systems=systems,
@@ -956,6 +886,7 @@ class FleetScheduler:
                     fleet_slots=fleet_slots,
                 )
                 results = [fleet.results[s.subject_id] for s in batch]
+                break
             except BaseException as exc:  # noqa: BLE001 - retried, then reported
                 if state_snapshot is not None:
                     # The failed attempt may have scattered partial slot
@@ -965,34 +896,29 @@ class FleetScheduler:
                     # batch's windows never reach any tracker).
                     for name, snap in state_snapshot.items():
                         self._fleet_states[name] = copy.deepcopy(snap)
-                if serial and attempt == 0:
-                    # The failed attempt advanced the shared stream
-                    # runtime partway through the batch; put it back on
-                    # the as-if-planned position before retrying (or
-                    # letting the next batch run).
-                    try:
-                        self._runtime.zoo = self._rebuild_runtime(post_totals).zoo
-                    except BaseException as rebuild_exc:  # noqa: BLE001
-                        self._mark_corrupt()
-                        self._fail_batch(batch, rebuild_exc)
-                        return
-                attempt += 1
-                if attempt > self.max_retries:
+                exhausted = attempt >= self.max_retries
+                try:
+                    self._runtime.zoo = self._rebuild_zoo(
+                        post_totals if exhausted else prior_totals
+                    )
+                except BaseException as rebuild_exc:  # noqa: BLE001 - poisons, reported per session
+                    self._mark_corrupt()
+                    self._fail_batch(batch, rebuild_exc)
+                    return
+                if exhausted:
                     self._fail_batch(batch, exc)
                     return
-                time.sleep(self._backoff_delay(attempt - 1))
-                continue
-            with self._lock:
-                now = self._clock()
-                for session, result in zip(batch, results):
-                    if session.done:
-                        continue  # resolved elsewhere (e.g. failed at close)
-                    session.result = result
-                    session.state = SessionState.DONE
-                    session.complete_s = now
-                    self._record_latency_locked(session, now)
-                    self._resolve_locked(session, deliver=True)
-            return
+                time.sleep(faults.backoff_delay(self.retry_backoff_s, attempt))
+        with self._lock:
+            now = self._clock()
+            for session, result in zip(batch, results):
+                if session.done:
+                    continue  # resolved elsewhere (e.g. failed at close)
+                session.result = result
+                session.state = SessionState.DONE
+                session.complete_s = now
+                self._record_latency_locked(session, now)
+                self._resolve_locked(session, deliver=True)
 
     def _fail_batch(self, batch: list[FleetSession], exc: BaseException) -> None:
         """Mark every *unresolved* session of a batch failed with the error.
@@ -1000,12 +926,14 @@ class FleetScheduler:
         Batches fail as a unit: by the time planning or execution raises,
         the batch's sessions are entangled (shared plans, shared predictor
         stream), so the error is reported on each of them.  Per-session
-        input problems are caught at :meth:`submit` (empty recordings,
-        trace shape) precisely so they cannot poison a batch.  Sessions
-        already in a terminal state are skipped, so a session resolves
-        exactly once even when shutdown races an in-flight failure — a
-        double resolution would corrupt ``_unresolved`` and hang or
-        over-drain :meth:`as_completed`.
+        input problems — empty recordings, trace shape, window geometry
+        (see :meth:`_admit_locked`) — raise at :meth:`submit` /
+        :meth:`StreamSession.push` and are never enqueued, precisely so
+        they cannot poison a batch.  Sessions already in a terminal state
+        are skipped, so a session resolves exactly once even when
+        shutdown races an in-flight failure — a double resolution would
+        corrupt ``_unresolved`` and hang or over-drain
+        :meth:`as_completed`.
         """
         with self._lock:
             for session in batch:

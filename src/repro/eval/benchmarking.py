@@ -6,12 +6,14 @@ summary script (``benchmarks/summarize_runtime.py``): both measure the
 same fixed synthetic workload, so the numbers are comparable across PRs.
 
 The workload is a large windowed pseudo-recording built directly from
-arrays (no signal synthesis), replayed once through the reference
-per-window path and once through the batched path of
-:class:`~repro.core.runtime.CHRISRuntime`.  Besides the two throughputs
-(windows/second) the measurement records the batched run's accuracy and
-offload statistics and verifies that the two paths routed every window
-identically.
+arrays (no signal synthesis), replayed once through the per-window
+oracle (:meth:`~repro.core.runtime.CHRISRuntime._run_scalar_oracle`) and
+once through :class:`~repro.core.runtime.CHRISRuntime`'s fleet path.
+Besides the two throughputs (windows/second) the measurement records the
+fleet run's accuracy and offload statistics and verifies that the two
+paths routed every window identically.  The multi-subject benchmarks
+compare against :func:`sequential_replay`, a loop of per-subject
+:meth:`~repro.core.runtime.CHRISRuntime.run` calls.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.core.runtime import (
     EQUIVALENCE_ATOL,
     EQUIVALENCE_RTOL,
     EQUIVALENCE_TOLERANCES,
+    FleetResult,
 )
 from repro.core.scheduler import FleetScheduler, SessionState
 from repro.core.zoo import ModelsZoo, ZooEntry
@@ -81,7 +84,7 @@ def benchmark_runtime(
     seed: int = 0,
     repeats: int = 3,
 ) -> dict:
-    """Measure per-window vs. batched runtime throughput on one workload.
+    """Measure per-window oracle vs. runtime throughput on one workload.
 
     Parameters
     ----------
@@ -100,8 +103,9 @@ def benchmark_runtime(
         Timed repetitions per path; the best (minimum) time is reported,
         which filters out scheduler and allocator noise.
 
-    Returns a JSON-serializable dict with both throughputs, the speedup,
-    the batched run's MAE / offload / energy statistics, and a
+    Returns a JSON-serializable dict with both throughputs (``batched_*``
+    is :meth:`~repro.core.runtime.CHRISRuntime.run_with_configuration`),
+    the speedup, the runtime's MAE / offload / energy statistics, and a
     ``routing_identical`` flag confirming both paths made the same
     per-window decisions.
     """
@@ -112,19 +116,25 @@ def benchmark_runtime(
     runtime = experiment.runtime()
     configuration = experiment.engine.select_or_closest(constraint, connected=True)
 
-    def timed(batched: bool):
+    def timed(run):
         best = float("inf")
         result = None
         for _ in range(repeats):
             start = time.perf_counter()
-            result = runtime.run_with_configuration(
-                workload, configuration, use_oracle_difficulty=True, batched=batched
-            )
+            result = run()
             best = min(best, time.perf_counter() - start)
         return result, best
 
-    scalar, scalar_s = timed(batched=False)
-    batched, batched_s = timed(batched=True)
+    def oracle():
+        plan = runtime._plan_plain(workload, configuration, True, runtime._fleet_router())
+        return runtime._run_scalar_oracle(workload, plan)
+
+    scalar, scalar_s = timed(oracle)
+    batched, batched_s = timed(
+        lambda: runtime.run_with_configuration(
+            workload, configuration, use_oracle_difficulty=True
+        )
+    )
 
     routing_identical = bool(
         np.array_equal(scalar.model_names.astype(str), batched.model_names.astype(str))
@@ -171,6 +181,40 @@ def synthetic_fleet(
     return fleet
 
 
+def sequential_replay(
+    runtime: CHRISRuntime,
+    subjects,
+    constraint: Constraint,
+    use_oracle_difficulty: bool = False,
+    connected_traces=None,
+    systems=None,
+) -> FleetResult:
+    """Replay a fleet one subject at a time: a loop of per-subject runs.
+
+    The baseline every multi-subject path is pinned against, bit for bit
+    (under the runtime's equivalence policy) and in throughput: one
+    :meth:`~repro.core.runtime.CHRISRuntime.run` per subject, or
+    :meth:`~repro.core.runtime.CHRISRuntime.run_with_connection_trace`
+    for subjects with a trace in ``connected_traces``, on the hardware
+    ``systems`` maps them to.
+    """
+    traces = connected_traces or {}
+    systems = systems or {}
+    fleet = FleetResult()
+    for subject in subjects:
+        sid = subject.subject_id
+        if sid in traces:
+            result = runtime.run_with_connection_trace(
+                subject, constraint, traces[sid], use_oracle_difficulty, system=systems.get(sid)
+            )
+        else:
+            result = runtime.run(
+                subject, constraint, use_oracle_difficulty, system=systems.get(sid)
+            )
+        fleet.add(sid, result)
+    return fleet
+
+
 def benchmark_fleet(
     experiment,
     n_subjects: int = 50,
@@ -185,7 +229,7 @@ def benchmark_fleet(
     Three paths replay the same ``n_subjects`` x ``n_windows_per_subject``
     fleet:
 
-    * **sequential** — per-subject batched replay (the PR-1 baseline);
+    * **sequential** — :func:`sequential_replay`, one ``run`` per subject;
     * **mega** — cross-subject mega-batching: one ``predict`` call per
       model for the entire population, in-process;
     * **pool** — :class:`~repro.core.fleet.FleetExecutor` sharding across
@@ -218,14 +262,10 @@ def benchmark_fleet(
         return result, best
 
     sequential, sequential_s = timed(
-        lambda rt: rt.run_many(
-            subjects, constraint, use_oracle_difficulty=True, mega_batched=False
-        )
+        lambda rt: sequential_replay(rt, subjects, constraint, use_oracle_difficulty=True)
     )
     mega, mega_s = timed(
-        lambda rt: rt.run_many(
-            subjects, constraint, use_oracle_difficulty=True, mega_batched=True
-        )
+        lambda rt: rt.run_many(subjects, constraint, use_oracle_difficulty=True)
     )
     pool, pool_s = timed(
         lambda rt: FleetExecutor(rt, max_workers=workers).run_fleet(
@@ -269,9 +309,8 @@ def stateful_zoo(
     Every predictor becomes a stateful tracker (``FLEET_BATCHABLE =
     False``): the ``spectral`` deployment gets a real
     :class:`~repro.models.spectral_tracker.SpectralHRPredictor` (a
-    signal-reading tracker whose per-window path cannot be batched by
-    the legacy dispatch — its tracking recurrence forces one
-    ``predict_window`` per window), the others become
+    signal-reading tracker whose tracking recurrence runs window by
+    window within a subject), the others become
     :class:`~repro.models.error_model.SmoothedCalibratedHRModel` twins
     continuing the original's exact random stream.  Deployments are
     untouched, so engine configurations stay valid.  This is the zoo the
@@ -298,27 +337,23 @@ def benchmark_stateful_fleet(
     repeats: int = 3,
     smoothing: float = 0.5,
 ) -> dict:
-    """Measure stacked-state fused dispatch against the per-subject fallback.
+    """Measure stacked-state fleet dispatch against per-subject replay.
 
     The whole zoo is made stateful (:func:`stateful_zoo`: a spectral
     tracker plus smoothed calibrated trackers, all ``FLEET_BATCHABLE =
     False``), so *every* window rides the stateful dispatch.  Two paths
     replay the same fleet from identical predictor state:
 
-    * **fallback** — mega-batched with ``stacked_state=False``: one
-      batch per ``(model, subject)`` segment, each replaying its stream
-      sequentially (the pre-stacked-state behaviour; for the spectral
-      tracker that means one Python ``predict_window`` — and its FFTs —
-      per window);
-    * **stacked** — mega-batched with ``stacked_state=True``: one fused
-      ``predict_fleet`` call per model — state-free work (spectra, error
-      draws) vectorized over the whole stack, the tracking recurrences
-      advancing all subjects in lock-step.
+    * **sequential** — :func:`sequential_replay`, one ``run`` (one
+      one-slot ``predict_fleet`` per model) per subject;
+    * **stacked** — ``run_many``: one fused ``predict_fleet`` call per
+      model — state-free work (spectra, error draws) vectorized over the
+      whole stack, the tracking recurrences advancing all subjects in
+      lock-step.
 
-    The fallback is timed once (it is a multi-second measurement, where
-    run-to-run noise is negligible); the stacked path reports the best
-    of ``repeats``.  A ``decisions_identical`` flag confirms the two
-    dispatches replayed every window bit-identically.
+    Each path reports the best of ``repeats``, and a
+    ``decisions_identical`` flag confirms the two replayed every window
+    bit-identically.
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -330,29 +365,28 @@ def benchmark_stateful_fleet(
     configuration = experiment.engine.select_or_closest(constraint, connected=True)
     zoo = stateful_zoo(experiment.zoo, smoothing=smoothing)
 
-    def timed(stacked_state: bool, n_repeats: int):
+    def timed(run):
         best = float("inf")
         result = None
-        for _ in range(n_repeats):
+        for _ in range(repeats):
             runtime = CHRISRuntime(
-                zoo=copy.deepcopy(zoo),
-                engine=experiment.engine,
-                system=experiment.system,
-                stacked_state=stacked_state,
+                zoo=copy.deepcopy(zoo), engine=experiment.engine, system=experiment.system
             )
             start = time.perf_counter()
-            result = runtime.run_many(
-                subjects, constraint, use_oracle_difficulty=True, mega_batched=True
-            )
+            result = run(runtime)
             best = min(best, time.perf_counter() - start)
         return result, best
 
-    fallback, fallback_s = timed(stacked_state=False, n_repeats=1)
-    stacked, stacked_s = timed(stacked_state=True, n_repeats=repeats)
+    sequential, sequential_s = timed(
+        lambda rt: sequential_replay(rt, subjects, constraint, use_oracle_difficulty=True)
+    )
+    stacked, stacked_s = timed(
+        lambda rt: rt.run_many(subjects, constraint, use_oracle_difficulty=True)
+    )
 
-    decisions_identical = fallback.subject_ids == stacked.subject_ids and all(
-        fallback.results[sid] == stacked.results[sid]
-        for sid in fallback.subject_ids
+    decisions_identical = sequential.subject_ids == stacked.subject_ids and all(
+        sequential.results[sid] == stacked.results[sid]
+        for sid in sequential.subject_ids
     )
     return {
         "n_subjects": int(n_subjects),
@@ -363,11 +397,11 @@ def benchmark_stateful_fleet(
             1 for entry in zoo if not entry.predictor.FLEET_BATCHABLE
         ),
         "smoothing": float(smoothing),
-        "fallback_seconds": fallback_s,
+        "sequential_seconds": sequential_s,
         "stacked_seconds": stacked_s,
-        "fallback_windows_per_s": n_windows_total / fallback_s,
+        "sequential_windows_per_s": n_windows_total / sequential_s,
         "stacked_windows_per_s": n_windows_total / stacked_s,
-        "stacked_speedup": fallback_s / stacked_s,
+        "stacked_speedup": sequential_s / stacked_s,
         "mae_bpm": stacked.mae_bpm,
         "offload_fraction": stacked.offload_fraction,
         "decisions_identical": bool(decisions_identical),
@@ -431,14 +465,15 @@ def benchmark_inference(
       deployed semantics — what folding must preserve — are the
       evaluation forward's.
     * **Tolerance-fused fleet** — a fleet whose TimePPG-Big is a real
-      TCN, replayed mega-batched under ``equivalence="bitwise"``
+      TCN, replayed by ``run_many`` under ``equivalence="bitwise"``
       (per-subject forward batches) and ``equivalence="tolerance"`` (one
       fused cross-subject batch per call), with a
-      ``within_documented_tolerance`` flag checked against sequential
-      replay.
+      ``within_documented_tolerance`` flag checked against
+      :func:`sequential_replay`.
 
     Every timed path reports the best of ``repeats``; the scalar AT
-    reference is timed once (a multi-second measurement).
+    reference is timed once (a multi-second measurement) and the
+    sequential fleet reference is not timed.
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -507,29 +542,27 @@ def benchmark_inference(
     fleet_windows = sum(s.n_windows for s in subjects)
     zoo = timeppg_zoo(experiment.zoo, seed=seed)
 
-    def timed_fleet(equivalence: str, mega_batched: bool = True, n_repeats=repeats):
+    def fleet_runtime(equivalence: str) -> CHRISRuntime:
+        return CHRISRuntime(
+            zoo=copy.deepcopy(zoo),
+            engine=experiment.engine,
+            system=experiment.system,
+            equivalence=equivalence,
+        )
+
+    def timed_fleet(equivalence: str):
         best = float("inf")
         result = None
-        for _ in range(n_repeats):
-            runtime = CHRISRuntime(
-                zoo=copy.deepcopy(zoo),
-                engine=experiment.engine,
-                system=experiment.system,
-                equivalence=equivalence,
-            )
+        for _ in range(repeats):
+            runtime = fleet_runtime(equivalence)
             start = time.perf_counter()
-            result = runtime.run_many(
-                subjects,
-                constraint,
-                use_oracle_difficulty=True,
-                mega_batched=mega_batched,
-            )
+            result = runtime.run_many(subjects, constraint, use_oracle_difficulty=True)
             best = min(best, time.perf_counter() - start)
         return result, best
 
-    # The sequential reference is untimed — run it once, like the scalar
-    # AT reference above.
-    sequential, _ = timed_fleet("bitwise", mega_batched=False, n_repeats=1)
+    sequential = sequential_replay(
+        fleet_runtime("bitwise"), subjects, constraint, use_oracle_difficulty=True
+    )
     bitwise, bitwise_s = timed_fleet("bitwise")
     tolerance, tolerance_s = timed_fleet("tolerance")
 
@@ -727,20 +760,19 @@ def benchmark_scheduler(
     constraint: Constraint | None = None,
     seed: int = 0,
     repeats: int = 3,
-    max_workers: int = 1,
 ) -> dict:
     """Measure online-scheduler throughput against sequential fleet replay.
 
     The same ``n_subjects`` x ``n_windows_per_subject`` fleet is replayed
     twice:
 
-    * **sequential** — per-subject batched ``run_many`` replay (the same
-      baseline :func:`benchmark_fleet` pins the mega path against);
+    * **sequential** — :func:`sequential_replay` (the same baseline
+      :func:`benchmark_fleet` pins the mega path against);
     * **scheduler** — every subject submitted as a dynamic session to a
       :class:`~repro.core.scheduler.FleetScheduler`; the timing covers
       submission, batch dispatch and completion of the whole population
-      (arrivals coalesce into mega-batches while the pool is busy, which
-      is where the speedup comes from — not process parallelism).
+      (arrivals coalesce into mega-batches while the worker is busy,
+      which is where the speedup comes from — not parallelism).
 
     Both paths start from deep-copied predictor state, and a
     ``decisions_identical`` flag confirms the scheduler reproduced the
@@ -766,9 +798,7 @@ def benchmark_scheduler(
         return result, best
 
     sequential, sequential_s = timed(
-        lambda rt: rt.run_many(
-            subjects, constraint, use_oracle_difficulty=True, mega_batched=False
-        )
+        lambda rt: sequential_replay(rt, subjects, constraint, use_oracle_difficulty=True)
     )
 
     # Construction (the scheduler's private runtime copy) happens outside
@@ -779,10 +809,7 @@ def benchmark_scheduler(
     for _ in range(repeats):
         # FleetScheduler deep-copies the runtime itself; no outer copy.
         scheduler = FleetScheduler(
-            experiment.runtime(),
-            constraint,
-            max_workers=max_workers,
-            use_oracle_difficulty=True,
+            experiment.runtime(), constraint, use_oracle_difficulty=True
         )
         try:
             start = time.perf_counter()
@@ -802,7 +829,6 @@ def benchmark_scheduler(
         "n_windows_per_subject": int(n_windows_per_subject),
         "n_windows_total": int(n_windows_total),
         "configuration": configuration.label(),
-        "workers": int(max_workers),
         "sequential_seconds": sequential_s,
         "scheduler_seconds": scheduler_s,
         "sequential_sessions_per_s": n_subjects / sequential_s,
@@ -822,38 +848,34 @@ def benchmark_checkpoint(
     n_windows_per_subject: int = 2_000,
     constraint: Constraint | None = None,
     seed: int = 0,
-    repeats: int = 3,
+    pairs: int = 7,
     max_workers: int | None = None,
 ) -> dict:
     """Measure the durability tax of checkpointed fleet execution.
 
-    Three pool runs over the same fleet, all through the scalar
-    (per-window streaming) replay so both sides take the identical
-    execution path and only durability differs:
+    The fleet replays on the stateful zoo (:func:`stateful_zoo`), whose
+    per-window tracker work is the compute the ~125 staged bytes per
+    window are weighed against, as on device, through a pooled
+    :class:`~repro.core.fleet.FleetExecutor`:
 
-    * **unstaged** — :class:`~repro.core.fleet.FleetExecutor` without a
-      ``checkpoint_dir``;
+    * **unstaged** — the executor without a ``checkpoint_dir``;
     * **checkpointed** — the same executor with a fresh ``checkpoint_dir``
-      per repeat, paying journal writes and atomic shard staging;
-    * **resume** — a second run over a *completed* checkpoint directory:
-      every shard loads from verified staged bytes, nothing executes.
+      per run, paying journal writes and atomic shard staging;
+    * **resume** — a run over a *completed* checkpoint directory: every
+      shard loads from verified staged bytes, nothing executes.
 
-    The scalar path is the regime the ≤10% staging-overhead claim is
-    about: per-window decision compute dominates the ~125 staged bytes
-    per window, as it does on device.  The mega-batched replay vectorizes
-    the compute down to ~1µs/window — the same absolute staging cost is a
-    far larger *fraction* there, so its ratio is reported separately
-    (``batched_relative_throughput``) for visibility rather than pinned.
-
-    Reports the wall times, the checkpointed/unstaged throughput ratio
-    (the number the throughput floor in
-    ``benchmarks/test_checkpoint_throughput.py`` pins), the resume
-    speedup over re-execution, and a ``decisions_identical`` flag
-    confirming both the checkpointed run and the resumed replay
-    reproduced the unstaged results exactly.
+    Unstaged and checkpointed runs alternate in ``pairs`` interleaved
+    pairs, so each pair shares machine state (caches, frequency phase);
+    ``checkpoint_relative_throughput`` is the median over pairs of
+    unstaged / checkpointed wall time — the number the floor in
+    ``benchmarks/test_checkpoint_throughput.py`` pins — with its range
+    alongside.  Wall times are per-path medians.  Also reported: the
+    resume speedup over re-execution and a ``decisions_identical`` flag
+    confirming the checkpointed run and the resumed replay reproduced
+    the unstaged results exactly.
     """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
+    if pairs <= 0:
+        raise ValueError(f"pairs must be positive, got {pairs}")
     constraint = constraint or Constraint.max_mae(5.60)
     subjects = synthetic_fleet(
         n_subjects=n_subjects, n_windows_per_subject=n_windows_per_subject, seed=seed
@@ -863,37 +885,36 @@ def benchmark_checkpoint(
     # otherwise the unstaged run falls into the in-process fast path and
     # the comparison measures sharding, not durability.
     workers = max_workers if max_workers is not None else max(2, os.cpu_count() or 1)
+    # Executors replay pristine copies of their runtime, so one runtime
+    # serves every run.
+    runtime = CHRISRuntime(
+        zoo=stateful_zoo(experiment.zoo),
+        engine=experiment.engine,
+        system=experiment.system,
+    )
 
-    def run(checkpoint_dir, batched):
-        runtime = copy.deepcopy(experiment.runtime())
+    def run(checkpoint_dir):
         executor = FleetExecutor(
             runtime, max_workers=workers, checkpoint_dir=checkpoint_dir
         )
         start = time.perf_counter()
-        fleet = executor.run_fleet(
-            subjects, constraint, use_oracle_difficulty=True, batched=batched
-        )
+        fleet = executor.run_fleet(subjects, constraint, use_oracle_difficulty=True)
         return fleet, time.perf_counter() - start
 
+    unstaged_times, checkpointed_times, resume_times = [], [], []
     unstaged = checkpointed = resumed = None
-    unstaged_s = checkpointed_s = resume_s = float("inf")
-    batched_unstaged_s = batched_checkpointed_s = float("inf")
-    for _ in range(repeats):
-        fleet, elapsed = run(None, batched=False)
-        if elapsed < unstaged_s:
-            unstaged, unstaged_s = fleet, elapsed
+    for _ in range(pairs):
+        unstaged, elapsed = run(None)
+        unstaged_times.append(elapsed)
         with tempfile.TemporaryDirectory() as directory:
-            fleet, elapsed = run(directory, batched=False)
-            if elapsed < checkpointed_s:
-                checkpointed, checkpointed_s = fleet, elapsed
-            fleet, elapsed = run(directory, batched=False)
-            if elapsed < resume_s:
-                resumed, resume_s = fleet, elapsed
-        _, elapsed = run(None, batched=True)
-        batched_unstaged_s = min(batched_unstaged_s, elapsed)
-        with tempfile.TemporaryDirectory() as directory:
-            _, elapsed = run(directory, batched=True)
-            batched_checkpointed_s = min(batched_checkpointed_s, elapsed)
+            checkpointed, elapsed = run(directory)
+            checkpointed_times.append(elapsed)
+            resumed, elapsed = run(directory)
+            resume_times.append(elapsed)
+    ratios = np.asarray(unstaged_times) / np.asarray(checkpointed_times)
+    unstaged_s = float(np.median(unstaged_times))
+    checkpointed_s = float(np.median(checkpointed_times))
+    resume_s = float(np.median(resume_times))
 
     def identical(fleet) -> bool:
         return fleet.subject_ids == unstaged.subject_ids and all(
@@ -905,16 +926,16 @@ def benchmark_checkpoint(
         "n_windows_per_subject": int(n_windows_per_subject),
         "n_windows_total": int(n_windows_total),
         "workers": int(workers),
+        "pairs": int(pairs),
         "unstaged_seconds": unstaged_s,
         "checkpointed_seconds": checkpointed_s,
         "resume_seconds": resume_s,
         "unstaged_windows_per_s": n_windows_total / unstaged_s,
         "checkpointed_windows_per_s": n_windows_total / checkpointed_s,
         "resume_windows_per_s": n_windows_total / resume_s,
-        "checkpoint_relative_throughput": unstaged_s / checkpointed_s,
-        "batched_unstaged_seconds": batched_unstaged_s,
-        "batched_checkpointed_seconds": batched_checkpointed_s,
-        "batched_relative_throughput": batched_unstaged_s / batched_checkpointed_s,
+        "checkpoint_relative_throughput": float(np.median(ratios)),
+        "checkpoint_relative_throughput_min": float(ratios.min()),
+        "checkpoint_relative_throughput_max": float(ratios.max()),
         "resume_speedup": checkpointed_s / resume_s,
         "decisions_identical": bool(identical(checkpointed) and identical(resumed)),
     }
@@ -997,7 +1018,6 @@ def benchmark_latency(
         return FleetScheduler(
             experiment.runtime(),
             constraint,
-            max_workers=1,
             max_batch_size=max_batch_size,
             use_oracle_difficulty=True,
             policy=policy,
@@ -1081,7 +1101,6 @@ def benchmark_latency(
         sat = FleetScheduler(
             experiment.runtime(),
             constraint,
-            max_workers=1,
             max_batch_size=n_streams,
             use_oracle_difficulty=True,
             policy=policy,

@@ -208,8 +208,6 @@ class CalibratedExperiment:
     def runtime(
         self,
         activity_classifier: ActivityClassifier | None = None,
-        batched: bool = True,
-        mega_batched: bool = True,
         equivalence: str | None = None,
         dtype: str = "float64",
     ) -> CHRISRuntime:
@@ -227,8 +225,6 @@ class CalibratedExperiment:
             engine=self.engine,
             system=self.system,
             activity_classifier=activity_classifier,
-            batched=batched,
-            mega_batched=mega_batched,
             equivalence=equivalence,
             dtype=dtype,
         )
@@ -237,7 +233,6 @@ class CalibratedExperiment:
         self,
         max_workers: int | None = None,
         activity_classifier: ActivityClassifier | None = None,
-        mega_batched: bool = True,
         shards_per_worker: int = 4,
         equivalence: str | None = None,
         dtype: str = "float64",
@@ -246,19 +241,16 @@ class CalibratedExperiment:
         return FleetExecutor(
             self.runtime(
                 activity_classifier=activity_classifier,
-                mega_batched=mega_batched,
                 equivalence=equivalence,
                 dtype=dtype,
             ),
             max_workers=max_workers,
             shards_per_worker=shards_per_worker,
-            mega_batched=mega_batched,
         )
 
     def fleet_scheduler(
         self,
         constraint: Constraint,
-        max_workers: int = 1,
         max_batch_size: int | None = None,
         use_oracle_difficulty: bool = True,
         activity_classifier: ActivityClassifier | None = None,
@@ -278,7 +270,6 @@ class CalibratedExperiment:
                 dtype=dtype,
             ),
             constraint,
-            max_workers=max_workers,
             max_batch_size=max_batch_size,
             use_oracle_difficulty=use_oracle_difficulty,
         )
@@ -289,17 +280,15 @@ class CalibratedExperiment:
         constraint: Constraint,
         use_oracle_difficulty: bool = True,
         activity_classifier: ActivityClassifier | None = None,
-        batched: bool = True,
-        mega_batched: bool = True,
         max_workers: int | None = None,
         scheduler: FleetScheduler | None = None,
     ) -> FleetResult:
         """Replay every subject of a corpus through the fleet engine.
 
         The multi-subject entry point used by the benchmarks and examples.
-        By default the corpus is replayed in-process with cross-subject
-        mega-batching; passing ``max_workers > 1`` shards the subjects
-        across a :class:`~repro.core.fleet.FleetExecutor` process pool.
+        By default the corpus is replayed in-process; passing
+        ``max_workers > 1`` shards the subjects across a
+        :class:`~repro.core.fleet.FleetExecutor` process pool.
         ``max_workers`` is purely a throughput knob: every path produces
         decision-for-decision identical results, and no path mutates the
         experiment's predictors (the executor replays pristine copies), so
@@ -317,9 +306,8 @@ class CalibratedExperiment:
         own* configuration governs execution; arguments that would change
         *decisions* (``constraint``, ``use_oracle_difficulty``,
         ``activity_classifier``) are validated against it and a conflict
-        raises, while the pure throughput knobs (``batched``,
-        ``mega_batched``, ``max_workers``) are ignored — every execution
-        path makes identical decisions regardless.  Note that a
+        raises, while the pure throughput knob ``max_workers`` is ignored
+        — every execution path makes identical decisions regardless.  Note that a
         scheduler's predictor streams advance across calls (online
         semantics), unlike the executor paths.
         """
@@ -361,13 +349,9 @@ class CalibratedExperiment:
         executor = self.fleet_executor(
             max_workers=max_workers if max_workers is not None else 1,
             activity_classifier=activity_classifier,
-            mega_batched=mega_batched,
         )
         return executor.run_fleet(
-            dataset.subjects,
-            constraint,
-            use_oracle_difficulty=use_oracle_difficulty,
-            batched=batched,
+            dataset.subjects, constraint, use_oracle_difficulty=use_oracle_difficulty
         )
 
     def baseline(self, model_name: str, target: ExecutionTarget) -> BaselinePoint:

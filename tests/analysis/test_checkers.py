@@ -177,6 +177,8 @@ def test_real_scheduler_and_registry_declarations_present():
         # Serving/latency state added with the deadline policy (PR 10).
         "_streams", "_free_slots", "_dispatch_latencies", "_complete_latencies",
         "_deadline_misses", "_batch_windows",
+        # Admission geometry: the first admitted input's window shapes.
+        "_window_shapes",
     }
     assert all(locks == frozenset({"_lock", "_arrivals", "_resolved"}) for locks in guarded.values())
 

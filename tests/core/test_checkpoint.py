@@ -22,6 +22,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.fleet import FleetExecutor
 from repro.core.runtime import RunResult, _NPZ_ARRAY_FIELDS
+from repro.eval.benchmarking import sequential_replay
 from repro.models import MODEL_REGISTRY
 
 from tests.core.test_fleet import CONSTRAINT, assert_fleets_identical, make_runtime
@@ -31,8 +32,11 @@ from tests.core.test_runtime_batched import assert_results_identical
 @pytest.fixture(scope="module")
 def reference_fleet(calibrated_experiment, small_dataset):
     """Uninterrupted sequential reference every recovery must reproduce."""
-    return make_runtime(calibrated_experiment, mega_batched=False).run_many(
-        small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
+    return sequential_replay(
+        make_runtime(calibrated_experiment),
+        small_dataset.subjects,
+        CONSTRAINT,
+        use_oracle_difficulty=True,
     )
 
 
@@ -41,7 +45,7 @@ def checkpointed_executor(experiment, directory, **kwargs):
     kwargs.setdefault("max_workers", 2)
     kwargs.setdefault("shards_per_worker", 2)
     return FleetExecutor(
-        make_runtime(experiment, mega_batched=True),
+        make_runtime(experiment),
         checkpoint_dir=directory,
         retry_backoff_s=0.0,
         **kwargs,
@@ -457,8 +461,11 @@ class TestCheckpointedExecution:
             TestZeroWindowSubjects.empty_subject(template, "empty-mid"),
             small_dataset.subjects[1],
         ]
-        reference = make_runtime(calibrated_experiment, mega_batched=False).run_many(
-            fleet_subjects, CONSTRAINT, use_oracle_difficulty=True
+        reference = sequential_replay(
+            make_runtime(calibrated_experiment),
+            fleet_subjects,
+            CONSTRAINT,
+            use_oracle_difficulty=True,
         )
         directory = tmp_path / "ckpt"
         stream = checkpointed_executor(calibrated_experiment, directory).iter_runs(
@@ -480,7 +487,7 @@ class TestRetryAndQuarantine:
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
             retry_backoff_s=0.0,
@@ -499,7 +506,7 @@ class TestRetryAndQuarantine:
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
             max_retries=1,
@@ -526,7 +533,7 @@ class TestRetryAndQuarantine:
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
             retry_backoff_s=0.0,
@@ -552,7 +559,7 @@ class TestRetryAndQuarantine:
         the contract is degrade-don't-die plus an attributable cause.
         """
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
             max_retries=0,
@@ -594,8 +601,18 @@ class TestRetryAndQuarantine:
         assert_fleets_identical(reference_fleet, healed)
 
     def test_retry_validation(self, calibrated_experiment):
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        runtime = make_runtime(calibrated_experiment)
         with pytest.raises(ValueError):
             FleetExecutor(runtime, max_retries=-1)
         with pytest.raises(ValueError):
             FleetExecutor(runtime, retry_backoff_s=-0.1)
+
+    def test_backoff_policy_doubles_then_caps(self):
+        """One retry policy for the serial and pooled shard runners and
+        the scheduler: the sleep doubles per attempt, never exceeds the
+        2 s cap, and a zero base disables it."""
+        assert faults.BACKOFF_CAP_S == 2.0
+        delays = [faults.backoff_delay(0.05, attempt) for attempt in range(8)]
+        assert delays == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
+        assert faults.backoff_delay(10.0, 0) == 2.0
+        assert faults.backoff_delay(0.0, 5) == 0.0

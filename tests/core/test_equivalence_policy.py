@@ -18,6 +18,7 @@ from repro.core.runtime import (
     EQUIVALENCE_POLICIES,
     EQUIVALENCE_RTOL,
 )
+from repro.eval.benchmarking import sequential_replay
 
 from tests.core.test_fleet_properties import (
     TINY_TIMEPPG_CONFIG,
@@ -121,11 +122,11 @@ class TestDispatchShape:
 class TestResults:
     def test_bitwise_mega_is_bit_identical_with_real_timeppg(self):
         subjects = small_fleet()
-        sequential = timeppg_runtime("bitwise").run_many(
-            subjects, CONSTRAINT, use_oracle_difficulty=True, mega_batched=False
+        sequential = sequential_replay(
+            timeppg_runtime("bitwise"), subjects, CONSTRAINT, use_oracle_difficulty=True
         )
         mega = timeppg_runtime("bitwise").run_many(
-            subjects, CONSTRAINT, use_oracle_difficulty=True, mega_batched=True
+            subjects, CONSTRAINT, use_oracle_difficulty=True
         )
         for sid in sequential.subject_ids:
             assert_results_identical(sequential.results[sid], mega.results[sid])
@@ -133,12 +134,10 @@ class TestResults:
     def test_tolerance_mega_within_documented_bounds(self):
         subjects = small_fleet()
         runtime = timeppg_runtime("tolerance")
-        sequential = timeppg_runtime("tolerance").run_many(
-            subjects, CONSTRAINT, use_oracle_difficulty=True, mega_batched=False
+        sequential = sequential_replay(
+            timeppg_runtime("tolerance"), subjects, CONSTRAINT, use_oracle_difficulty=True
         )
-        mega = runtime.run_many(
-            subjects, CONSTRAINT, use_oracle_difficulty=True, mega_batched=True
-        )
+        mega = runtime.run_many(subjects, CONSTRAINT, use_oracle_difficulty=True)
         fused = tolerance_fused_models(runtime)
         assert "TimePPG-Big" in fused
         for sid in sequential.subject_ids:

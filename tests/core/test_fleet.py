@@ -1,13 +1,13 @@
 """Fleet execution engine tests: mega-batching, pool sharding, streaming.
 
-Every fast fleet path — cross-subject mega-batching in one process and
-process-pool sharding via :class:`FleetExecutor` — must produce a
-:class:`FleetResult` bit-identical to sequential per-subject
-``run_many``: same per-window decisions, predictions, costs, MAE and
-energy, including fleets with per-subject BLE connection traces.  The
-paths are compared on independent deep copies of the zoo so every run
-starts from identical predictor state (including the calibrated models'
-random streams).
+Every fleet path — cross-subject mega-batching in one process
+(``run_many``) and process-pool sharding via :class:`FleetExecutor` —
+must produce a :class:`FleetResult` bit-identical to sequential
+per-subject replay (:func:`~repro.eval.benchmarking.sequential_replay`):
+same per-window decisions, predictions, costs, MAE and energy, including
+fleets with per-subject BLE connection traces.  The paths are compared
+on independent deep copies of the zoo so every run starts from identical
+predictor state (including the calibrated models' random streams).
 """
 
 import copy
@@ -18,6 +18,7 @@ import pytest
 from repro.core.decision_engine import Constraint
 from repro.core.fleet import FleetExecutor, SharedSubjectStore
 from repro.core.runtime import CHRISRuntime, FleetResult
+from repro.eval.benchmarking import sequential_replay
 from repro.hw.platform import CostTableRegistry, WearableSystem
 
 from tests.core.test_runtime_batched import assert_results_identical
@@ -25,13 +26,12 @@ from tests.core.test_runtime_batched import assert_results_identical
 CONSTRAINT = Constraint.max_mae(6.0)
 
 
-def make_runtime(experiment, mega_batched: bool) -> CHRISRuntime:
+def make_runtime(experiment) -> CHRISRuntime:
     """A runtime over a private deep copy of the experiment's zoo."""
     return CHRISRuntime(
         zoo=copy.deepcopy(experiment.zoo),
         engine=experiment.engine,
         system=experiment.system,
-        mega_batched=mega_batched,
     )
 
 
@@ -54,8 +54,11 @@ def half_disconnected_trace(n: int) -> np.ndarray:
 
 @pytest.fixture()
 def sequential_fleet(calibrated_experiment, small_dataset) -> FleetResult:
-    return make_runtime(calibrated_experiment, mega_batched=False).run_many(
-        small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
+    return sequential_replay(
+        make_runtime(calibrated_experiment),
+        small_dataset.subjects,
+        CONSTRAINT,
+        use_oracle_difficulty=True,
     )
 
 
@@ -63,7 +66,7 @@ class TestMegaBatchedEquivalence:
     def test_mega_identical_to_sequential(
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
-        mega = make_runtime(calibrated_experiment, mega_batched=True).run_many(
+        mega = make_runtime(calibrated_experiment).run_many(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
         )
         assert_fleets_identical(sequential_fleet, mega)
@@ -76,13 +79,14 @@ class TestMegaBatchedEquivalence:
             subject.subject_id: half_disconnected_trace(subject.n_windows)
             for subject in small_dataset.subjects[::2]
         }
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        sequential = sequential_replay(
+            make_runtime(calibrated_experiment),
             small_dataset.subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
             connected_traces=traces,
         )
-        mega = make_runtime(calibrated_experiment, mega_batched=True).run_many(
+        mega = make_runtime(calibrated_experiment).run_many(
             small_dataset.subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
@@ -95,46 +99,44 @@ class TestMegaBatchedEquivalence:
     def test_mega_identical_with_rf_difficulty(
         self, calibrated_experiment, small_dataset, trained_activity_classifier
     ):
-        fleets = []
-        for mega in (False, True):
-            runtime = make_runtime(calibrated_experiment, mega_batched=mega)
+        runtimes = [make_runtime(calibrated_experiment) for _ in range(2)]
+        for runtime in runtimes:
             runtime.activity_classifier = trained_activity_classifier
-            fleets.append(
-                runtime.run_many(
-                    small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=False
-                )
-            )
-        assert_fleets_identical(*fleets)
+        sequential = sequential_replay(
+            runtimes[0], small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=False
+        )
+        mega = runtimes[1].run_many(
+            small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=False
+        )
+        assert_fleets_identical(sequential, mega)
 
     def test_mega_identical_with_non_fleet_batchable_predictor(
         self, calibrated_experiment, small_dataset
     ):
-        """The stateful fallback (per-(model, subject) segments with
-        re-enacted reset boundaries) must also be decision-identical."""
-        fleets = []
-        for mega in (False, True):
-            runtime = make_runtime(calibrated_experiment, mega_batched=mega)
-            # Force one model through the stateful-predictor path; the
-            # calibrated model's predictions are reset-insensitive, so
-            # segment-wise dispatch must reproduce the fused result.
+        """The stateful dispatch (one ``predict_fleet`` state slot per
+        subject) must also be decision-identical to per-subject runs."""
+        runtimes = [make_runtime(calibrated_experiment) for _ in range(2)]
+        for runtime in runtimes:
+            # Force one model through the stateful-predictor path.
             runtime.zoo.entry("TimePPG-Big").predictor.FLEET_BATCHABLE = False
-            fleets.append(
-                runtime.run_many(
-                    small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
-                )
-            )
-        assert_fleets_identical(*fleets)
-        counts = fleets[1].results[small_dataset.subjects[0].subject_id].per_model_counts()
-        assert counts.get("TimePPG-Big", 0) > 0  # the fallback branch ran
+        sequential = sequential_replay(
+            runtimes[0], small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
+        )
+        mega = runtimes[1].run_many(
+            small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
+        )
+        assert_fleets_identical(sequential, mega)
+        counts = mega.results[small_dataset.subjects[0].subject_id].per_model_counts()
+        assert counts.get("TimePPG-Big", 0) > 0  # the stateful branch ran
 
     def test_mega_rejects_duplicate_subjects(self, calibrated_experiment, small_dataset):
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        runtime = make_runtime(calibrated_experiment)
         subject = small_dataset.subjects[0]
         with pytest.raises(ValueError):
             runtime.run_many([subject, subject], CONSTRAINT, use_oracle_difficulty=True)
 
     def test_trace_for_unknown_subject_rejected(self, calibrated_experiment, small_dataset):
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        runtime = make_runtime(calibrated_experiment)
         with pytest.raises(KeyError):
             runtime.run_many(
                 small_dataset.subjects,
@@ -146,9 +148,7 @@ class TestMegaBatchedEquivalence:
     def test_planned_counts_match_executed_routing(
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
-        counts = make_runtime(
-            calibrated_experiment, mega_batched=True
-        ).planned_model_window_counts(
+        counts = make_runtime(calibrated_experiment).planned_model_window_counts(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
         )
         for subject, planned in zip(small_dataset.subjects, counts):
@@ -162,7 +162,7 @@ class TestFleetExecutor:
     ):
         """Sharded multi-process replay is bit-identical, workers > 1."""
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
         )
@@ -178,14 +178,15 @@ class TestFleetExecutor:
             subject.subject_id: half_disconnected_trace(subject.n_windows)
             for subject in small_dataset.subjects[1::2]
         }
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        sequential = sequential_replay(
+            make_runtime(calibrated_experiment),
             small_dataset.subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
             connected_traces=traces,
         )
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         parallel = executor.run_fleet(
             small_dataset.subjects,
@@ -201,12 +202,12 @@ class TestFleetExecutor:
         """Shipped plans carry the classifier's difficulty stream; workers
         must not re-infer (they would get the same answer, but the test
         pins that the parent-planned path stays decision-identical)."""
-        reference_runtime = make_runtime(calibrated_experiment, mega_batched=False)
+        reference_runtime = make_runtime(calibrated_experiment)
         reference_runtime.activity_classifier = trained_activity_classifier
-        sequential = reference_runtime.run_many(
-            small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=False
+        sequential = sequential_replay(
+            reference_runtime, small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=False
         )
-        pooled_runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        pooled_runtime = make_runtime(calibrated_experiment)
         pooled_runtime.activity_classifier = trained_activity_classifier
         parallel = FleetExecutor(pooled_runtime, max_workers=2).run_fleet(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=False
@@ -217,7 +218,7 @@ class TestFleetExecutor:
         self, calibrated_experiment, small_dataset
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         with pytest.raises(KeyError):
             list(
@@ -233,7 +234,7 @@ class TestFleetExecutor:
         self, calibrated_experiment, small_dataset
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
         )
@@ -248,7 +249,7 @@ class TestFleetExecutor:
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
         )
@@ -266,13 +267,13 @@ class TestFleetExecutor:
         streams, so back-to-back runs are bit-identical whatever the
         worker count."""
         pooled = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         first = pooled.run_fleet(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True)
         second = pooled.run_fleet(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True)
         assert_fleets_identical(first, second)
         in_process = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=1
+            make_runtime(calibrated_experiment), max_workers=1
         )
         assert_fleets_identical(
             first,
@@ -283,7 +284,7 @@ class TestFleetExecutor:
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=1
+            make_runtime(calibrated_experiment), max_workers=1
         )
         fleet = executor.run_fleet(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
@@ -292,7 +293,7 @@ class TestFleetExecutor:
 
     def test_shard_bounds_partition_subjects(self, calibrated_experiment):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=3,
             shards_per_worker=2,
         )
@@ -305,14 +306,14 @@ class TestFleetExecutor:
 
     def test_duplicate_subjects_rejected(self, calibrated_experiment, small_dataset):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         subject = small_dataset.subjects[0]
         with pytest.raises(ValueError):
             list(executor.iter_runs([subject, subject], CONSTRAINT))
 
     def test_validation(self, calibrated_experiment):
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        runtime = make_runtime(calibrated_experiment)
         with pytest.raises(ValueError):
             FleetExecutor(runtime, max_workers=0)
         with pytest.raises(ValueError):
@@ -320,7 +321,7 @@ class TestFleetExecutor:
 
     def test_empty_fleet(self, calibrated_experiment):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         assert list(executor.iter_runs([], CONSTRAINT)) == []
         assert executor.run_fleet([], CONSTRAINT).n_subjects == 0
@@ -345,14 +346,15 @@ class TestHeterogeneousFleets:
         """One executor now serves a mixed-revision population directly —
         no more one-executor-per-revision (cf. examples/fleet_simulation)."""
         registry, systems = self.make_systems(small_dataset)
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        sequential = sequential_replay(
+            make_runtime(calibrated_experiment),
             small_dataset.subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
             systems=systems,
         )
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
         )
@@ -376,7 +378,7 @@ class TestHeterogeneousFleets:
         self, calibrated_experiment, small_dataset
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         with pytest.raises(KeyError, match="systems for unknown subjects"):
             list(
@@ -387,7 +389,7 @@ class TestHeterogeneousFleets:
                     systems={"nobody": WearableSystem()},
                 )
             )
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        runtime = make_runtime(calibrated_experiment)
         with pytest.raises(KeyError, match="systems for unknown subjects"):
             runtime.run_many(
                 small_dataset.subjects,
@@ -441,7 +443,7 @@ class TestSharedSubjectStore:
     ):
         """A spawn pool (shared memory on by default) replays identically."""
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=1,
             start_method="spawn",
@@ -458,7 +460,7 @@ class TestExperimentWiring:
         models' random streams advance across runs, so sharing one zoo
         between the two calls would change the second's predictions."""
         sequential = copy.deepcopy(calibrated_experiment).run_fleet(
-            small_dataset, CONSTRAINT, mega_batched=False
+            small_dataset, CONSTRAINT
         )
         pooled = copy.deepcopy(calibrated_experiment).run_fleet(
             small_dataset, CONSTRAINT, max_workers=2
@@ -479,7 +481,7 @@ class TestExperimentWiring:
             fold_size=2,
             max_folds=2,
             chris_runtime=FleetExecutor(
-                make_runtime(calibrated_experiment, mega_batched=True), max_workers=1
+                make_runtime(calibrated_experiment), max_workers=1
             ),
             chris_constraint=CONSTRAINT,
         )
@@ -490,7 +492,7 @@ class TestExperimentWiring:
         splits = leave_subjects_out_folds(corpus.subject_ids, fold_size=2)[:2]
         for split, fold in zip(splits, via_executor.folds):
             expected = (
-                make_runtime(calibrated_experiment, mega_batched=True)
+                make_runtime(calibrated_experiment)
                 .run_many([corpus.subject(split.test_subject)], CONSTRAINT)
                 .mae_bpm
             )
@@ -519,40 +521,43 @@ class TestZeroWindowSubjects:
             spec=template.spec,
         )
 
-    def fleet(self, small_dataset):
+    def fleet(self, small_dataset, empty_first: bool = True):
         subjects = small_dataset.subjects
-        return [
-            self.empty_subject(subjects[0], "empty-first"),
+        head = [self.empty_subject(subjects[0], "empty-first")] if empty_first else []
+        return head + [
             subjects[0],
             self.empty_subject(subjects[0], "empty-mid"),
             subjects[1],
         ]
 
-    @pytest.mark.parametrize("stacked_state", [True, False])
+    @pytest.mark.parametrize("empty_first", [True, False])
     def test_mega_matches_sequential_with_empty_subjects(
-        self, calibrated_experiment, small_dataset, stacked_state
+        self, calibrated_experiment, small_dataset, empty_first
     ):
-        fleet = self.fleet(small_dataset)
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        """With and without a zero-window subject leading the fleet (the
+        template-broadcast regression)."""
+        fleet = self.fleet(small_dataset, empty_first)
+        sequential = sequential_replay(
+            make_runtime(calibrated_experiment), fleet, CONSTRAINT, use_oracle_difficulty=True
+        )
+        mega = make_runtime(calibrated_experiment).run_many(
             fleet, CONSTRAINT, use_oracle_difficulty=True
         )
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
-        runtime.stacked_state = stacked_state
-        mega = runtime.run_many(fleet, CONSTRAINT, use_oracle_difficulty=True)
         assert_fleets_identical(sequential, mega)
-        for sid in ("empty-first", "empty-mid"):
-            assert mega.results[sid].n_windows == 0
-            assert mega.results[sid].configuration.label()
+        for subject in fleet:
+            if subject.subject_id.startswith("empty"):
+                assert mega.results[subject.subject_id].n_windows == 0
+                assert mega.results[subject.subject_id].configuration.label()
 
     def test_pool_executor_handles_empty_subjects(
         self, calibrated_experiment, small_dataset
     ):
         fleet = self.fleet(small_dataset)
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
-            fleet, CONSTRAINT, use_oracle_difficulty=True
+        sequential = sequential_replay(
+            make_runtime(calibrated_experiment), fleet, CONSTRAINT, use_oracle_difficulty=True
         )
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
         )
@@ -564,10 +569,14 @@ class TestZeroWindowSubjects:
     ):
         fleet = self.fleet(small_dataset)
         traces = {"empty-first": np.zeros(0, dtype=bool)}
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
-            fleet, CONSTRAINT, use_oracle_difficulty=True, connected_traces=traces
+        sequential = sequential_replay(
+            make_runtime(calibrated_experiment),
+            fleet,
+            CONSTRAINT,
+            use_oracle_difficulty=True,
+            connected_traces=traces,
         )
-        mega = make_runtime(calibrated_experiment, mega_batched=True).run_many(
+        mega = make_runtime(calibrated_experiment).run_many(
             fleet, CONSTRAINT, use_oracle_difficulty=True, connected_traces=traces
         )
         assert_fleets_identical(sequential, mega)
@@ -577,21 +586,25 @@ class TestZeroWindowSubjects:
     ):
         fleet = self.fleet(small_dataset)
         traces = {"empty-first": np.ones(3, dtype=bool)}
-        for mega_batched in (False, True):
-            with pytest.raises(ValueError, match="one entry per window"):
-                make_runtime(calibrated_experiment, mega_batched=mega_batched).run_many(
-                    fleet,
-                    CONSTRAINT,
-                    use_oracle_difficulty=True,
-                    connected_traces=traces,
-                )
+        with pytest.raises(ValueError, match="one entry per window"):
+            make_runtime(calibrated_experiment).run_many(
+                fleet, CONSTRAINT, use_oracle_difficulty=True, connected_traces=traces
+            )
+        with pytest.raises(ValueError, match="one entry per window"):
+            make_runtime(calibrated_experiment).run_with_connection_trace(
+                fleet[0], CONSTRAINT, traces["empty-first"], use_oracle_difficulty=True
+            )
 
     def test_all_empty_fleet_produces_empty_results(self, calibrated_experiment, small_dataset):
         template = small_dataset.subjects[0]
         fleet = [self.empty_subject(template, f"empty-{i}") for i in range(3)]
-        for mega_batched in (False, True):
-            result = make_runtime(calibrated_experiment, mega_batched=mega_batched).run_many(
+        for result in (
+            sequential_replay(
+                make_runtime(calibrated_experiment), fleet, CONSTRAINT, use_oracle_difficulty=True
+            ),
+            make_runtime(calibrated_experiment).run_many(
                 fleet, CONSTRAINT, use_oracle_difficulty=True
-            )
+            ),
+        ):
             assert result.n_windows == 0
             assert result.n_subjects == 3

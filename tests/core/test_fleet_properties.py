@@ -1,17 +1,17 @@
 """Property-based equivalence suite for the fleet engines.
 
-The fleet correctness contract — *every* fast multi-subject path is
-decision-for-decision identical to sequential ``run_many`` replay — is
+The fleet correctness contract — *every* multi-subject path is
+decision-for-decision identical to sequential replay (one ``run`` per
+subject, :func:`~repro.eval.benchmarking.sequential_replay`) — is
 pinned here across seeded randomized scenarios instead of a handful of
 hand-picked fixtures.  Hypothesis draws fleet compositions (subject
 counts and lengths, BLE traces or not, heterogeneous hardware revisions,
 RF vs oracle difficulty, stateful vs ``FLEET_BATCHABLE`` predictors —
 including a fully stateful zoo with a signal-reading spectral tracker —
-stacked-state fused dispatch vs the legacy per-``(model, subject)``
-fallback, the ``equivalence`` policy axis (bitwise vs tolerance) with a
-real signal-reading TimePPG network in the zoo, the inference precision
-axis (float64 vs float32 — float32 always under the tolerance policy
-with the wider ``EQUIVALENCE_TOLERANCES`` bounds), worker counts 1/2/4,
+the ``equivalence`` policy axis (bitwise vs tolerance) with a real
+signal-reading TimePPG network in the zoo, the inference precision axis
+(float64 vs float32 — float32 always under the tolerance policy with
+the wider ``EQUIVALENCE_TOLERANCES`` bounds), executor worker counts,
 arrival orderings, batch-size limits, mid-queue retirements) and every
 example asserts bit-identical results — except the predictions of
 tolerance-fused models under ``equivalence="tolerance"``, which must
@@ -19,8 +19,8 @@ stay within the runtime's documented ``EQUIVALENCE_ATOL`` /
 ``EQUIVALENCE_RTOL`` while every other field stays exact:
 
 * :class:`~repro.core.scheduler.FleetScheduler` — dynamic sessions
-  submitted one by one must replay exactly like sequential ``run_many``
-  over the completed sessions in submission order, and the scheduler's
+  submitted one by one must replay exactly like sequential replay over
+  the completed sessions in submission order, and the scheduler's
   predictor streams must land on exactly the state sequential replay
   reaches (checked through
   :meth:`~repro.models.base.HeartRatePredictor.fleet_state_signature`);
@@ -55,7 +55,7 @@ from repro.core.runtime import (
 )
 from repro.core.scheduler import FleetScheduler, SessionState
 from repro.data.dataset import WindowedSubject
-from repro.eval.benchmarking import stateful_zoo
+from repro.eval.benchmarking import sequential_replay, stateful_zoo
 from repro.eval.experiment import CalibratedExperiment
 from repro.hw.platform import CostTableRegistry, WearableSystem
 from repro.ml.activity_classifier import ActivityClassifier
@@ -194,6 +194,7 @@ def fleet_scenarios(draw):
     return {
         "subjects": subjects,
         "order": draw(st.permutations(range(n_subjects))),
+        # Executor worker count (capped at 2 where a pool is spawned).
         "workers": draw(st.sampled_from([1, 2, 4])),
         "max_batch": draw(st.sampled_from([None, 1, 2])),
         # Serving-policy axis: the deadline dispatcher may hold arrivals
@@ -205,9 +206,6 @@ def fleet_scenarios(draw):
         # through the stateful dispatch; "zoo": the fully stateful zoo
         # (spectral tracker + smoothed calibrated trackers).
         "stateful": draw(st.sampled_from(["none", "flag", "zoo"])),
-        # Stacked-state fused dispatch vs legacy per-(model, subject)
-        # fallback for the stateful predictors.
-        "stacked": draw(st.booleans()),
         # Equivalence policy axis: bitwise keeps every path bit-exact;
         # tolerance fuses TOLERANCE_FUSABLE predictors across subjects.
         "equivalence": draw(st.sampled_from(["bitwise", "tolerance"])),
@@ -277,7 +275,6 @@ def make_runtime(scenario) -> CHRISRuntime:
         engine=experiment.engine,
         system=experiment.system,
         activity_classifier=_classifier() if scenario["use_rf"] else None,
-        stacked_state=scenario["stacked"],
         equivalence=equivalence,
         dtype=dtype,
     )
@@ -290,7 +287,7 @@ def make_runtime(scenario) -> CHRISRuntime:
 @settings(max_examples=15, **SCENARIO_SETTINGS)
 @given(scenario=fleet_scenarios())
 def test_scheduler_matches_sequential_replay(scenario):
-    """Dynamic sessions == sequential run_many over the completed sessions.
+    """Dynamic sessions == sequential replay over the completed sessions.
 
     Covers every scenario axis at once: arrival order defines the
     reference order, retired sessions drop out without touching any
@@ -302,7 +299,6 @@ def test_scheduler_matches_sequential_replay(scenario):
     scheduler = FleetScheduler(
         make_runtime(scenario),
         CONSTRAINT,
-        max_workers=scenario["workers"],
         max_batch_size=scenario["max_batch"],
         use_oracle_difficulty=not scenario["use_rf"],
         policy=scenario["policy"],
@@ -330,11 +326,11 @@ def test_scheduler_matches_sequential_replay(scenario):
     ]
 
     reference = make_runtime(scenario)
-    reference_fleet = reference.run_many(
+    reference_fleet = sequential_replay(
+        reference,
         [s.recording for s in completed],
         CONSTRAINT,
         use_oracle_difficulty=not scenario["use_rf"],
-        mega_batched=False,
         connected_traces={
             sid: t for sid, t in traces.items() if sid in {s.subject_id for s in completed}
         },
@@ -364,8 +360,8 @@ def test_tolerance_fused_timeppg_within_documented_bounds(scenario):
     """The tolerance policy's contract, pinned on every scenario shape.
 
     Forces ``equivalence="tolerance"`` with a real TimePPG network in
-    the zoo (everything else — workers 1/2/4, arrival order, batch
-    limits, retirements, traces, hardware mix — still varies), submits
+    the zoo (everything else — arrival order, batch limits,
+    retirements, traces, hardware mix — still varies), submits
     the fleet as dynamic sessions, and checks the fused results against
     sequential replay: every field bit-identical except the predictions
     of windows routed to the fused TCN, which must stay within the
@@ -381,7 +377,6 @@ def test_tolerance_fused_timeppg_within_documented_bounds(scenario):
     scheduler = FleetScheduler(
         make_runtime(scenario),
         CONSTRAINT,
-        max_workers=scenario["workers"],
         max_batch_size=scenario["max_batch"],
         use_oracle_difficulty=not scenario["use_rf"],
         policy=scenario["policy"],
@@ -410,11 +405,11 @@ def test_tolerance_fused_timeppg_within_documented_bounds(scenario):
     reference = make_runtime(scenario)
     fused = tolerance_fused_models(reference)
     assert fused, "the tolerance scenario must carry a TOLERANCE_FUSABLE model"
-    reference_fleet = reference.run_many(
+    reference_fleet = sequential_replay(
+        reference,
         [s.recording for s in completed],
         CONSTRAINT,
         use_oracle_difficulty=not scenario["use_rf"],
-        mega_batched=False,
         connected_traces={
             sid: t for sid, t in traces.items() if sid in {s.subject_id for s in completed}
         },
@@ -437,11 +432,11 @@ def test_pool_executor_matches_sequential_replay(scenario):
     """Process-pool sharding with mixed hardware == sequential replay."""
     arrival, traces, systems = build_fleet(scenario)
     reference_runtime = make_runtime(scenario)
-    sequential = reference_runtime.run_many(
+    sequential = sequential_replay(
+        reference_runtime,
         arrival,
         CONSTRAINT,
         use_oracle_difficulty=not scenario["use_rf"],
-        mega_batched=False,
         connected_traces=traces,
         systems=systems,
     )
@@ -482,15 +477,14 @@ def test_float32_fleet_decision_compatible_across_workers(workers):
         "stateful": "none",
         "timeppg": True,
         "use_rf": False,
-        "stacked": True,
         "equivalence": "tolerance",
         "dtype": "float64",
     }
     scenario32 = dict(scenario64, dtype="float32")
     subjects = [make_subject(f"f32-{i:02d}", 24 + 8 * i, seed=100 + i) for i in range(3)]
 
-    reference = make_runtime(scenario64).run_many(
-        subjects, CONSTRAINT, use_oracle_difficulty=True, mega_batched=False
+    reference = sequential_replay(
+        make_runtime(scenario64), subjects, CONSTRAINT, use_oracle_difficulty=True
     )
     executor = FleetExecutor(
         make_runtime(scenario32), max_workers=workers, shards_per_worker=2

@@ -1,11 +1,12 @@
-"""Batched-vs-per-window equivalence and fleet-run tests for the runtime.
+"""Runtime-vs-per-window-oracle equivalence and fleet-run tests.
 
-The batched execution engine must be *decision-for-decision* identical to
-the reference per-window path: same model routing, same offload targets,
-same predictions (the calibrated models' random streams are consumed in
-the same order), same costs.  The equivalence tests run the two paths on
-independent deep copies of the zoo so both start from identical predictor
-state.
+Every run goes through the runtime's fleet path, which must be
+*decision-for-decision* identical to the per-window oracle
+(:meth:`~repro.core.runtime.CHRISRuntime._run_scalar_oracle`): same model
+routing, same offload targets, same predictions (the calibrated models'
+random streams are consumed in the same order), same costs.  The
+equivalence tests run the two on independent deep copies of the zoo so
+both start from identical predictor state.
 """
 
 import copy
@@ -15,23 +16,40 @@ import pytest
 
 from repro.core.decision_engine import Constraint
 from repro.core.runtime import CHRISRuntime, FleetResult, RunResult
+from repro.eval.benchmarking import stateful_zoo
 
 CONSTRAINT = Constraint.max_mae(6.0)
 
 
-def make_runtime(experiment, batched: bool) -> CHRISRuntime:
-    """A runtime over a private deep copy of the experiment's zoo.
+def make_runtime(experiment, zoo=None) -> CHRISRuntime:
+    """A runtime over a private deep copy of the experiment's zoo (or ``zoo``).
 
     Deep-copying the zoo gives every path its own predictor instances with
     identical initial state (including the calibrated models' random
     generators), while the deterministic engine/system stay shared.
     """
     return CHRISRuntime(
-        zoo=copy.deepcopy(experiment.zoo),
+        zoo=copy.deepcopy(experiment.zoo if zoo is None else zoo),
         engine=experiment.engine,
         system=experiment.system,
-        batched=batched,
     )
+
+
+def oracle_run(
+    runtime: CHRISRuntime,
+    subject,
+    constraint: Constraint,
+    use_oracle_difficulty: bool = True,
+    connected=None,
+) -> RunResult:
+    """The per-window oracle of ``run`` / ``run_with_connection_trace``.
+
+    Plans exactly like the runtime (one-subject :meth:`_plan_fleet`) and
+    executes window by window.
+    """
+    traces = {} if connected is None else {subject.subject_id: connected}
+    plan = runtime._plan_fleet([subject], constraint, use_oracle_difficulty, traces)[0]
+    return runtime._run_scalar_oracle(subject, plan)
 
 
 def assert_results_identical(a: RunResult, b: RunResult) -> None:
@@ -58,59 +76,85 @@ def assert_results_identical(a: RunResult, b: RunResult) -> None:
     ]
 
 
+def dropout_trace(n: int) -> np.ndarray:
+    connected = np.ones(n, dtype=bool)
+    connected[n // 4 : n // 2] = False
+    connected[3 * n // 4 :] = False
+    return connected
+
+
 class TestEquivalence:
     def test_plain_run_identical(self, calibrated_experiment, small_dataset):
         subject = small_dataset.subjects[2]
-        scalar = make_runtime(calibrated_experiment, batched=False).run(
+        scalar = oracle_run(make_runtime(calibrated_experiment), subject, CONSTRAINT)
+        fleet = make_runtime(calibrated_experiment).run(
             subject, CONSTRAINT, use_oracle_difficulty=True
         )
-        batched = make_runtime(calibrated_experiment, batched=True).run(
-            subject, CONSTRAINT, use_oracle_difficulty=True
-        )
-        assert_results_identical(scalar, batched)
+        assert_results_identical(scalar, fleet)
 
     def test_connection_trace_identical(self, calibrated_experiment, small_dataset):
         subject = small_dataset.subjects[1]
-        n = subject.n_windows
-        connected = np.ones(n, dtype=bool)
-        connected[n // 4 : n // 2] = False
-        connected[3 * n // 4 :] = False
-        scalar = make_runtime(calibrated_experiment, batched=False).run_with_connection_trace(
+        connected = dropout_trace(subject.n_windows)
+        scalar = oracle_run(
+            make_runtime(calibrated_experiment), subject, CONSTRAINT, connected=connected
+        )
+        fleet = make_runtime(calibrated_experiment).run_with_connection_trace(
             subject, CONSTRAINT, connected, use_oracle_difficulty=True
         )
-        batched = make_runtime(calibrated_experiment, batched=True).run_with_connection_trace(
-            subject, CONSTRAINT, connected, use_oracle_difficulty=True
-        )
-        assert_results_identical(scalar, batched)
-
-    def test_per_call_override_beats_constructor_default(
-        self, calibrated_experiment, small_dataset
-    ):
-        subject = small_dataset.subjects[0]
-        runtime = make_runtime(calibrated_experiment, batched=True)
-        reference = make_runtime(calibrated_experiment, batched=False)
-        overridden = runtime.run(subject, CONSTRAINT, use_oracle_difficulty=True, batched=False)
-        scalar = reference.run(subject, CONSTRAINT, use_oracle_difficulty=True)
-        assert_results_identical(overridden, scalar)
+        assert_results_identical(scalar, fleet)
 
     def test_rf_difficulty_identical(
         self, calibrated_experiment, small_dataset, trained_activity_classifier
     ):
         subject = small_dataset.subjects[3]
         runtimes = []
-        for batched in (False, True):
-            runtime = make_runtime(calibrated_experiment, batched=batched)
+        for _ in range(2):
+            runtime = make_runtime(calibrated_experiment)
             runtime.activity_classifier = trained_activity_classifier
             runtimes.append(runtime)
-        scalar = runtimes[0].run(subject, CONSTRAINT, use_oracle_difficulty=False)
-        batched = runtimes[1].run(subject, CONSTRAINT, use_oracle_difficulty=False)
-        assert_results_identical(scalar, batched)
+        scalar = oracle_run(runtimes[0], subject, CONSTRAINT, use_oracle_difficulty=False)
+        fleet = runtimes[1].run(subject, CONSTRAINT, use_oracle_difficulty=False)
+        assert_results_identical(scalar, fleet)
+
+
+class TestStatefulOracle:
+    """Stateful predictors run through one-slot ``predict_fleet`` calls;
+    on the fully stateful zoo (a signal-reading spectral tracker plus
+    smoothed calibrated trackers) that must still equal the per-window
+    oracle, across consecutive subjects of one runtime."""
+
+    def test_run_matches_per_window_oracle(self, calibrated_experiment, small_dataset):
+        zoo = stateful_zoo(calibrated_experiment.zoo)
+        oracle, runtime = make_runtime(calibrated_experiment, zoo), make_runtime(
+            calibrated_experiment, zoo
+        )
+        for subject in small_dataset.subjects[:2]:
+            assert_results_identical(
+                oracle_run(oracle, subject, CONSTRAINT),
+                runtime.run(subject, CONSTRAINT, use_oracle_difficulty=True),
+            )
+
+    def test_connection_trace_run_matches_per_window_oracle(
+        self, calibrated_experiment, small_dataset
+    ):
+        zoo = stateful_zoo(calibrated_experiment.zoo)
+        oracle, runtime = make_runtime(calibrated_experiment, zoo), make_runtime(
+            calibrated_experiment, zoo
+        )
+        for subject in small_dataset.subjects[:2]:
+            connected = dropout_trace(subject.n_windows)
+            assert_results_identical(
+                oracle_run(oracle, subject, CONSTRAINT, connected=connected),
+                runtime.run_with_connection_trace(
+                    subject, CONSTRAINT, connected, use_oracle_difficulty=True
+                ),
+            )
 
 
 class TestRunResultView:
     def test_lazy_decisions_match_arrays(self, calibrated_experiment, small_dataset):
         subject = small_dataset.subjects[2]
-        result = make_runtime(calibrated_experiment, batched=True).run(
+        result = make_runtime(calibrated_experiment).run(
             subject, CONSTRAINT, use_oracle_difficulty=True
         )
         decisions = result.decisions
@@ -129,7 +173,7 @@ class TestRunResultView:
 
     def test_from_decisions_roundtrip(self, calibrated_experiment, small_dataset):
         subject = small_dataset.subjects[0]
-        result = make_runtime(calibrated_experiment, batched=True).run(
+        result = make_runtime(calibrated_experiment).run(
             subject, CONSTRAINT, use_oracle_difficulty=True
         )
         rebuilt = RunResult.from_decisions(
@@ -141,7 +185,7 @@ class TestRunResultView:
         """``==`` must compare contents (as the list representation did),
         not raise on the array fields."""
         subject = small_dataset.subjects[0]
-        result = make_runtime(calibrated_experiment, batched=True).run(
+        result = make_runtime(calibrated_experiment).run(
             subject, CONSTRAINT, use_oracle_difficulty=True
         )
         rebuilt = RunResult.from_decisions(
@@ -163,7 +207,7 @@ class TestRunResultView:
 class TestPredictorReset:
     def test_runs_reset_predictor_state(self, calibrated_experiment, small_dataset):
         """A run must not inherit tracker state from a previous subject."""
-        runtime = make_runtime(calibrated_experiment, batched=True)
+        runtime = make_runtime(calibrated_experiment)
         for entry in runtime.zoo:
             entry.predictor._last_estimate = 999.0
         runtime.run(small_dataset.subjects[0], CONSTRAINT, use_oracle_difficulty=True)
@@ -174,7 +218,7 @@ class TestPredictorReset:
 
     def test_trace_runs_reset_predictor_state(self, calibrated_experiment, small_dataset):
         subject = small_dataset.subjects[0]
-        runtime = make_runtime(calibrated_experiment, batched=False)
+        runtime = make_runtime(calibrated_experiment)
         for entry in runtime.zoo:
             entry.predictor._last_estimate = 999.0
         runtime.run_with_connection_trace(
@@ -187,7 +231,7 @@ class TestPredictorReset:
 
 class TestRunMany:
     def test_fleet_aggregates(self, calibrated_experiment, small_dataset):
-        runtime = make_runtime(calibrated_experiment, batched=True)
+        runtime = make_runtime(calibrated_experiment)
         fleet = runtime.run_many(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
         )
@@ -203,7 +247,7 @@ class TestRunMany:
         assert "fleet:" in fleet.summary()
 
     def test_duplicate_subject_rejected(self, calibrated_experiment, small_dataset):
-        runtime = make_runtime(calibrated_experiment, batched=True)
+        runtime = make_runtime(calibrated_experiment)
         subject = small_dataset.subjects[0]
         with pytest.raises(ValueError):
             runtime.run_many([subject, subject], CONSTRAINT, use_oracle_difficulty=True)
@@ -214,7 +258,10 @@ class TestRunMany:
         assert fleet.n_subjects == len(small_dataset.subjects)
         assert np.isfinite(fleet.mae_bpm)
 
-    def test_fleet_empty(self):
+    def test_fleet_empty(self, calibrated_experiment):
         fleet = FleetResult()
         assert fleet.n_windows == 0
         assert np.isnan(fleet.mae_bpm)
+        replayed = make_runtime(calibrated_experiment).run_many([], CONSTRAINT)
+        assert replayed.n_subjects == 0
+        assert np.isnan(replayed.mae_bpm)

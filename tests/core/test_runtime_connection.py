@@ -85,22 +85,41 @@ class TestConnectionTrace:
             )
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+def trace_run(runtime, subject, constraint, connected, scalar: bool):
+    """``run_with_connection_trace``, or its per-window oracle."""
+    if not scalar:
+        return runtime.run_with_connection_trace(
+            subject, constraint, connected, use_oracle_difficulty=True
+        )
+    traces = {subject.subject_id: connected}
+    plan = runtime._plan_fleet([subject], constraint, True, traces)[0]
+    return runtime._run_scalar_oracle(subject, plan)
+
+
+def configured_run(runtime, subject, configuration, scalar: bool):
+    """``run_with_configuration``, or its per-window oracle."""
+    if not scalar:
+        return runtime.run_with_configuration(
+            subject, configuration, use_oracle_difficulty=True
+        )
+    plan = runtime._plan_plain(subject, configuration, True, runtime._fleet_router())
+    return runtime._run_scalar_oracle(subject, plan)
+
+
+@pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "batched"])
 class TestReselection:
-    """Configuration re-selection happens exactly at status changes."""
+    """Configuration re-selection happens exactly at status changes, on
+    the runtime and on its per-window oracle alike."""
 
     def test_segments_start_exactly_at_status_changes(
-        self, runtime, small_dataset, batched
+        self, runtime, small_dataset, scalar
     ):
         subject = small_dataset.subjects[2]
         n = subject.n_windows
         connected = np.ones(n, dtype=bool)
         connected[n // 3 : n // 2] = False
         connected[2 * n // 3] = False  # single-window dropout
-        result = runtime.run_with_connection_trace(
-            subject, Constraint.max_mae(6.0), connected,
-            use_oracle_difficulty=True, batched=batched,
-        )
+        result = trace_run(runtime, subject, Constraint.max_mae(6.0), connected, scalar)
         expected_starts = [0] + (np.flatnonzero(np.diff(connected)) + 1).tolist()
         assert [start for start, _ in result.configuration_segments] == expected_starts
         # Equal statuses re-select the same configuration; the active one
@@ -112,23 +131,20 @@ class TestReselection:
         assert result.configuration is result.configuration_segments[-1][1]
 
     def test_disconnected_segments_use_local_configuration(
-        self, runtime, small_dataset, batched
+        self, runtime, small_dataset, scalar
     ):
         subject = small_dataset.subjects[1]
         n = subject.n_windows
         connected = np.ones(n, dtype=bool)
         connected[: n // 2] = False
-        result = runtime.run_with_connection_trace(
-            subject, Constraint.max_mae(6.0), connected,
-            use_oracle_difficulty=True, batched=batched,
-        )
+        result = trace_run(runtime, subject, Constraint.max_mae(6.0), connected, scalar)
         for start, config in result.configuration_segments:
             if not connected[start]:
                 assert config.is_local
         assert not result.offloaded[: n // 2].any()
 
     def test_phone_windows_degrade_to_watch_while_disconnected(
-        self, oracle_experiment, small_dataset, batched
+        self, oracle_experiment, small_dataset, scalar
     ):
         """With a hybrid configuration forced while the link is down, the
         complex model's windows must execute locally instead of offloading."""
@@ -144,9 +160,7 @@ class TestReselection:
         )
         runtime.system.ble.disconnect()
         try:
-            result = runtime.run_with_configuration(
-                subject, hybrid, use_oracle_difficulty=True, batched=batched
-            )
+            result = configured_run(runtime, subject, hybrid, scalar)
         finally:
             runtime.system.ble.reconnect()
         assert result.offload_fraction == 0.0

@@ -17,9 +17,12 @@ import pytest
 from repro.core.decision_engine import Constraint
 from repro.core.runtime import CHRISRuntime
 from repro.core.scheduler import FleetScheduler, SessionState, VirtualClock
-from repro.eval.benchmarking import stateful_zoo
+from repro.core.zoo import ModelsZoo, ZooEntry
+from repro.eval.benchmarking import sequential_replay, stateful_zoo
 from repro.data.dataset import WindowedSubject
 from repro.hw.platform import CostTableRegistry, WearableSystem
+from repro.models.adaptive_threshold import AdaptiveThresholdPredictor
+from repro.models.base import FleetState
 from repro.signal.windowing import DEFAULT_WINDOW_SPEC
 
 from tests.core.test_runtime_batched import assert_results_identical
@@ -55,7 +58,7 @@ def make_subject(subject_id: str, n_windows: int = 40, seed: int = 0) -> Windowe
 class TestLifecycle:
     def test_sessions_stream_as_completed(self, calibrated_experiment):
         subjects = [make_subject(f"s{i}", seed=i) for i in range(5)]
-        with make_scheduler(calibrated_experiment, max_workers=2) as scheduler:
+        with make_scheduler(calibrated_experiment) as scheduler:
             sessions = [scheduler.submit(s.subject_id, s) for s in subjects]
             seen = []
             for session in scheduler.as_completed():
@@ -131,8 +134,11 @@ class TestRetireAndPause:
         assert drop.result is None
         # A retired session consumes no predictor stream: replaying only
         # the kept subject sequentially reproduces the kept result.
-        reference = make_runtime(calibrated_experiment).run_many(
-            [keep.recording], CONSTRAINT, use_oracle_difficulty=True, mega_batched=False
+        reference = sequential_replay(
+            make_runtime(calibrated_experiment),
+            [keep.recording],
+            CONSTRAINT,
+            use_oracle_difficulty=True,
         )
         assert_results_identical(reference.results["keep"], keep.result)
 
@@ -174,9 +180,9 @@ class TestValidationAndFailure:
     def test_constructor_validation(self, calibrated_experiment):
         runtime = make_runtime(calibrated_experiment)
         with pytest.raises(ValueError):
-            FleetScheduler(runtime, CONSTRAINT, max_workers=0)
-        with pytest.raises(ValueError):
             FleetScheduler(runtime, CONSTRAINT, max_batch_size=0)
+        with pytest.raises(ValueError):
+            FleetScheduler(runtime, CONSTRAINT, max_retries=-1)
 
     def test_trace_shape_validated_at_submit(self, calibrated_experiment):
         with make_scheduler(calibrated_experiment) as scheduler:
@@ -262,8 +268,8 @@ class TestValidationAndFailure:
         from repro.core import faults
 
         subject = make_subject("flaky", seed=42)
-        reference = make_runtime(calibrated_experiment).run_many(
-            [subject], CONSTRAINT, use_oracle_difficulty=True, mega_batched=False
+        reference = sequential_replay(
+            make_runtime(calibrated_experiment), [subject], CONSTRAINT, use_oracle_difficulty=True
         )
         with tempfile.TemporaryDirectory() as fault_dir:
             plan = faults.FaultPlan(fault_dir)
@@ -338,7 +344,7 @@ class TestHeterogeneousSessions:
         )
         subjects = [make_subject(f"h{i}", seed=10 + i) for i in range(4)]
         systems = {"h0": stock, "h1": compressed, "h2": compressed}
-        with make_scheduler(calibrated_experiment, max_workers=2) as scheduler:
+        with make_scheduler(calibrated_experiment) as scheduler:
             sessions = [
                 scheduler.submit(s.subject_id, s, system=systems.get(s.subject_id))
                 for s in subjects
@@ -346,11 +352,11 @@ class TestHeterogeneousSessions:
             scheduler.join()
         assert all(s.state is SessionState.DONE for s in sessions)
         assert registry.n_revisions == 2
-        reference = make_runtime(calibrated_experiment).run_many(
+        reference = sequential_replay(
+            make_runtime(calibrated_experiment),
             subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
-            mega_batched=False,
             systems=systems,
         )
         for session in sessions:
@@ -383,9 +389,7 @@ class TestExperimentWiring:
         executor_fleet = copy.deepcopy(calibrated_experiment).run_fleet(
             small_dataset, CONSTRAINT
         )
-        with copy.deepcopy(calibrated_experiment).fleet_scheduler(
-            CONSTRAINT, max_workers=2
-        ) as scheduler:
+        with copy.deepcopy(calibrated_experiment).fleet_scheduler(CONSTRAINT) as scheduler:
             scheduled_fleet = calibrated_experiment.run_fleet(
                 small_dataset, CONSTRAINT, scheduler=scheduler
             )
@@ -436,34 +440,26 @@ class TestDispatchFailurePoisoning:
 
         scheduler._pool.submit = boom
 
-    def test_submit_failure_does_not_poison_snapshot_path(self, calibrated_experiment):
-        """With workers > 1 the stream was fast-forwarded before
-        pool.submit — as-if-planned accounting already covers the batch
-        that never ran, so the scheduler keeps serving."""
-        scheduler = make_scheduler(calibrated_experiment, max_workers=2)
-        self._fail_pool_submit_once(scheduler)
-        with scheduler:
-            lost = scheduler.submit("lost", make_subject("lost", seed=50))
-            scheduler.join()
-            assert lost.state is SessionState.FAILED
-            assert isinstance(lost.error, MemoryError)
-            recovered = scheduler.submit("next", make_subject("next", seed=51))
-            scheduler.join()
-        assert recovered.state is SessionState.DONE
-
     def test_submit_failure_does_not_poison_serial_path(self, calibrated_experiment):
-        """With one worker nothing was advanced before pool.submit, so the
-        scheduler keeps serving after the transient failure."""
-        scheduler = make_scheduler(calibrated_experiment, max_workers=1)
+        """Nothing executes before pool.submit, so the planned accounting
+        of the batch that never ran is rolled back: the scheduler keeps
+        serving after the transient failure, and the next session replays
+        as if the lost one had never been dispatched."""
+        scheduler = make_scheduler(calibrated_experiment)
         self._fail_pool_submit_once(scheduler)
+        recording = make_subject("next", seed=53)
         with scheduler:
             lost = scheduler.submit("lost", make_subject("lost", seed=52))
             scheduler.join()
-            recovered = scheduler.submit("next", make_subject("next", seed=53))
+            recovered = scheduler.submit("next", recording)
             scheduler.join()
         assert lost.state is SessionState.FAILED
         assert isinstance(lost.error, MemoryError)
         assert recovered.state is SessionState.DONE
+        reference = sequential_replay(
+            make_runtime(calibrated_experiment), [recording], CONSTRAINT, use_oracle_difficulty=True
+        )
+        assert_results_identical(reference.results["next"], recovered.result)
 
 
 class GatedPredictor:
@@ -494,6 +490,9 @@ class GatedPredictor:
     def fleet_state_signature(self):
         return None
 
+    def make_fleet_state(self, n_slots: int) -> FleetState:
+        return FleetState.for_slots(n_slots)
+
     def predict(self, ppg_windows, accel_windows=None, **context):
         type(self).STARTED.set()
         assert type(self).RELEASE.wait(timeout=30), "test gate never released"
@@ -514,8 +513,9 @@ class TestRetireRacingDispatchedBatch:
     still run and deliver.
     """
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_retire_neither_delivers_nor_poisons(self, calibrated_experiment, workers):
+    @pytest.mark.parametrize("kind", ["submit", "push"])
+    def test_retire_neither_delivers_nor_poisons(self, calibrated_experiment, kind):
+        """For a whole-recording session and for a streaming one."""
         import threading
 
         GatedPredictor.STARTED = threading.Event()
@@ -524,11 +524,20 @@ class TestRetireRacingDispatchedBatch:
         for entry in runtime.zoo:
             entry.predictor = GatedPredictor()
 
-        scheduler = FleetScheduler(
-            runtime, CONSTRAINT, max_workers=workers, use_oracle_difficulty=True
-        )
+        scheduler = FleetScheduler(runtime, CONSTRAINT, use_oracle_difficulty=True)
+        if kind == "push":
+            stream = scheduler.open_stream("w0")
+
+            def send(subject):
+                return push_window(stream, subject, 0)
+
+        else:
+
+            def send(subject):
+                return scheduler.submit(subject.subject_id, subject)
+
         try:
-            session = scheduler.submit("inflight", make_subject("inflight", seed=1))
+            session = send(make_subject("inflight", seed=1))
             assert GatedPredictor.STARTED.wait(timeout=30)
 
             assert scheduler.retire(session) is False
@@ -548,7 +557,7 @@ class TestRetireRacingDispatchedBatch:
             assert scheduler.next_done(timeout=0.05) is None
 
             # The epoch is not poisoned: the stream keeps serving.
-            late = scheduler.submit("late", make_subject("late", seed=2))
+            late = send(make_subject("late", seed=2))
             scheduler.join()
             assert late.state is SessionState.DONE
             assert scheduler.next_done(timeout=5.0) is late
@@ -570,15 +579,17 @@ class TestCloseRacingFailingBatch:
     """``close(wait=True)`` while an in-flight batch is about to fail.
 
     The race: a dispatched batch is mid-execution when the consumer calls
-    ``close(wait=True)``; the batch then fails.  The session must resolve
-    exactly once (FAILED), ``close`` must return (``join`` observes
-    ``_unresolved`` reaching zero — a double resolution would push it
-    negative or strand it positive and hang the close), and
-    ``as_completed`` must deliver the failed session and terminate.
+    ``close(wait=True)``; the batch then fails, and so does every batch
+    still queued behind it (four sessions, batches of ``max_batch_size``).
+    Every session must resolve exactly once (FAILED), ``close`` must
+    return (``join`` observes ``_unresolved`` reaching zero — a double
+    resolution would push it negative or strand it positive and hang the
+    close), and ``as_completed`` must deliver each failed session once
+    and terminate.
     """
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_close_wait_drains_failing_batch(self, calibrated_experiment, workers):
+    @pytest.mark.parametrize("max_batch_size", [1, 2, 4])
+    def test_close_wait_drains_failing_batch(self, calibrated_experiment, max_batch_size):
         import threading
 
         GatedFailingPredictor.STARTED = threading.Event()
@@ -590,12 +601,17 @@ class TestCloseRacingFailingBatch:
         scheduler = FleetScheduler(
             runtime,
             CONSTRAINT,
-            max_workers=workers,
+            max_batch_size=max_batch_size,
             use_oracle_difficulty=True,
             max_retries=0,
             retry_backoff_s=0.0,
         )
-        session = scheduler.submit("doomed", make_subject("doomed", seed=5))
+        scheduler.pause()
+        sessions = [
+            scheduler.submit(f"doomed{i}", make_subject(f"doomed{i}", seed=5 + i))
+            for i in range(4)
+        ]
+        scheduler.resume()
         assert GatedFailingPredictor.STARTED.wait(timeout=30)
 
         closer = threading.Thread(target=scheduler.close, kwargs={"wait": True})
@@ -605,12 +621,13 @@ class TestCloseRacingFailingBatch:
             closer.join(timeout=30)
             assert not closer.is_alive(), "close(wait=True) hung on the failing batch"
 
-            assert session.state is SessionState.FAILED
-            assert isinstance(session.error, RuntimeError)
-            assert session.result is None
-            # Exactly one delivery, then a clean end of stream.
+            for session in sessions:
+                assert session.state is SessionState.FAILED
+                assert isinstance(session.error, RuntimeError)
+                assert session.result is None
+            # Exactly one delivery each, then a clean end of stream.
             delivered = list(scheduler.as_completed())
-            assert delivered == [session]
+            assert sorted(delivered, key=lambda s: s.ticket) == sessions
             assert scheduler._unresolved == 0  # unguarded read: scheduler is closed
         finally:
             GatedFailingPredictor.RELEASE.set()
@@ -666,22 +683,6 @@ class TestServingValidation:
         with make_scheduler(calibrated_experiment) as scheduler:
             with pytest.raises(ValueError, match="slo_s"):
                 scheduler.submit("s0", make_subject("s0"), slo_s=0.0)
-
-    def test_open_stream_requires_single_worker(self, calibrated_experiment):
-        with make_scheduler(calibrated_experiment, max_workers=2) as scheduler:
-            with pytest.raises(ValueError, match="max_workers"):
-                scheduler.open_stream("w0")
-
-    def test_open_stream_requires_stacked_state(self, calibrated_experiment):
-        runtime = CHRISRuntime(
-            zoo=copy.deepcopy(calibrated_experiment.zoo),
-            engine=calibrated_experiment.engine,
-            system=calibrated_experiment.system,
-            stacked_state=False,
-        )
-        with FleetScheduler(runtime, CONSTRAINT, use_oracle_difficulty=True) as scheduler:
-            with pytest.raises(ValueError, match="stacked_state"):
-                scheduler.open_stream("w0")
 
     def test_duplicate_stream_id_rejected(self, calibrated_experiment):
         with make_scheduler(calibrated_experiment) as scheduler:
@@ -927,3 +928,80 @@ class TestStreamingBitIdentity:
         assert held.state is SessionState.RETIRED
         assert later.state is SessionState.DONE
         np.testing.assert_array_equal(later.result.predicted_hr, reference.predicted_hr)
+
+
+def at_runtime(experiment) -> CHRISRuntime:
+    """Every deployment served by a real (signal-reading) AT detector."""
+    zoo = ModelsZoo()
+    for entry in experiment.zoo:
+        zoo.add(ZooEntry(predictor=AdaptiveThresholdPredictor(), deployment=entry.deployment))
+    return CHRISRuntime(zoo=zoo, engine=experiment.engine, system=experiment.system)
+
+
+def ppg_subject(subject_id: str, n_windows: int, length: int, seed: int) -> WindowedSubject:
+    """Noisy ~1.3 Hz sinusoids at 32 Hz: windows the AT detector finds beats in."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(length) / 32.0
+    ppg = np.sin(2 * np.pi * (1.0 + 0.6 * rng.random((n_windows, 1))) * t)
+    return WindowedSubject(
+        subject_id=subject_id,
+        ppg_windows=ppg + 0.2 * rng.standard_normal((n_windows, length)),
+        accel_windows=rng.standard_normal((n_windows, length, 3)),
+        activity=rng.integers(0, 9, size=n_windows),
+        hr=70.0 + 30.0 * rng.random(n_windows),
+        spec=DEFAULT_WINDOW_SPEC,
+    )
+
+
+class TestAdmissionGeometry:
+    """A window the batch could not stack is rejected at admission.
+
+    Regression: three healthy streams pushing 256-sample windows and one
+    pushing a 200-sample window shared a batch, whose fused concatenate
+    then failed all four sessions.
+    """
+
+    def test_bad_push_raises_and_healthy_streams_match_replay(self, calibrated_experiment):
+        healthy = [ppg_subject(f"w{i}", 1, 256, seed=30 + i) for i in range(3)]
+        bad = ppg_subject("w3", 1, 200, seed=33)
+        with FleetScheduler(
+            at_runtime(calibrated_experiment), CONSTRAINT, use_oracle_difficulty=True
+        ) as scheduler:
+            scheduler.pause()
+            streams = [scheduler.open_stream(s.subject_id) for s in healthy + [bad]]
+            sessions = [push_window(st, s, 0) for st, s in zip(streams, healthy)]
+            with pytest.raises(ValueError, match="window geometry"):
+                push_window(streams[3], bad, 0)
+            assert len(scheduler._pending) == 3  # unguarded read: dispatch is paused
+            scheduler.resume()
+            scheduler.join()
+            for stream in streams:
+                stream.close()
+        assert [s.state for s in sessions] == [SessionState.DONE] * 3
+        reference = sequential_replay(
+            at_runtime(calibrated_experiment), healthy, CONSTRAINT, use_oracle_difficulty=True
+        )
+        for session, subject in zip(sessions, healthy):
+            expected = reference.results[subject.subject_id]
+            assert np.isfinite(expected.predicted_hr).all()
+            np.testing.assert_array_equal(session.result.predicted_hr, expected.predicted_hr)
+            np.testing.assert_array_equal(session.result.model_names, expected.model_names)
+            np.testing.assert_array_equal(session.result.offloaded, expected.offloaded)
+
+    def test_submit_rejects_mismatched_geometry(self, calibrated_experiment):
+        with make_scheduler(calibrated_experiment) as scheduler:
+            scheduler.pause()
+            first = scheduler.submit("a", make_subject("a"))
+            short = make_subject("b")
+            short.ppg_windows = short.ppg_windows[:, :8]
+            with pytest.raises(ValueError, match="window geometry"):
+                scheduler.submit("b", short)
+            stream = scheduler.open_stream("w0")
+            with pytest.raises(ValueError, match="window geometry"):
+                stream.push(np.zeros(8))
+            scheduler.resume()
+            scheduler.join()
+            stream.close()
+        assert first.state is SessionState.DONE
+        # One arrival event completed: the rejected inputs recorded nothing.
+        assert scheduler.latency_stats()["n_windows"] == 1
