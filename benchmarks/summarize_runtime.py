@@ -21,7 +21,11 @@ unstaged pool, plus the all-shards-staged resume replay), and through
 the online serving engine (``"latency"`` block: paced streaming
 arrivals under the deadline policy with p50/p95/p99 completion latency,
 deadline-miss fraction, and the saturated deadline-vs-drain throughput
-ratio) — and writes the measured throughputs, MAE and
+ratio), and through the difficulty detector (``"difficulty"`` block:
+one fused ``predict_difficulty`` call per fleet plan vs one call per
+subject of the per-window detector it replaced, at the replay and
+serving shapes, with medians, interquartile ranges and the host) — and
+writes the measured throughputs, MAE and
 offload statistics to ``BENCH_runtime.json`` at the repository root, so
 successive PRs can track the perf trajectory of every hot path.  Each
 run also appends a timestamped headline snapshot (one JSON line) to
@@ -40,11 +44,13 @@ from pathlib import Path
 
 _REPO = Path(__file__).resolve().parent.parent
 _SRC = _REPO / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+for _path in (_SRC, _REPO):  # the repo root makes the tests' oracles importable
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.eval.benchmarking import (  # noqa: E402
     benchmark_checkpoint,
+    benchmark_difficulty,
     benchmark_dtype_inference,
     benchmark_fleet,
     benchmark_inference,
@@ -54,6 +60,7 @@ from repro.eval.benchmarking import (  # noqa: E402
     benchmark_stateful_fleet,
 )
 from repro.eval.experiment import CalibratedExperiment  # noqa: E402
+from tests.ml.forest_oracle import difficulty_oracle  # noqa: E402
 
 
 def main(output_path: Path | None = None) -> dict:
@@ -76,6 +83,7 @@ def main(output_path: Path | None = None) -> dict:
         experiment, n_subjects=50, n_windows_per_subject=2_000, seed=0
     )
     outcome["latency"] = benchmark_latency(experiment, seed=0)
+    outcome["difficulty"] = benchmark_difficulty(experiment, difficulty_oracle, seed=0)
     output_path.write_text(json.dumps(outcome, indent=2) + "\n")
     append_history(outcome, output_path.parent / "BENCH_history.jsonl")
     print(json.dumps(outcome, indent=2))
@@ -107,6 +115,11 @@ def append_history(outcome: dict, history_path: Path) -> None:
         "deadline_throughput_ratio": outcome["latency"][
             "deadline_throughput_ratio"
         ],
+        "difficulty_fused_windows_per_s": {
+            shape: block["fused_windows_per_s"]["median"]
+            for shape, block in outcome["difficulty"]["shapes"].items()
+        },
+        "host": outcome["difficulty"]["host"],
     }
     with history_path.open("a") as sink:
         sink.write(json.dumps(snapshot) + "\n")

@@ -20,9 +20,11 @@ Every run — one recording or a whole fleet — takes the same path,
 runs.
 
 1. **Plan** — difficulty prediction, configuration (re-)selection and
-   per-window model routing are computed up front as NumPy arrays, every
-   subject individually (so per-subject difficulty streams, connection
-   traces and configuration segments are preserved).  Routing maps each
+   per-window model routing are computed up front as NumPy arrays.  The
+   difficulty detector runs once over every subject's windows and its
+   labels are sliced back per subject; selection and routing then run
+   per subject (so per-subject difficulty streams, connection traces and
+   configuration segments are preserved).  Routing maps each
    difficulty level through a per-``(configuration, connection status)``
    lookup table.  A traced subject's plan is built segment-wise: the
    feasible configuration set changes with the BLE status, so the engine
@@ -671,10 +673,37 @@ class CHRISRuntime:
                 entry.predictor.set_inference_dtype(self.dtype)
 
     # ------------------------------------------------------------ difficulty
-    def _predicted_difficulty(self, windows: WindowedSubject, use_oracle: bool) -> np.ndarray:
-        if use_oracle or self.activity_classifier is None or windows.n_windows == 0:
-            return windows.difficulty
-        return self.activity_classifier.predict_difficulty(windows.accel_windows)
+    def _fleet_difficulties(
+        self, subjects: Sequence[WindowedSubject], use_oracle: bool
+    ) -> list[np.ndarray]:
+        """Per-subject difficulty arrays, from one classifier call for the fleet.
+
+        Every non-empty subject's accelerometer windows go through one
+        :meth:`~repro.ml.activity_classifier.ActivityClassifier.predict_difficulty`
+        call, and the labels are sliced back by window offsets.  Feature
+        extraction and the forest are per row, so a window's label does not
+        depend on the windows batched with it.  Oracle planning (or no
+        classifier) reads each subject's ground-truth difficulty.  The
+        result is returned, not stored: the scheduler's dispatcher plans on
+        another thread than its worker executes on.
+        """
+        if use_oracle or self.activity_classifier is None:
+            return [subject.difficulty for subject in subjects]
+        predicted = [subject for subject in subjects if subject.n_windows]
+        if not predicted:
+            return [subject.difficulty for subject in subjects]
+        accel = (
+            predicted[0].accel_windows
+            if len(predicted) == 1
+            else np.concatenate([subject.accel_windows for subject in predicted])
+        )
+        labels = self.activity_classifier.predict_difficulty(accel)
+        offsets = np.cumsum([subject.n_windows for subject in predicted])[:-1]
+        by_subject = iter(np.split(labels, offsets))
+        return [
+            next(by_subject) if subject.n_windows else subject.difficulty
+            for subject in subjects
+        ]
 
     # -------------------------------------------------------------- planning
     def _reset_predictors(self) -> None:
@@ -723,13 +752,12 @@ class CHRISRuntime:
 
     def _plan_plain(
         self,
-        windows: WindowedSubject,
         configuration: ProfiledConfiguration,
-        use_oracle_difficulty: bool,
+        difficulties: np.ndarray,
         route,
         connected: bool | None = None,
     ) -> _ExecutionPlan:
-        """Routing plan for one recording under a fixed configuration.
+        """Routing plan for one recording's difficulties under a fixed configuration.
 
         ``connected`` overrides the default system's current BLE status —
         heterogeneous fleets route each subject against the status of its
@@ -737,7 +765,6 @@ class CHRISRuntime:
         """
         if connected is None:
             connected = self.system.connected
-        difficulties = self._predicted_difficulty(windows, use_oracle_difficulty)
         model_codes, offloaded = route(configuration, difficulties, connected=connected)
         return _ExecutionPlan(
             configuration=configuration,
@@ -747,12 +774,24 @@ class CHRISRuntime:
             segments=[(0, configuration)],
         )
 
-    def _plan_traced(
+    def _plan_configured(
         self,
         windows: WindowedSubject,
+        configuration: ProfiledConfiguration,
+        use_oracle_difficulty: bool,
+        connected: bool | None = None,
+    ) -> _ExecutionPlan:
+        """One recording's plan under an explicit configuration."""
+        (difficulties,) = self._fleet_difficulties([windows], use_oracle_difficulty)
+        return self._plan_plain(
+            configuration, difficulties, self._fleet_router(), connected=connected
+        )
+
+    def _plan_traced(
+        self,
         constraint: Constraint,
         connected: np.ndarray,
-        use_oracle_difficulty: bool,
+        difficulties: np.ndarray,
         route,
     ) -> _ExecutionPlan:
         """Segment-wise routing plan for a recording with a BLE trace.
@@ -761,11 +800,10 @@ class CHRISRuntime:
         connection-status change; the resulting plan carries one
         configuration segment per change and the configuration active at
         the *end* of the run.  ``connected`` has been validated to one
-        entry per window, and the recording has at least one.
+        entry per window (``difficulties`` has one too), and the
+        recording has at least one.
         """
-        difficulties = self._predicted_difficulty(windows, use_oracle_difficulty)
-
-        n = windows.n_windows
+        n = difficulties.shape[0]
         model_codes = np.zeros(n, dtype=np.intp)
         offloaded = np.zeros(n, dtype=bool)
         segments: list[tuple[int, ProfiledConfiguration]] = []
@@ -852,7 +890,7 @@ class CHRISRuntime:
         window, through :meth:`_execute_scalar`.  It is not an execution
         mode of the runtime; the tests and
         :func:`repro.eval.benchmarking.benchmark_runtime` call it with a
-        plan from :meth:`_plan_fleet` (or :meth:`_plan_plain` for an
+        plan from :meth:`_plan_fleet` (or :meth:`_plan_configured` for an
         explicit configuration).
         """
         self._reset_predictors()
@@ -896,12 +934,8 @@ class CHRISRuntime:
         if windows.n_windows == 0:
             raise ValueError("the recording contains no windows")
         system = system if system is not None else self.system
-        plan = self._plan_plain(
-            windows,
-            configuration,
-            use_oracle_difficulty,
-            self._fleet_router(),
-            connected=system.connected,
+        plan = self._plan_configured(
+            windows, configuration, use_oracle_difficulty, connected=system.connected
         )
         fleet = self._run_many_planned(
             [windows], [plan], systems={windows.subject_id: system}
@@ -1013,7 +1047,9 @@ class CHRISRuntime:
         is decision-identical to selecting per subject.  With per-subject
         ``systems`` the status is each subject's own hardware's.  A
         zero-window subject plans to nothing, under the configuration its
-        current status selects.  Planning never touches predictor state.
+        current status selects.  Difficulty comes from one detector pass
+        over the whole fleet (:meth:`_fleet_difficulties`).  Planning never
+        touches predictor state.
         """
         systems = systems or {}
         route = self._fleet_router()
@@ -1026,8 +1062,9 @@ class CHRISRuntime:
                 )
             return configuration_by_status[status]
 
+        difficulties = self._fleet_difficulties(subjects, use_oracle_difficulty)
         plans = []
-        for subject in subjects:
+        for subject, subject_difficulties in zip(subjects, difficulties):
             trace = traces.get(subject.subject_id)
             if trace is not None:
                 trace = np.asarray(trace, dtype=bool)
@@ -1038,9 +1075,7 @@ class CHRISRuntime:
                     )
             if trace is not None and subject.n_windows:
                 plans.append(
-                    self._plan_traced(
-                        subject, constraint, trace, use_oracle_difficulty, route
-                    )
+                    self._plan_traced(constraint, trace, subject_difficulties, route)
                 )
             else:
                 status = bool(
@@ -1048,9 +1083,8 @@ class CHRISRuntime:
                 )
                 plans.append(
                     self._plan_plain(
-                        subject,
                         configuration_for(status),
-                        use_oracle_difficulty,
+                        subject_difficulties,
                         route,
                         connected=status,
                     )

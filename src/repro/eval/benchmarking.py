@@ -38,6 +38,8 @@ from repro.core.runtime import (
 from repro.core.scheduler import FleetScheduler, SessionState
 from repro.core.zoo import ModelsZoo, ZooEntry
 from repro.data.dataset import WindowedSubject
+from repro.data.synthetic import SyntheticDaliaGenerator, SyntheticDatasetConfig
+from repro.ml.activity_classifier import ActivityClassifier
 from repro.models.adaptive_threshold import AdaptiveThresholdPredictor
 from repro.models.error_model import SmoothedCalibratedHRModel
 from repro.models.spectral_tracker import SpectralHRPredictor
@@ -126,7 +128,7 @@ def benchmark_runtime(
         return result, best
 
     def oracle():
-        plan = runtime._plan_plain(workload, configuration, True, runtime._fleet_router())
+        plan = runtime._plan_configured(workload, configuration, True)
         return runtime._run_scalar_oracle(workload, plan)
 
     scalar, scalar_s = timed(oracle)
@@ -1152,3 +1154,110 @@ def benchmark_latency(
         "deadline_saturated_windows_per_s": deadline_windows_per_s,
         "deadline_throughput_ratio": throughput_ratio,
     }
+
+
+def host_fingerprint() -> dict:
+    """Cores, numpy version and BLAS of the measuring host."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+    }
+
+
+def _spread(values) -> dict:
+    """Median and interquartile range of a list of measurements."""
+    q25, median, q75 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q25": float(q25), "q75": float(q75)}
+
+
+def benchmark_difficulty(
+    experiment,
+    reference,
+    shapes: tuple[tuple[int, int], ...] = ((8, 537), (500, 1)),
+    pairs: int = 7,
+    seed: int = 0,
+) -> dict:
+    """Fused fleet difficulty detection vs one reference call per subject.
+
+    A paper-sized ``ActivityClassifier`` (8 trees, depth 5) is trained on
+    one synthetic subject; the fleets are cut from a second subject's
+    accelerometer windows, one per ``(n_subjects, n_windows_per_subject)``
+    shape: ``8 x 537`` is the benchmark's replay fleet and ``500 x 1`` its
+    one-window-per-stream serving tick.  Three sides are timed per fleet,
+    in a rotating order within each of ``pairs`` interleaved rounds:
+
+    * ``fused`` — :meth:`~repro.core.runtime.CHRISRuntime._fleet_difficulties`,
+      the one ``predict_difficulty`` call per plan the runtime makes;
+    * ``per_subject`` — one ``predict_difficulty`` call per subject (the
+      runtime's former call pattern on the current kernels);
+    * ``reference`` — the detector ``reference(classifier)`` returns,
+      called once per subject; the benchmarks pass the per-window feature
+      loop and linked-tree walk the kernels replaced
+      (``tests/ml/forest_oracle.py``).
+
+    ``speedup`` is the median over rounds of reference time / fused time,
+    with its interquartile range; ``labels_identical`` confirms all three
+    sides labelled every window alike.
+    """
+    if pairs <= 0:
+        raise ValueError(f"pairs must be positive, got {pairs}")
+    train, pool = SyntheticDaliaGenerator(
+        SyntheticDatasetConfig(n_subjects=2, activity_duration_s=120.0, seed=seed)
+    ).generate_windowed().subjects
+    classifier = ActivityClassifier(random_state=seed).fit(train.accel_windows, train.activity)
+    runtime = experiment.runtime(activity_classifier=classifier)
+    reference_detector = reference(classifier)
+
+    def fleet_of(n_subjects: int, n_windows: int) -> list[WindowedSubject]:
+        subjects = []
+        for i in range(n_subjects):
+            rows = np.arange(i * n_windows, (i + 1) * n_windows) % pool.n_windows
+            subjects.append(
+                WindowedSubject(
+                    subject_id=f"difficulty-{i:04d}",
+                    ppg_windows=pool.ppg_windows[rows],
+                    accel_windows=pool.accel_windows[rows],
+                    activity=pool.activity[rows],
+                    hr=pool.hr[rows],
+                    spec=pool.spec,
+                )
+            )
+        return subjects
+
+    sides = {
+        "fused": lambda fleet: runtime._fleet_difficulties(fleet, False),
+        "per_subject": lambda fleet: [
+            classifier.predict_difficulty(s.accel_windows) for s in fleet
+        ],
+        "reference": lambda fleet: [reference_detector(s.accel_windows) for s in fleet],
+    }
+    out: dict = {"host": host_fingerprint(), "pairs": int(pairs), "shapes": {}}
+    for n_subjects, n_windows in shapes:
+        fleet = fleet_of(n_subjects, n_windows)
+        total = n_subjects * n_windows
+        times: dict[str, list[float]] = {name: [] for name in sides}
+        labels: dict[str, np.ndarray] = {}
+        names = list(sides)
+        for round_ in range(pairs):
+            for name in names[round_ % 3 :] + names[: round_ % 3]:
+                start = time.perf_counter()
+                result = sides[name](fleet)
+                times[name].append(time.perf_counter() - start)
+                labels[name] = np.concatenate(result)
+        ratios = [r / f for r, f in zip(times["reference"], times["fused"])]
+        block = {
+            "n_subjects": int(n_subjects),
+            "n_windows_per_subject": int(n_windows),
+            "n_windows_total": int(total),
+            "speedup": _spread(ratios),
+            "labels_identical": bool(
+                np.array_equal(labels["fused"], labels["reference"])
+                and np.array_equal(labels["per_subject"], labels["reference"])
+            ),
+        }
+        for name in names:
+            block[f"{name}_windows_per_s"] = _spread([total / t for t in times[name]])
+        out["shapes"][f"{n_subjects}x{n_windows}"] = block
+    return out

@@ -4,7 +4,10 @@ The classifier wraps the from-scratch Random Forest with the paper's
 feature extraction: for every accelerometer window it computes the four
 selected statistical features (mean, energy, standard deviation, number of
 peaks, axis-averaged) and predicts one of the nine activities, from which
-the difficulty level follows via the fixed activity ordering.
+the difficulty level follows via the fixed activity ordering.  Feature
+extraction and the forest walk are batched over all windows and exact
+per row, so the runtime labels a whole fleet plan in one
+:meth:`ActivityClassifier.predict_difficulty` call.
 
 In the paper this model runs on the ML core embedded in the LSM6DSM
 accelerometer, so its execution is free from the point of view of the main

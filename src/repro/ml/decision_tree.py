@@ -5,6 +5,16 @@ threshold splits evaluated on a configurable number of candidate
 thresholds per feature, and supports the depth / minimum-samples limits
 needed to reproduce the paper's tiny 8-tree, depth-5 forest that fits the
 LSM6DSM ML core.
+
+``fit`` stores the grown tree as flat node arrays in pre-order (split
+feature, threshold, left / right child index and leaf class
+probabilities), built once at fit time and read-only afterwards, so
+concurrent predictions share them safely.  ``predict_proba`` walks every
+row down the tree together, one vector step per level: a leaf is its
+own left and right child, so rows that reach a leaf early stay there.
+Each step is the comparison a per-row walk makes (``x[feature] <=
+threshold`` goes left), so a row's leaf does not depend on the rows
+batched with it.
 """
 
 from __future__ import annotations
@@ -13,24 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-@dataclass
-class _Node:
-    """One node of the decision tree.
-
-    Leaf nodes store the class-probability vector; internal nodes store
-    the split (feature index and threshold) plus the two children.
-    """
-
-    prediction: np.ndarray | None = None
-    feature: int | None = None
-    threshold: float | None = None
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.prediction is not None
+_LEAF = -1
+"""Split-feature entry of a leaf node."""
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -92,7 +86,12 @@ class DecisionTreeClassifier:
 
     n_classes_: int = field(init=False, default=0)
     n_features_: int = field(init=False, default=0)
-    _root: _Node | None = field(init=False, default=None, repr=False)
+    _feature: np.ndarray | None = field(init=False, default=None, repr=False)
+    _threshold: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _left: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _right: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _value: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _depth: int = field(init=False, default=0, repr=False)
     _rng: np.random.Generator = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -122,7 +121,15 @@ class DecisionTreeClassifier:
         self.n_classes_ = int(y.max()) + 1 if n_classes is None else int(n_classes)
         self.n_features_ = X.shape[1]
         self._rng = np.random.default_rng(self.random_state)
-        self._root = self._grow(X, y, depth=0)
+        nodes: list = []
+        self._grow(X, y, 0, nodes)
+        feature, threshold, left, right, value, depth = zip(*nodes)
+        self._feature = np.array(feature, dtype=np.intp)
+        self._threshold = np.array(threshold, dtype=float)
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        self._value = np.array(value, dtype=float)
+        self._depth = max(depth)
         return self
 
     def _n_split_features(self) -> int:
@@ -132,26 +139,31 @@ class DecisionTreeClassifier:
             return max(1, int(np.ceil(np.sqrt(self.n_features_))))
         return max(1, min(int(self.max_features), self.n_features_))
 
-    def _leaf(self, y: np.ndarray) -> _Node:
-        counts = np.bincount(y, minlength=self.n_classes_).astype(float)
-        return _Node(prediction=counts / counts.sum())
+    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, nodes: list) -> int:
+        """Grow the subtree of ``(X, y)`` into ``nodes`` (pre-order); return its root index.
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        if (
+        Each node is ``(feature, threshold, left, right, class
+        probabilities, depth)``; a leaf points both children at itself,
+        and a split's probabilities are zeros (never read).
+        """
+        index = len(nodes)
+        nodes.append(None)
+        split = None
+        if not (
             (self.max_depth is not None and depth >= self.max_depth)
             or y.size < self.min_samples_split
             or np.unique(y).size == 1
         ):
-            return self._leaf(y)
-
-        split = self._best_split(X, y)
+            split = self._best_split(X, y)
         if split is None:
-            return self._leaf(y)
+            counts = np.bincount(y, minlength=self.n_classes_).astype(float)
+            nodes[index] = (_LEAF, np.nan, index, index, counts / counts.sum(), depth)
+            return index
         feature, threshold, left_mask = split
-        node = _Node(feature=feature, threshold=threshold)
-        node.left = self._grow(X[left_mask], y[left_mask], depth + 1)
-        node.right = self._grow(X[~left_mask], y[~left_mask], depth + 1)
-        return node
+        left = self._grow(X[left_mask], y[left_mask], depth + 1, nodes)
+        right = self._grow(X[~left_mask], y[~left_mask], depth + 1, nodes)
+        nodes[index] = (feature, threshold, left, right, np.zeros(self.n_classes_), depth)
+        return index
 
     def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float, np.ndarray] | None:
         impurity_fn = _CRITERIA[self.criterion]
@@ -194,10 +206,10 @@ class DecisionTreeClassifier:
 
     # -------------------------------------------------------------- predict
     def _check_fitted(self) -> None:
-        if self._root is None:
+        if self._feature is None:
             raise RuntimeError("DecisionTreeClassifier must be fitted before prediction")
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:  # hot-path
         """Class-probability matrix of shape ``(n_samples, n_classes)``."""
         self._check_fitted()
         X = np.asarray(X, dtype=float)
@@ -207,16 +219,12 @@ class DecisionTreeClassifier:
             raise ValueError(
                 f"X has {X.shape[1]} features, the tree was fitted with {self.n_features_}"
             )
-        out = np.empty((X.shape[0], self.n_classes_))
-        for i, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:  # type: ignore[union-attr]
-                if row[node.feature] <= node.threshold:  # type: ignore[index, operator]
-                    node = node.left  # type: ignore[union-attr]
-                else:
-                    node = node.right  # type: ignore[union-attr]
-            out[i] = node.prediction  # type: ignore[union-attr]
-        return out
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(self._depth):  # loop-ok: one vector step per tree level (at most max_depth)
+            goes_left = X[rows, self._feature[node]] <= self._threshold[node]
+            node = np.where(goes_left, self._left[node], self._right[node])
+        return self._value[node]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class for each sample."""
@@ -226,21 +234,9 @@ class DecisionTreeClassifier:
     def depth(self) -> int:
         """Actual depth of the grown tree (0 for a single leaf)."""
         self._check_fitted()
-
-        def _depth(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))  # type: ignore[arg-type]
-
-        return _depth(self._root)  # type: ignore[arg-type]
+        return self._depth
 
     def node_count(self) -> int:
         """Total number of nodes (internal + leaves)."""
         self._check_fitted()
-
-        def _count(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + _count(node.left) + _count(node.right)  # type: ignore[arg-type]
-
-        return _count(self._root)  # type: ignore[arg-type]
+        return int(self._feature.size)

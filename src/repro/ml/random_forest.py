@@ -94,7 +94,12 @@ class RandomForestClassifier:
             raise RuntimeError("RandomForestClassifier must be fitted before prediction")
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Average class-probability matrix over the trees."""
+        """Average class-probability matrix over the trees.
+
+        Tree probabilities are summed in tree order, so every row's sum —
+        and with it how ``predict``'s argmax breaks ties — is the same
+        whatever rows it is batched with.
+        """
         self._check_fitted()
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:

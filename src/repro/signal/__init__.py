@@ -32,6 +32,7 @@ from repro.signal.peaks import (
     adaptive_threshold_peaks,
     adaptive_threshold_peaks_batch,
     count_sign_changes,
+    count_sign_changes_batch,
     find_peaks_simple,
     peak_intervals_to_bpm,
     peak_intervals_to_bpm_batch,
@@ -69,6 +70,7 @@ __all__ = [
     "adaptive_threshold_peaks",
     "adaptive_threshold_peaks_batch",
     "count_sign_changes",
+    "count_sign_changes_batch",
     "find_peaks_simple",
     "peak_intervals_to_bpm",
     "peak_intervals_to_bpm_batch",

@@ -10,16 +10,28 @@ following four predictors computed on the three accelerometer axes:
 
 Each feature is computed per axis and the per-axis values are then
 averaged, keeping the feature vector at 4 entries — small enough for the
-LSM6DSM ML core.  :func:`accelerometer_features` implements exactly that;
-:func:`extended_accelerometer_features` adds extra candidates (used by the
+LSM6DSM ML core.  The extended set adds extra candidates (used by the
 grid-search reproduction in the benchmarks).
+
+:func:`feature_vector` is the one implementation: it computes every
+feature for a whole ``(n_windows, n_samples, n_axes)`` batch with array
+reductions, in fixed chunks of :data:`CHUNK_WINDOWS` windows so its
+temporaries stay bounded.  Each chunk is copied time-major, to
+``(n_samples, windows x axes)``, and every per-axis statistic is a
+reduction over its first axis.  That reduction accumulates samples
+strictly in order, exactly as a per-window ``x.mean(axis=0)`` over
+``(n_samples, n_axes)`` does (single-axis windows, which numpy sums
+pairwise, keep one row per window instead), so a window's features are
+bitwise the same whatever it is batched with.
+:func:`accelerometer_features` and :func:`extended_accelerometer_features`
+are one-window calls into it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.signal.peaks import count_sign_changes
+from repro.signal.peaks import count_sign_changes_batch
 
 FEATURE_NAMES: tuple[str, ...] = ("mean", "energy", "std", "n_peaks")
 """Names of the four features used by the paper, in order."""
@@ -32,6 +44,14 @@ EXTENDED_FEATURE_NAMES: tuple[str, ...] = FEATURE_NAMES + (
     "rms",
 )
 """Names of the extended feature set used by the feature grid search."""
+
+CHUNK_WINDOWS = 128
+"""Windows per feature-extraction chunk.
+
+At 256 samples x 3 axes a chunk's temporaries are ~0.8 MB each, so a
+chunk's working set stays near the L2 cache and peak memory does not
+grow with the batch.
+"""
 
 
 def signal_energy(x: np.ndarray) -> float:
@@ -69,12 +89,7 @@ def accelerometer_features(window: np.ndarray) -> np.ndarray:
         Vector ``[mean, energy, std, n_peaks]`` where each entry is the
         average of the per-axis values.
     """
-    x = _per_axis(window)
-    means = x.mean(axis=0)
-    energies = np.mean(x ** 2, axis=0)
-    stds = x.std(axis=0)
-    n_peaks = np.array([count_sign_changes(x[:, i]) for i in range(x.shape[1])], dtype=float)
-    return np.array([means.mean(), energies.mean(), stds.mean(), n_peaks.mean()])
+    return feature_vector(_per_axis(window)[None])[0]
 
 
 def extended_accelerometer_features(window: np.ndarray) -> np.ndarray:
@@ -83,17 +98,10 @@ def extended_accelerometer_features(window: np.ndarray) -> np.ndarray:
     Used to reproduce the paper's grid search that selected the 4 features
     of :func:`accelerometer_features` out of a larger candidate pool.
     """
-    x = _per_axis(window)
-    base = accelerometer_features(x)
-    mins = x.min(axis=0).mean()
-    maxs = x.max(axis=0).mean()
-    rng = (x.max(axis=0) - x.min(axis=0)).mean()
-    mad = np.mean(np.abs(np.diff(x, axis=0)), axis=0).mean() if x.shape[0] > 1 else 0.0
-    rms = np.sqrt(np.mean(x ** 2, axis=0)).mean()
-    return np.concatenate([base, [mins, maxs, rng, mad, rms]])
+    return feature_vector(_per_axis(window)[None], extended=True)[0]
 
 
-def feature_vector(windows: np.ndarray, extended: bool = False) -> np.ndarray:
+def feature_vector(windows: np.ndarray, extended: bool = False) -> np.ndarray:  # hot-path
     """Feature matrix for a batch of accelerometer windows.
 
     Parameters
@@ -107,7 +115,8 @@ def feature_vector(windows: np.ndarray, extended: bool = False) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        ``(n_windows, n_features)`` feature matrix.
+        ``(n_windows, n_features)`` feature matrix; ``(0, n_features)``
+        for an empty batch.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim == 2:  # single-axis batch
@@ -116,5 +125,60 @@ def feature_vector(windows: np.ndarray, extended: bool = False) -> np.ndarray:
         raise ValueError(
             f"feature_vector expects (n_windows, n_samples, n_axes), got shape {windows.shape}"
         )
-    extractor = extended_accelerometer_features if extended else accelerometer_features
-    return np.stack([extractor(w) for w in windows])
+    if windows.shape[0] and windows.shape[1] == 0:
+        raise ValueError("feature extraction received an empty window")
+    n_features = len(EXTENDED_FEATURE_NAMES if extended else FEATURE_NAMES)
+    out = np.empty((windows.shape[0], n_features))
+    for start in range(0, windows.shape[0], CHUNK_WINDOWS):  # loop-ok: per chunk of CHUNK_WINDOWS windows, bounds temporaries
+        stop = start + CHUNK_WINDOWS
+        _chunk_features(windows[start:stop], extended, out[start:stop])
+    return out
+
+
+def _chunk_features(windows: np.ndarray, extended: bool, out: np.ndarray) -> None:  # hot-path
+    """Write one chunk's axis-averaged features into ``out``.
+
+    Per-axis statistics are reductions over the sample axis of a
+    ``windows x axes`` column stack, then averaged over each window's
+    axes.  The layout reproduces how numpy reduces one window: samples are
+    summed strictly in order across several axes, but a lone axis is
+    contiguous and summed pairwise.  So multi-axis chunks go time-major,
+    ``(n_samples, columns)``, reduced over axis 0, and single-axis chunks
+    stay ``(columns, n_samples)``, reduced over axis 1.
+    """
+    n, length, n_axes = windows.shape
+    if n_axes > 1:
+        axis = 0
+        data = np.ascontiguousarray(windows.transpose(1, 0, 2)).reshape(length, n * n_axes)
+    else:
+        axis = 1
+        data = windows[:, :, 0]
+
+    def sample_mean(values: np.ndarray, count: int) -> np.ndarray:
+        return np.add.reduce(values, axis=axis, keepdims=True) / count
+
+    def axis_mean(per_column: np.ndarray) -> np.ndarray:
+        return per_column.reshape(n, n_axes).mean(axis=1)
+
+    means = sample_mean(data, length)
+    energies = sample_mean(data * data, length)
+    deviation = data - means
+    np.multiply(deviation, deviation, out=deviation)
+    stds = np.sqrt(sample_mean(deviation, length))
+    n_peaks = count_sign_changes_batch(data.T if axis == 0 else data).astype(float)
+    out[:, 0] = axis_mean(means)
+    out[:, 1] = axis_mean(energies)
+    out[:, 2] = axis_mean(stds)
+    out[:, 3] = axis_mean(n_peaks)
+    if not extended:
+        return
+    lows = data.min(axis=axis)
+    highs = data.max(axis=axis)
+    out[:, 4] = axis_mean(lows)
+    out[:, 5] = axis_mean(highs)
+    out[:, 6] = axis_mean(highs - lows)
+    if length > 1:
+        out[:, 7] = axis_mean(sample_mean(np.abs(np.diff(data, axis=axis)), length - 1))
+    else:
+        out[:, 7] = 0.0
+    out[:, 8] = axis_mean(np.sqrt(energies))

@@ -3,8 +3,7 @@
 Two detectors are provided:
 
 * :func:`find_peaks_simple` — generic local-maxima detection with a
-  minimum-distance constraint, used by the dataset generator and by the
-  accelerometer feature extractor.
+  minimum-distance constraint.
 * :func:`adaptive_threshold_peaks` — the region-of-interest scheme of
   Shin et al. (the "AT" predictor of the paper): samples above the
   rolling mean form regions of interest, and the largest sample of each
@@ -23,6 +22,10 @@ arithmetic) or confined to one row's samples (region maxima, interval
 means), and the final interval mean uses the same strictly sequential
 left-to-right summation as the scalar path, so no floating-point
 reassociation can creep in.
+
+The accelerometer "number of peaks" feature is
+:func:`count_sign_changes_batch` (sign changes of each row's discrete
+derivative); :func:`count_sign_changes` is its one-row call.
 """
 
 from __future__ import annotations
@@ -266,19 +269,40 @@ def count_sign_changes(x: np.ndarray) -> int:
 
     This is the "number of peaks" feature used by the activity-recognition
     Random Forest in the paper (a cheap proxy for oscillation rate that the
-    LSM6DSM ML core can compute).
+    LSM6DSM ML core can compute).  A one-row call into
+    :func:`count_sign_changes_batch`, which defines the plateau rules.
     """
     x = np.asarray(x, dtype=float)
-    if x.size < 3:
-        return 0
-    deriv = np.diff(x)
-    signs = np.sign(deriv)
-    # Ignore zero-derivative plateaus by propagating the previous sign.
-    nonzero = signs != 0
-    if not nonzero.any():
-        return 0
-    # Forward-fill zero signs with the last non-zero sign.
-    idx = np.where(nonzero, np.arange(signs.size, dtype=np.intp), 0)
-    np.maximum.accumulate(idx, out=idx)
-    filled = signs[idx]
-    return int(np.count_nonzero(np.diff(filled) != 0))
+    return int(count_sign_changes_batch(x.reshape(1, -1))[0])
+
+
+def count_sign_changes_batch(rows: np.ndarray) -> np.ndarray:  # hot-path
+    """Per-row sign changes of the discrete derivative, ``(n_rows, L)`` -> ``(n_rows,)``.
+
+    Zero-derivative plateaus carry no sign of their own: a plateau takes
+    the sign before it, and a leading plateau the first sign after it, so
+    ``[0, 0, 0, 1, 0]`` and ``[1, 1, 2, 1]`` each change sign once.  A
+    row with fewer than three samples, or without a non-zero step, has
+    none.  Everything is exact comparison and integer counting, so a
+    row's count does not depend on the rows batched with it.  ``rows``
+    may be a strided view (the feature extractor passes a time-major
+    chunk transposed).
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"count_sign_changes_batch expects (n_rows, L), got shape {rows.shape}")
+    if rows.shape[1] < 3:
+        return np.zeros(rows.shape[0], dtype=np.intp)
+    deriv = rows[:, 1:] - rows[:, :-1]
+    rising = deriv > 0
+    moving = rising | (deriv < 0)
+    if not moving.all():
+        # Plateau fill: each step reads ``rising`` at the last moving step
+        # at or before it, or at the row's first moving step when none
+        # precedes it (rows that never move read step 0 throughout).
+        steps = np.arange(deriv.shape[1], dtype=np.intp)
+        source = np.where(moving, steps, 0)
+        np.maximum.accumulate(source, axis=1, out=source)
+        np.maximum(source, np.argmax(moving, axis=1)[:, None], out=source)
+        rising = np.take_along_axis(rising, source, axis=1)
+    return np.count_nonzero(rising[:, 1:] != rising[:, :-1], axis=1)

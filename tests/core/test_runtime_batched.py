@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.decision_engine import Constraint
 from repro.core.runtime import CHRISRuntime, FleetResult, RunResult
-from repro.eval.benchmarking import stateful_zoo
+from repro.data.dataset import WindowedSubject
+from repro.eval.benchmarking import sequential_replay, stateful_zoo
 
 CONSTRAINT = Constraint.max_mae(6.0)
 
@@ -115,6 +116,89 @@ class TestEquivalence:
         scalar = oracle_run(runtimes[0], subject, CONSTRAINT, use_oracle_difficulty=False)
         fleet = runtimes[1].run(subject, CONSTRAINT, use_oracle_difficulty=False)
         assert_results_identical(scalar, fleet)
+
+
+class TestFusedDifficultyPlanning:
+    """``_plan_fleet`` runs the difficulty detector once over the whole
+    fleet and slices the labels back: one ``predict_difficulty`` call per
+    plan, with difficulties (and so routing) equal to planning each
+    subject on its own."""
+
+    @staticmethod
+    def empty_subject(template, subject_id):
+        return WindowedSubject(
+            subject_id=subject_id,
+            ppg_windows=np.zeros((0,) + template.ppg_windows.shape[1:]),
+            accel_windows=np.zeros((0,) + template.accel_windows.shape[1:]),
+            activity=np.zeros(0, dtype=int),
+            hr=np.zeros(0, dtype=float),
+            spec=template.spec,
+        )
+
+    @pytest.fixture()
+    def spied_runtime(self, calibrated_experiment, trained_activity_classifier, monkeypatch):
+        classifier = copy.deepcopy(trained_activity_classifier)
+        calls = []
+        original = classifier.predict_difficulty
+
+        def spy(accel_windows):
+            calls.append(accel_windows.shape[0])
+            return original(accel_windows)
+
+        monkeypatch.setattr(classifier, "predict_difficulty", spy)
+        runtime = make_runtime(calibrated_experiment)
+        runtime.activity_classifier = classifier
+        return runtime, calls
+
+    def test_one_call_per_plan_equal_to_per_subject_planning(
+        self, spied_runtime, small_dataset
+    ):
+        runtime, calls = spied_runtime
+        subjects = list(small_dataset.subjects)
+        fleet = (
+            [self.empty_subject(subjects[0], "empty-first")]
+            + subjects[:2]
+            + [self.empty_subject(subjects[0], "empty-mid")]
+            + subjects[2:]
+        )
+        traces = {s.subject_id: dropout_trace(s.n_windows) for s in subjects[::2]}
+        plans = runtime._plan_fleet(fleet, CONSTRAINT, False, traces)
+        assert calls == [sum(s.n_windows for s in subjects)]
+
+        for subject, plan in zip(fleet, plans):
+            calls.clear()
+            sid = subject.subject_id
+            trace = {sid: traces[sid]} if sid in traces else {}
+            (alone,) = runtime._plan_fleet([subject], CONSTRAINT, False, trace)
+            assert calls == ([subject.n_windows] if subject.n_windows else [])
+            np.testing.assert_array_equal(plan.difficulties, alone.difficulties)
+            np.testing.assert_array_equal(plan.model_codes, alone.model_codes)
+            np.testing.assert_array_equal(plan.offloaded, alone.offloaded)
+            assert [(i, c.label()) for i, c in plan.segments] == [
+                (i, c.label()) for i, c in alone.segments
+            ]
+            assert plan.difficulties.shape == (subject.n_windows,)
+
+    def test_no_call_for_oracle_or_windowless_plans(self, spied_runtime, small_dataset):
+        runtime, calls = spied_runtime
+        subject = small_dataset.subjects[0]
+        (plan,) = runtime._plan_fleet([subject], CONSTRAINT, True, {})
+        np.testing.assert_array_equal(plan.difficulties, subject.difficulty)
+        runtime._plan_fleet([self.empty_subject(subject, "empty")], CONSTRAINT, False, {})
+        assert calls == []
+
+    def test_fleet_run_matches_per_subject_runs(
+        self, calibrated_experiment, small_dataset, trained_activity_classifier
+    ):
+        runtimes = []
+        for _ in range(2):
+            runtime = make_runtime(calibrated_experiment)
+            runtime.activity_classifier = trained_activity_classifier
+            runtimes.append(runtime)
+        fleet = runtimes[0].run_many(small_dataset.subjects, CONSTRAINT)
+        replay = sequential_replay(runtimes[1], small_dataset.subjects, CONSTRAINT)
+        for sid in fleet.subject_ids:
+            assert_results_identical(fleet.results[sid], replay.results[sid])
 
 
 class TestStatefulOracle:

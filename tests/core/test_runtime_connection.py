@@ -102,7 +102,7 @@ def configured_run(runtime, subject, configuration, scalar: bool):
         return runtime.run_with_configuration(
             subject, configuration, use_oracle_difficulty=True
         )
-    plan = runtime._plan_plain(subject, configuration, True, runtime._fleet_router())
+    plan = runtime._plan_configured(subject, configuration, True)
     return runtime._run_scalar_oracle(subject, plan)
 
 

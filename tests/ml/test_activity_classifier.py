@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.activities import Activity, difficulty_of
 from repro.ml.activity_classifier import DEFAULT_RF_PARAMS, ActivityClassifier
+from tests.ml.forest_oracle import difficulty_oracle
 
 
 class TestConfiguration:
@@ -62,3 +63,30 @@ class TestTrainingAndAccuracy:
         subject = small_dataset.subjects[0]
         with pytest.raises(RuntimeError):
             ActivityClassifier().predict_activity(subject.accel_windows)
+
+
+class TestBatchedDetector:
+    def test_difficulties_match_per_window_oracle(self, trained_activity_classifier, small_dataset):
+        windows = np.concatenate([s.accel_windows for s in small_dataset.subjects])
+        assert np.array_equal(
+            trained_activity_classifier.predict_difficulty(windows),
+            difficulty_oracle(trained_activity_classifier)(windows),
+        )
+
+    def test_extended_features_match_oracle(self, small_dataset):
+        subject = small_dataset.subjects[0]
+        classifier = ActivityClassifier(extended_features=True).fit(
+            subject.accel_windows, subject.activity
+        )
+        windows = small_dataset.subjects[2].accel_windows
+        assert np.array_equal(
+            classifier.predict_difficulty(windows),
+            difficulty_oracle(classifier)(windows),
+        )
+
+    def test_empty_batch_gives_empty_labels(self, trained_activity_classifier, small_dataset):
+        # Regression: feature extraction used to fail on an empty batch.
+        length = small_dataset.subjects[0].accel_windows.shape[1]
+        labels = trained_activity_classifier.predict_difficulty(np.empty((0, length, 3)))
+        assert labels.shape == (0,)
+        assert labels.dtype.kind == "i"

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.metrics import accuracy_score
 from repro.ml.random_forest import RandomForestClassifier
+from tests.ml.forest_oracle import forest_predict_proba_oracle, tree_predict_proba_oracle
 
 
 def noisy_blobs(n_per_class=80, seed=0):
@@ -76,3 +78,39 @@ class TestValidation:
             forest.fit(np.zeros((5, 2)), np.zeros(6, dtype=int))
         with pytest.raises(ValueError):
             forest.fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+class TestArrayForestMatchesLinkedOracle:
+    """The level-synchronous array walk against a per-row linked-tree walk."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("max_depth", [1, 5, None])
+    def test_forest_predict_proba_bitwise(self, seed, max_depth):
+        X, y = noisy_blobs(seed=seed)
+        forest = RandomForestClassifier(
+            n_estimators=8, max_depth=max_depth, random_state=seed
+        ).fit(X, y)
+        queries = np.concatenate([X, noisy_blobs(seed=seed + 10)[0]])
+        assert np.array_equal(
+            forest.predict_proba(queries), forest_predict_proba_oracle(forest, queries)
+        )
+
+    def test_tree_walk_on_split_thresholds_and_non_finite_rows(self):
+        X, y = noisy_blobs(seed=4)
+        tree = DecisionTreeClassifier(max_depth=6, random_state=0).fit(X, y)
+        # Rows sitting exactly on split thresholds go left; NaN compares
+        # false at every split and goes right, as in the per-row walk.
+        splits = np.flatnonzero(tree._feature >= 0)
+        on_threshold = np.repeat(X[:1], splits.size, axis=0)
+        on_threshold[np.arange(splits.size), tree._feature[splits]] = tree._threshold[splits]
+        queries = np.concatenate(
+            [on_threshold, [[np.nan, 0.0, 0.0], [np.inf, -np.inf, 1.0]]]
+        )
+        assert np.array_equal(tree.predict_proba(queries), tree_predict_proba_oracle(tree, queries))
+
+    def test_single_leaf_tree_and_empty_batch(self):
+        X = np.random.default_rng(0).normal(size=(10, 3))
+        tree = DecisionTreeClassifier().fit(X, np.full(10, 1), n_classes=3)
+        assert tree.depth() == 0 and tree.node_count() == 1
+        assert np.array_equal(tree.predict_proba(X), tree_predict_proba_oracle(tree, X))
+        assert tree.predict_proba(np.empty((0, 3))).shape == (0, 3)

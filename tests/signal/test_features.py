@@ -2,14 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.signal.features import (
+    CHUNK_WINDOWS,
     EXTENDED_FEATURE_NAMES,
     FEATURE_NAMES,
     accelerometer_features,
     extended_accelerometer_features,
     feature_vector,
     signal_energy,
+)
+from tests.signal.feature_oracle import (
+    accelerometer_features_oracle,
+    feature_vector_oracle,
 )
 
 
@@ -86,3 +94,77 @@ class TestFeatureVector:
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValueError):
             feature_vector(np.zeros((2, 3, 4, 5)))
+
+    @pytest.mark.parametrize("extended, n_features", [(False, 4), (True, 9)])
+    def test_empty_batch(self, extended, n_features):
+        # Regression: an empty batch used to fail in ``np.stack``.
+        features = feature_vector(np.empty((0, 64, 3)), extended=extended)
+        assert features.shape == (0, n_features)
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError):
+            feature_vector(np.empty((2, 0, 3)))
+
+
+class TestBatchedMatchesPerWindowOracle:
+    """The batch kernels against the per-window code they replaced."""
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_bitwise_on_synthetic_corpus(self, small_dataset, extended):
+        windows = np.concatenate([s.accel_windows for s in small_dataset.subjects])
+        assert windows.shape[0] > 2 * CHUNK_WINDOWS
+        assert np.array_equal(
+            feature_vector(windows, extended=extended),
+            feature_vector_oracle(windows, extended=extended),
+        )
+
+    def test_one_window_call_is_the_oracle(self, small_dataset):
+        window = small_dataset.subjects[0].accel_windows[7]
+        assert np.array_equal(accelerometer_features(window), accelerometer_features_oracle(window))
+
+    @pytest.mark.parametrize(
+        "size", [1, CHUNK_WINDOWS - 1, CHUNK_WINDOWS, CHUNK_WINDOWS + 1, 500]
+    )
+    @pytest.mark.parametrize("offset", [0, 37])
+    def test_rows_independent_of_batch_and_chunking(self, small_dataset, size, offset):
+        windows = np.concatenate([s.accel_windows for s in small_dataset.subjects])
+        reference = feature_vector(windows)
+        batch = windows[offset : offset + size]
+        assert np.array_equal(feature_vector(batch), reference[offset : offset + size])
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(["quantized", "constant", "float"]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_on_generated_windows(self, n, length, n_axes, kind, extended, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "quantized":  # integer steps: many zero-derivative plateaus
+            windows = rng.integers(-2, 3, size=(n, length, n_axes)).astype(float)
+        elif kind == "constant":
+            windows = np.full((n, length, n_axes), rng.normal())
+        else:
+            windows = rng.normal(scale=3.0, size=(n, length, n_axes))
+        assert np.array_equal(
+            feature_vector(windows, extended=extended),
+            feature_vector_oracle(windows, extended=extended),
+        )
+
+    @given(
+        arrays(
+            dtype=np.float64,
+            shape=st.tuples(
+                st.integers(min_value=1, max_value=4),
+                st.integers(min_value=1, max_value=30),
+                st.just(3),
+            ),
+            elements=st.floats(min_value=-50, max_value=50, allow_nan=False),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_on_arbitrary_floats(self, windows):
+        assert np.array_equal(feature_vector(windows), feature_vector_oracle(windows))

@@ -7,10 +7,12 @@ from repro.signal.peaks import (
     adaptive_threshold_peaks,
     adaptive_threshold_peaks_batch,
     count_sign_changes,
+    count_sign_changes_batch,
     find_peaks_simple,
     peak_intervals_to_bpm,
     peak_intervals_to_bpm_batch,
 )
+from tests.signal.feature_oracle import count_sign_changes_oracle
 
 
 def synthetic_pulse_train(bpm: float, fs: float = 32.0, duration_s: float = 20.0) -> np.ndarray:
@@ -196,3 +198,41 @@ class TestCountSignChanges:
         slow = count_sign_changes(np.sin(2 * np.pi * 0.5 * t))
         fast = count_sign_changes(np.sin(2 * np.pi * 3.0 * t))
         assert fast > slow
+
+    @pytest.mark.parametrize(
+        "x", [[0, 0, 0, 1, 0], [1, 1, 2, 1], [1, 2, 2, 1], [3, 3, 3, 2, 4]]
+    )
+    def test_plateaus_count_one_change(self, x):
+        # Regression: a leading plateau used to count as a change of its
+        # own (0 -> +1), so the first two returned 2.
+        assert count_sign_changes(np.array(x, dtype=float)) == 1
+
+    def test_leading_plateau_before_falling_step(self):
+        assert count_sign_changes(np.array([5.0, 5.0, 4.0, 4.0, 6.0, 6.0])) == 1
+
+
+class TestCountSignChangesBatch:
+    def test_rows_match_per_row_oracle(self):
+        rng = np.random.default_rng(0)
+        rows = np.round(rng.normal(size=(40, 30)) * 2)  # quantized: plateaus
+        rows[3] = 1.0  # constant row
+        rows[5, :10] = rows[5, 10]  # leading plateau
+        counts = count_sign_changes_batch(rows)
+        assert counts.shape == (40,)
+        assert np.array_equal(counts, [count_sign_changes_oracle(row) for row in rows])
+        assert np.array_equal(counts, [count_sign_changes(row) for row in rows])
+        assert counts[3] == 0
+
+    def test_short_rows_have_no_changes(self):
+        assert np.array_equal(count_sign_changes_batch(np.ones((4, 2))), np.zeros(4))
+        assert count_sign_changes_batch(np.empty((0, 10))).shape == (0,)
+
+    def test_strided_rows_accepted(self):
+        x = np.random.default_rng(1).normal(size=(50, 6))
+        assert np.array_equal(
+            count_sign_changes_batch(x.T), count_sign_changes_batch(np.ascontiguousarray(x.T))
+        )
+
+    def test_wrong_rank_rejected(self):
+        with pytest.raises(ValueError):
+            count_sign_changes_batch(np.zeros(5))
