@@ -83,7 +83,7 @@ def main(output_path: Path | None = None) -> dict:
         experiment, n_subjects=50, n_windows_per_subject=2_000, seed=0
     )
     outcome["latency"] = benchmark_latency(experiment, seed=0)
-    outcome["difficulty"] = benchmark_difficulty(experiment, difficulty_oracle, seed=0)
+    outcome["difficulty"] = benchmark_difficulty(experiment, difficulty_oracle)
     output_path.write_text(json.dumps(outcome, indent=2) + "\n")
     append_history(outcome, output_path.parent / "BENCH_history.jsonl")
     print(json.dumps(outcome, indent=2))

@@ -692,12 +692,9 @@ class CHRISRuntime:
         predicted = [subject for subject in subjects if subject.n_windows]
         if not predicted:
             return [subject.difficulty for subject in subjects]
-        accel = (
-            predicted[0].accel_windows
-            if len(predicted) == 1
-            else np.concatenate([subject.accel_windows for subject in predicted])
+        labels = self.activity_classifier.predict_difficulty(
+            np.concatenate([subject.accel_windows for subject in predicted])
         )
-        labels = self.activity_classifier.predict_difficulty(accel)
         offsets = np.cumsum([subject.n_windows for subject in predicted])[:-1]
         by_subject = iter(np.split(labels, offsets))
         return [

@@ -1172,21 +1172,21 @@ def _spread(values) -> dict:
     return {"median": float(median), "q25": float(q25), "q75": float(q75)}
 
 
-def benchmark_difficulty(
-    experiment,
-    reference,
-    shapes: tuple[tuple[int, int], ...] = ((8, 537), (500, 1)),
-    pairs: int = 7,
-    seed: int = 0,
-) -> dict:
+#: ``(n_subjects, n_windows_per_subject)`` fleets :func:`benchmark_difficulty`
+#: times: the benchmark's replay fleet and its one-window-per-stream serving tick.
+DIFFICULTY_SHAPES = ((8, 537), (500, 1))
+#: Interleaved rounds :func:`benchmark_difficulty` times per fleet.
+DIFFICULTY_ROUNDS = 7
+
+
+def benchmark_difficulty(experiment, reference) -> dict:
     """Fused fleet difficulty detection vs one reference call per subject.
 
     A paper-sized ``ActivityClassifier`` (8 trees, depth 5) is trained on
-    one synthetic subject; the fleets are cut from a second subject's
-    accelerometer windows, one per ``(n_subjects, n_windows_per_subject)``
-    shape: ``8 x 537`` is the benchmark's replay fleet and ``500 x 1`` its
-    one-window-per-stream serving tick.  Three sides are timed per fleet,
-    in a rotating order within each of ``pairs`` interleaved rounds:
+    one synthetic subject; the fleets of :data:`DIFFICULTY_SHAPES` are cut
+    from a second subject's accelerometer windows.  Three sides are timed
+    per fleet, in a rotating order within each of
+    :data:`DIFFICULTY_ROUNDS` interleaved rounds:
 
     * ``fused`` — :meth:`~repro.core.runtime.CHRISRuntime._fleet_difficulties`,
       the one ``predict_difficulty`` call per plan the runtime makes;
@@ -1201,12 +1201,10 @@ def benchmark_difficulty(
     with its interquartile range; ``labels_identical`` confirms all three
     sides labelled every window alike.
     """
-    if pairs <= 0:
-        raise ValueError(f"pairs must be positive, got {pairs}")
     train, pool = SyntheticDaliaGenerator(
-        SyntheticDatasetConfig(n_subjects=2, activity_duration_s=120.0, seed=seed)
+        SyntheticDatasetConfig(n_subjects=2, activity_duration_s=120.0, seed=0)
     ).generate_windowed().subjects
-    classifier = ActivityClassifier(random_state=seed).fit(train.accel_windows, train.activity)
+    classifier = ActivityClassifier(random_state=0).fit(train.accel_windows, train.activity)
     runtime = experiment.runtime(activity_classifier=classifier)
     reference_detector = reference(classifier)
 
@@ -1233,14 +1231,14 @@ def benchmark_difficulty(
         ],
         "reference": lambda fleet: [reference_detector(s.accel_windows) for s in fleet],
     }
-    out: dict = {"host": host_fingerprint(), "pairs": int(pairs), "shapes": {}}
-    for n_subjects, n_windows in shapes:
+    out: dict = {"host": host_fingerprint(), "pairs": DIFFICULTY_ROUNDS, "shapes": {}}
+    for n_subjects, n_windows in DIFFICULTY_SHAPES:
         fleet = fleet_of(n_subjects, n_windows)
         total = n_subjects * n_windows
         times: dict[str, list[float]] = {name: [] for name in sides}
         labels: dict[str, np.ndarray] = {}
         names = list(sides)
-        for round_ in range(pairs):
+        for round_ in range(DIFFICULTY_ROUNDS):
             for name in names[round_ % 3 :] + names[: round_ % 3]:
                 start = time.perf_counter()
                 result = sides[name](fleet)

@@ -10,11 +10,12 @@ LSM6DSM ML core.
 feature, threshold, left / right child index and leaf class
 probabilities), built once at fit time and read-only afterwards, so
 concurrent predictions share them safely.  ``predict_proba`` walks every
-row down the tree together, one vector step per level: a leaf is its
-own left and right child, so rows that reach a leaf early stay there.
-Each step is the comparison a per-row walk makes (``x[feature] <=
-threshold`` goes left), so a row's leaf does not depend on the rows
-batched with it.
+row down the tree together with :func:`descend`, one vector step per
+level: a leaf is its own left and right child, so rows that reach a leaf
+early stay there.  A forest lays its trees' arrays end to end and walks
+all of them in the same steps.  Each step is the comparison a per-row
+walk makes (``x[feature] <= threshold`` goes left), so a row's leaf does
+not depend on the rows batched with it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,34 @@ def _entropy(counts: np.ndarray) -> float:
 
 
 _CRITERIA = {"gini": _gini, "entropy": _entropy}
+
+_ROOT = np.zeros(1, dtype=np.intp)
+"""Root index of a lone tree's node arrays."""
+
+
+def descend(  # hot-path
+    X: np.ndarray,
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    roots: np.ndarray,
+    depth: int,
+) -> np.ndarray:
+    """Leaf index of every row in every tree, shape ``(n_rows, n_trees)``.
+
+    ``feature`` ... ``right`` are node arrays of one or more trees laid
+    end to end (child indices global), and ``roots`` holds each tree's
+    root index.  Every row walks every tree together, one vector step per
+    level for ``depth`` levels; a leaf is its own child, so rows that
+    reach a leaf early stay there.
+    """
+    rows = np.arange(X.shape[0])[:, None]
+    node = np.tile(roots, (X.shape[0], 1))
+    for _ in range(depth):  # loop-ok: one vector step per tree level (at most max_depth)
+        goes_left = X[rows, feature[node]] <= threshold[node]
+        node = np.where(goes_left, left[node], right[node])
+    return node
 
 
 @dataclass
@@ -219,12 +248,10 @@ class DecisionTreeClassifier:
             raise ValueError(
                 f"X has {X.shape[1]} features, the tree was fitted with {self.n_features_}"
             )
-        rows = np.arange(X.shape[0])
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        for _ in range(self._depth):  # loop-ok: one vector step per tree level (at most max_depth)
-            goes_left = X[rows, self._feature[node]] <= self._threshold[node]
-            node = np.where(goes_left, self._left[node], self._right[node])
-        return self._value[node]
+        leaves = descend(
+            X, self._feature, self._threshold, self._left, self._right, _ROOT, self._depth
+        )
+        return self._value[leaves[:, 0]]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class for each sample."""

@@ -5,6 +5,11 @@ The paper's activity recognizer is a forest of 8 trees with maximum depth
 implementation uses standard bagging: each tree is grown on a bootstrap
 resample of the training set and examines a random subset of features at
 every split; prediction averages the per-tree class probabilities.
+
+``fit`` also lays the trees' node arrays end to end, so ``predict_proba``
+walks every row through all trees at once
+(:func:`~repro.ml.decision_tree.descend`): ``max_depth`` vector steps per
+call, however many trees and rows.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.decision_tree import DecisionTreeClassifier
+from repro.ml.decision_tree import DecisionTreeClassifier, descend
 
 
 @dataclass
@@ -52,6 +57,15 @@ class RandomForestClassifier:
     n_classes_: int = field(init=False, default=0)
     n_features_: int = field(init=False, default=0)
     estimators_: list[DecisionTreeClassifier] = field(init=False, default_factory=list, repr=False)
+    # Every tree's node arrays end to end (child indices global), each
+    # tree's root index, and the deepest tree's depth; built by ``fit``.
+    _feature: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _threshold: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _left: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _right: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _value: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _roots: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _depth: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_estimators < 1:
@@ -87,6 +101,14 @@ class RandomForestClassifier:
             )
             tree.fit(X[idx], y[idx], n_classes=self.n_classes_)
             self.estimators_.append(tree)
+        trees = self.estimators_
+        self._roots = np.cumsum([0] + [tree.node_count() for tree in trees[:-1]])
+        self._feature = np.concatenate([tree._feature for tree in trees])
+        self._threshold = np.concatenate([tree._threshold for tree in trees])
+        self._left = np.concatenate([tree._left + r for tree, r in zip(trees, self._roots)])
+        self._right = np.concatenate([tree._right + r for tree, r in zip(trees, self._roots)])
+        self._value = np.concatenate([tree._value for tree in trees])
+        self._depth = self.max_tree_depth()
         return self
 
     def _check_fitted(self) -> None:
@@ -104,9 +126,16 @@ class RandomForestClassifier:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
+        if X.shape[1] != self.n_features_:
+            raise ValueError(
+                f"X has {X.shape[1]} features, the forest was fitted with {self.n_features_}"
+            )
+        leaves = self._value[
+            descend(X, self._feature, self._threshold, self._left, self._right, self._roots, self._depth)
+        ]
         probs = np.zeros((X.shape[0], self.n_classes_))
-        for tree in self.estimators_:
-            probs += tree.predict_proba(X)
+        for t in range(len(self.estimators_)):  # loop-ok: one add per tree, in tree order
+            probs += leaves[:, t]
         return probs / len(self.estimators_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -95,6 +95,16 @@ class TestArrayForestMatchesLinkedOracle:
             forest.predict_proba(queries), forest_predict_proba_oracle(forest, queries)
         )
 
+    def test_forest_rows_independent_of_batch(self):
+        X, y = noisy_blobs(seed=3)
+        forest = RandomForestClassifier(n_estimators=8, max_depth=5, random_state=3).fit(X, y)
+        batch = forest.predict_proba(X)
+        singles = np.concatenate([forest.predict_proba(row) for row in X])
+        assert np.array_equal(batch, singles)
+        assert forest.predict_proba(np.empty((0, X.shape[1]))).shape == (0, forest.n_classes_)
+        with pytest.raises(ValueError):
+            forest.predict_proba(X[:, :-1])
+
     def test_tree_walk_on_split_thresholds_and_non_finite_rows(self):
         X, y = noisy_blobs(seed=4)
         tree = DecisionTreeClassifier(max_depth=6, random_state=0).fit(X, y)
