@@ -10,9 +10,8 @@ through the stacked-state dispatch on a stateful-heavy zoo
 (``"stateful_fleet"`` block: fused ``predict_fleet`` vs per-subject
 ``run`` calls), and through the fused inference engine (``"inference"`` block:
 batched AT peak detection vs the scalar detector, TimePPG's frozen
-inference network vs the training-mode forward, and the
-``equivalence="tolerance"`` cross-subject TimePPG fusion vs the bitwise
-per-subject dispatch), through the float32 engine (``"inference_dtype"``
+inference network vs the training-mode forward, and ``run_many``'s
+cross-subject TimePPG fusion vs per-subject ``run`` calls), through the float32 engine (``"inference_dtype"``
 block: batched AT and frozen TimePPG at float32 vs the float64
 reference, with per-dtype throughputs and equivalence flags), and
 through the crash-safe checkpointed fleet
@@ -77,7 +76,7 @@ def main(output_path: Path | None = None) -> dict:
     outcome["stateful_fleet"] = benchmark_stateful_fleet(
         experiment, n_subjects=50, n_windows_per_subject=2_000, seed=0
     )
-    outcome["inference"] = benchmark_inference(experiment, seed=0)
+    outcome["inference"] = benchmark_inference(experiment, seed=0, repeats=5)
     outcome["inference_dtype"] = benchmark_dtype_inference(seed=0)
     outcome["checkpoint"] = benchmark_checkpoint(
         experiment, n_subjects=50, n_windows_per_subject=2_000, seed=0
@@ -108,6 +107,9 @@ def append_history(outcome: dict, history_path: Path) -> None:
         ],
         "checkpoint_relative_throughput": outcome["checkpoint"][
             "checkpoint_relative_throughput"
+        ],
+        "fused_fleet_windows_per_s": outcome["inference"]["fused_fleet"][
+            "fused_windows_per_s"
         ],
         "latency_p95_s": outcome["latency"]["p95_s"],
         "latency_p99_s": outcome["latency"]["p99_s"],

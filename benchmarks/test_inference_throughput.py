@@ -1,4 +1,4 @@
-"""Inference-engine throughput: batched AT, TimePPG inference, tolerance fusion.
+"""Inference-engine throughput: batched AT, TimePPG inference, fleet fusion.
 
 The fused inference engine removes the two Python-level hot loops from
 the per-window compute path: the adaptive-threshold raw peak detector
@@ -6,9 +6,10 @@ now runs as one batched threshold recurrence + region extraction over
 the whole window stack (bit-identical per row to the scalar detector),
 and TimePPG's frozen inference network (batch norm folded into the
 convolutions, GEMM im2col lowering) replaces the training-oriented
-layer stack.  On top, the ``equivalence="tolerance"`` policy fuses
-TimePPG's forward across subjects in fleet replays.  This benchmark
-pins regression floors for all three paths so they fail loudly.
+layer stack.  On top, ``run_many`` fuses TimePPG's row-bit-stable
+forward across subjects, bit-identical to per-subject replay.  This
+benchmark pins regression floors for all three paths so they fail
+loudly.
 """
 
 import json
@@ -27,15 +28,17 @@ MIN_AT_SPEEDUP = 5.0
 #: forward at equal (evaluation) outputs (measured ~3-4.5x).
 MIN_TIMEPPG_SPEEDUP = 2.0
 
-#: Required tolerance-fused fleet speedup over the bitwise per-subject
-#: dispatch on the small-session fleet workload (measured ~1.6-1.8x).
-MIN_TOLERANCE_FLEET_SPEEDUP = 1.15
+#: Required fused ``run_many`` speedup over per-subject ``run`` calls
+#: (``sequential_replay``) on the small-session fleet workload with a
+#: real TCN, as the median of interleaved pairs (measured 5.1-5.5x on a 2-core
+#: OpenBLAS host; the floor leaves room for slower CI hardware).
+MIN_FUSED_FLEET_SPEEDUP = 3.0
 
 
 @pytest.mark.slow
 def test_inference_engine_throughput(experiment, results_dir):
-    outcome = benchmark_inference(experiment, seed=0)
-    at, nn, fleet = outcome["at"], outcome["timeppg"], outcome["tolerance_fleet"]
+    outcome = benchmark_inference(experiment, seed=0, repeats=5)
+    at, nn, fleet = outcome["at"], outcome["timeppg"], outcome["fused_fleet"]
 
     emit(
         results_dir,
@@ -49,11 +52,12 @@ def test_inference_engine_throughput(experiment, results_dir):
                 f"TimePPG ({nn['variant']}): training {nn['training_windows_per_s']:,.0f} w/s, "
                 f"inference {nn['inference_windows_per_s']:,.0f} w/s "
                 f"({nn['speedup']:.1f}x, floor {MIN_TIMEPPG_SPEEDUP:.0f}x)",
-                f"tolerance fleet: {fleet['n_subjects']} subjects x "
+                f"fused fleet: {fleet['n_subjects']} subjects x "
                 f"{fleet['n_windows_per_subject']} windows, "
-                f"bitwise {fleet['bitwise_windows_per_s']:,.0f} w/s, "
-                f"tolerance {fleet['tolerance_windows_per_s']:,.0f} w/s "
-                f"({fleet['speedup']:.2f}x, floor {MIN_TOLERANCE_FLEET_SPEEDUP:.2f}x)",
+                f"per-subject {fleet['sequential_windows_per_s']:,.0f} w/s, "
+                f"fused {fleet['fused_windows_per_s']:,.0f} w/s "
+                f"(median {fleet['speedup']:.2f}x over {fleet['pairs']} pairs, "
+                f"floor {MIN_FUSED_FLEET_SPEEDUP:.2f}x)",
             ]
         ),
     )
@@ -65,10 +69,7 @@ def test_inference_engine_throughput(experiment, results_dir):
     assert at["speedup"] >= MIN_AT_SPEEDUP
     assert nn["outputs_equal"], "folded inference diverged from the eval forward"
     assert nn["speedup"] >= MIN_TIMEPPG_SPEEDUP
-    assert fleet["bitwise_decisions_identical"], (
-        "bitwise fleet replay must stay bit-identical with a real TimePPG"
+    assert fleet["decisions_identical"], (
+        "fused fleet replay must stay bit-identical with a real TimePPG"
     )
-    assert fleet["within_documented_tolerance"], (
-        "tolerance-fused fleet left the documented atol/rtol"
-    )
-    assert fleet["speedup"] >= MIN_TOLERANCE_FLEET_SPEEDUP
+    assert fleet["speedup"] >= MIN_FUSED_FLEET_SPEEDUP

@@ -2,7 +2,7 @@
 
 Several PRs of engine work rest on conventions no generic linter knows
 about: locked dispatcher state, vectorized hot paths, scalar/batch
-bit-identity twins, explicit equivalence flags, an inference path
+bit-identity twins, an explicit fleet-batching flag, an inference path
 that must not silently re-promote to float64, durable state that
 must only be committed atomically, a declared lock ordering on the
 threaded modules, and resources whose lifetime must not leak on
@@ -61,8 +61,8 @@ Rule catalogue
     list-``.append`` accumulation inside a loop.
 
 ``REP004`` equivalence contracts (whole scan root).  Every
-    ``HeartRatePredictor`` subclass must assign ``FLEET_BATCHABLE`` and
-    ``TOLERANCE_FUSABLE`` in its own class body; every ``predict_fleet``
+    ``HeartRatePredictor`` subclass must assign ``FLEET_BATCHABLE`` in
+    its own class body; every ``predict_fleet``
     override must handle ``FleetState`` stacks (call
     ``_check_fleet_stack`` or delegate to ``super().predict_fleet``);
     and every scalar/batch twin pair in the registry

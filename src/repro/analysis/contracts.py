@@ -3,12 +3,12 @@
 Three structural invariants of the predictor layer, checked across the
 whole scan root at once:
 
-1. **Explicit flags** — every (direct or transitive) subclass of
-   ``HeartRatePredictor`` must assign ``FLEET_BATCHABLE`` and
-   ``TOLERANCE_FUSABLE`` in its own class body.  Inheriting a default
-   silently is how a new predictor ends up on the wrong fleet path; the
-   flags are the contract and must be a visible, reviewed line.  The
-   root class itself (the definition site of the defaults) is exempt.
+1. **Explicit flag** — every (direct or transitive) subclass of
+   ``HeartRatePredictor`` must assign ``FLEET_BATCHABLE`` in its own
+   class body.  Inheriting the default silently is how a new predictor
+   ends up on the wrong fleet path; the flag is the contract and must be
+   a visible, reviewed line.  The root class itself (the definition site
+   of the default) is exempt.
 
 2. **FleetState handling** — a subclass overriding ``predict_fleet``
    must visibly participate in the stacked-state protocol: its body must
@@ -131,7 +131,7 @@ def check_project(modules: dict[str, ParsedModule], config: LintConfig) -> list[
                         code=CODE,
                         message=(
                             f"predictor class {cls.name} does not declare {flag} in its "
-                            "class body — equivalence-contract flags must be explicit"
+                            "class body — the equivalence-contract flag must be explicit"
                         ),
                     )
                 )

@@ -227,7 +227,7 @@ class LintConfig:
     dtype_modules: tuple[str, ...] = DEFAULT_DTYPE_MODULES
     lock_modules: tuple[str, ...] = DEFAULT_LOCK_MODULES
     contract_root: str = "HeartRatePredictor"
-    required_flags: tuple[str, ...] = ("FLEET_BATCHABLE", "TOLERANCE_FUSABLE")
+    required_flags: tuple[str, ...] = ("FLEET_BATCHABLE",)
     batch_twins: tuple[BatchTwin, ...] = DEFAULT_BATCH_TWINS
     persistence_modules: tuple[str, ...] = DEFAULT_PERSISTENCE_MODULES
     lifecycle_modules: tuple[str, ...] = DEFAULT_LIFECYCLE_MODULES

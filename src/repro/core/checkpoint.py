@@ -23,7 +23,7 @@ in its ``checkpoint_dir``:
 :class:`FleetJournal`
     Tracks per-shard lifecycle (``PENDING -> RUNNING -> DONE/FAILED``)
     together with a *fleet fingerprint* — a hash over the subject/shard
-    layout, the constraint, the zoo, the equivalence policy and the cost
+    layout, the constraint, the zoo, the dtype and the cost
     registry snapshot (:meth:`repro.hw.platform.CostTableRegistry.fingerprint`).
     A restarted run resumes only when the fingerprint matches; a stale
     journal (different fleet, different tables) is discarded and the run
@@ -330,8 +330,8 @@ class FleetJournal:
     """Per-shard lifecycle journal keyed by a fleet fingerprint.
 
     The fingerprint hashes everything that determines the run's results:
-    the per-shard subject layout, the constraint, the zoo, the
-    equivalence policy, and the cost-registry snapshot.  A journal whose
+    the per-shard subject layout, the constraint, the zoo, the dtype,
+    and the cost-registry snapshot.  A journal whose
     fingerprint does not match the current run is *stale* and discarded;
     one that matches lets the executor trust ``DONE`` entries and
     re-execute only the rest.

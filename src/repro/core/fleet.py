@@ -26,12 +26,10 @@ task therefore fast-forwards its private predictor copies with
 :meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state` by the
 per-model window counts of the plans before it.  The result is
 bit-identical to ``run_many`` no matter how many workers execute or how
-shards are interleaved.
-(With a runtime built under ``equivalence="tolerance"`` the contract
-relaxes exactly as documented in :mod:`repro.core.runtime`:
-tolerance-fused models' predictions may move within the documented
-atol/rtol because shard boundaries change their fused batch shapes;
-every other field stays bit-identical.)
+shards are interleaved, at float64 and at float32: shard boundaries
+change the batch shapes of fused stateless models, and their
+row-bit-stable forwards (:mod:`repro.core.runtime`, *Equivalence
+contract*) make that invisible.
 
 Cost tables are not re-profiled per worker: the parent eagerly profiles
 its :class:`~repro.hw.platform.CostTableRegistry` for the zoo's
@@ -76,7 +74,7 @@ only the rest; because every shard fast-forwards predictor state from
 the fleet-wide plan regardless of *when* it runs, the resumed result is
 **bit-identical** to the uninterrupted one (pinned by the property
 suite).  A journal whose fingerprint does not match the current fleet —
-different subjects, constraint, zoo, equivalence policy or cost tables —
+different subjects, constraint, zoo, dtype or cost tables —
 is stale and discarded; a staged record failing its checksum is
 re-executed rather than loaded.
 """
@@ -523,9 +521,9 @@ class FleetExecutor:
         """Everything that determines the run's results, JSON-serializable.
 
         Two runs share a journal exactly when this payload matches; any
-        drift (subjects, shard layout, constraint, zoo, equivalence
-        policy, connectivity, hardware, cost tables) makes an existing
-        journal stale.
+        drift (subjects, shard layout, constraint, zoo, dtype,
+        connectivity, hardware, cost tables) makes an existing journal
+        stale.
         """
         registry = self.runtime.system.cost_registry
         return {
@@ -533,7 +531,6 @@ class FleetExecutor:
             "bounds": [[int(start), int(stop)] for start, stop in bounds],
             "constraint": repr(constraint),
             "zoo": list(self.runtime.zoo.names),
-            "equivalence": self.runtime.equivalence,
             "dtype": str(self.runtime.dtype),
             "use_oracle_difficulty": bool(use_oracle_difficulty),
             "traced_subjects": sorted(traces),

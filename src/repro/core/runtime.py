@@ -36,7 +36,8 @@ runs.
    predictor:
 
    * ``FLEET_BATCHABLE = True`` — predictions read no per-run temporal
-     state, so the fused call is a plain batch
+     state and a window's prediction does not depend on its batch, so the
+     fused call is a plain batch
      :meth:`~repro.models.base.HeartRatePredictor.predict` over the stack.
    * ``FLEET_BATCHABLE = False`` (stateful trackers, anything consuming
      ``_last_estimate``-style state) — the fused call is **stacked-state**
@@ -68,40 +69,27 @@ sessions in :mod:`repro.core.scheduler`.  Zero-window subjects are legal
 in every entry point except :meth:`~CHRISRuntime.run_with_configuration`
 and contribute an empty result.
 
-Equivalence policy
-------------------
-How strictly the fast paths must reproduce sequential replay is an
-explicit runtime policy (``CHRISRuntime(equivalence=...)``):
-
-* ``"bitwise"`` (default) — every fast path is **bit-identical** to
-  sequential replay.  Predictors whose batch lowering is not
-  row-bit-stable across batch shapes (``TOLERANCE_FUSABLE``, i.e. the
-  TimePPG TCNs, whose BLAS accumulation blocking depends on the batch
-  size) keep per-subject forward batches so every chunk boundary falls
-  exactly where sequential replay puts it.
-* ``"tolerance"`` — those predictors join the cross-subject fused
-  mega-batch like every other model: one plain batch ``predict`` per
-  model for the whole fleet.  Model routing, offload decisions, energy
-  costs and configuration choices are **still bit-identical** (they
-  never depend on a predicted HR value); only the predicted BPM of
-  tolerance-fused models may move, and by no more than the documented
-  :data:`EQUIVALENCE_ATOL` / :data:`EQUIVALENCE_RTOL` — the
-  floating-point reassociation of fusing the same windows through
-  different batch shapes, pinned by the property suite
-  (``tests/core/test_fleet_properties.py``) across worker counts,
-  arrivals and retirements.
-
-The policy rides every derived engine automatically:
+Equivalence contract
+--------------------
+There is one contract: every fused path — ``run_many``,
 :class:`~repro.core.fleet.FleetExecutor` shards and
-:class:`~repro.core.scheduler.FleetScheduler` mega-batches replicate
-the runtime they were built from, policy included.
+:class:`~repro.core.scheduler.FleetScheduler` batches — is
+**bit-identical** to sequential replay at the runtime's dtype.  Fusing
+a stateless predictor across subjects is sound because its batch
+lowering is row-bit-stable: the TimePPG TCNs run every inference
+forward of :mod:`repro.nn.layers` one GEMM per window and one
+vector-matrix product per dense row, so a window's prediction does not
+depend on the windows batched with it.  The property suite
+(``tests/core/test_fleet_properties.py``) pins the contract across
+worker counts, arrivals, retirements and both dtypes, with a real TCN
+whose predictions are not clipped.
 
-The inference dtype is part of the contract: a float64 runtime (the
-default) defaults to ``"bitwise"``, a ``CHRISRuntime(dtype="float32")``
-runs the whole signal hot path in single precision and therefore always
-runs under ``"tolerance"`` with the wider per-dtype bounds of
-:data:`EQUIVALENCE_TOLERANCES` (requesting float32 together with an
-explicit ``"bitwise"`` policy raises).
+The inference dtype selects the reference, not the contract: a
+``CHRISRuntime(dtype="float32")`` runs the whole signal hot path in
+single precision and is bit-identical to sequential float32 replay.
+Comparisons *across* numerics — float32 against float64, a folded
+network against its unfolded evaluation forward — are bounded by the
+per-dtype :data:`EQUIVALENCE_TOLERANCES`.
 
 Heterogeneous hardware
 ----------------------
@@ -135,33 +123,26 @@ from repro.ml.activity_classifier import ActivityClassifier
 from repro.models.base import FleetState
 
 
-#: Absolute tolerance (BPM) of the ``"tolerance"`` equivalence policy:
-#: how far a tolerance-fused model's prediction may drift from sequential
-#: replay.  Predictions are clipped to [30, 220] BPM and the only legal
-#: difference is floating-point reassociation from different BLAS batch
-#: shapes, so the observed drift is ~1e-12 BPM; the bound leaves six
-#: orders of magnitude of headroom while still catching any real
-#: divergence (a different routing or a state leak shifts predictions by
-#: whole BPM).
+#: Absolute tolerance (BPM) of a float64 comparison across numerics
+#: (a folded network against its unfolded evaluation forward): the only
+#: legal difference is floating-point reassociation, ~1e-12 BPM on the
+#: [30, 220] BPM range.  The bound leaves six orders of magnitude of
+#: headroom while still catching any real divergence (a different
+#: routing or a state leak shifts predictions by whole BPM).
 EQUIVALENCE_ATOL = 1e-6
 
 #: Relative tolerance companion of :data:`EQUIVALENCE_ATOL`.
 EQUIVALENCE_RTOL = 1e-9
 
-#: Valid values of the runtime's ``equivalence`` policy.
-EQUIVALENCE_POLICIES = ("bitwise", "tolerance")
-
-#: Per-dtype ``(atol, rtol)`` of the ``"tolerance"`` equivalence policy.
+#: Per-dtype ``(atol, rtol)`` of comparisons across numerics.  Fused
+#: paths never need them — they are bit-identical to sequential replay
+#: at their own dtype.
 #:
-#: * ``"float64"`` — the historical :data:`EQUIVALENCE_ATOL` /
-#:   :data:`EQUIVALENCE_RTOL` pair: observed reassociation drift is
-#:   ~1e-12 BPM, the bound leaves six orders of magnitude of headroom.
-#: * ``"float32"`` — single-precision inference re-rounds every
-#:   intermediate to 24-bit significands, so batch-shape reassociation
-#:   moves predictions by up to ~1e-4 BPM on the [30, 220] BPM range
-#:   (measured ~2e-5 across worker counts 1/2/4); ``atol=1e-3`` bounds
-#:   that with ~50x headroom while still flagging any real divergence,
-#:   which shifts predictions by whole BPM.
+#: * ``"float64"`` — :data:`EQUIVALENCE_ATOL` / :data:`EQUIVALENCE_RTOL`.
+#: * ``"float32"`` — a float32 forward against the float64 reference
+#:   re-rounds every intermediate to 24-bit significands; ``atol=1e-3``
+#:   BPM bounds that while still flagging any real divergence, which
+#:   shifts predictions by whole BPM.
 EQUIVALENCE_TOLERANCES: dict[str, tuple[float, float]] = {
     "float64": (EQUIVALENCE_ATOL, EQUIVALENCE_RTOL),
     "float32": (1e-3, 1e-5),
@@ -614,17 +595,6 @@ class CHRISRuntime:
     zoo, engine, system, activity_classifier:
         The CHRIS building blocks (hardware co-model and difficulty
         detector are optional).
-    equivalence:
-        Fast-path reproduction contract (see the module docstring):
-        ``"bitwise"`` keeps every fast path bit-identical to sequential
-        replay; ``"tolerance"`` additionally fuses ``TOLERANCE_FUSABLE``
-        predictors (the TimePPG TCNs) across subjects, letting their
-        predictions — and nothing else — move within the per-dtype
-        :data:`EQUIVALENCE_TOLERANCES`.  ``None`` (default) resolves per
-        dtype: ``"bitwise"`` for float64, ``"tolerance"`` for float32
-        (single-precision inference cannot honor a bitwise contract
-        against the float64 reference, so requesting float32 with an
-        explicit ``"bitwise"`` policy raises).
     dtype:
         Floating dtype of the inference hot path (``"float64"`` default,
         or ``"float32"``).  Float32 re-freezes every TimePPG in the zoo
@@ -645,27 +615,13 @@ class CHRISRuntime:
         engine: DecisionEngine,
         system: WearableSystem | None = None,
         activity_classifier: ActivityClassifier | None = None,
-        equivalence: str | None = None,
         dtype: str | np.dtype = "float64",
     ) -> None:
         self.dtype = resolve_dtype(dtype)
-        if equivalence is None:
-            equivalence = "bitwise" if self.dtype == np.dtype("float64") else "tolerance"
-        if equivalence not in EQUIVALENCE_POLICIES:
-            raise ValueError(
-                f"equivalence must be one of {EQUIVALENCE_POLICIES}, "
-                f"got {equivalence!r}"
-            )
-        if equivalence == "bitwise" and self.dtype != np.dtype("float64"):
-            raise ValueError(
-                "the 'bitwise' equivalence policy requires float64 inference; "
-                f"dtype={self.dtype} runs under the 'tolerance' policy"
-            )
         self.zoo = zoo
         self.engine = engine
         self.system = system or WearableSystem()
         self.activity_classifier = activity_classifier
-        self.equivalence = equivalence
         if self.dtype != np.dtype("float64"):
             # Re-pin every predictor's compute dtype (float64 runtimes
             # leave the zoo untouched for back-compat bit-exactness).
@@ -1194,17 +1150,13 @@ class CHRISRuntime:
         Window order within each group is subject-major with recording
         order inside every subject — exactly the order in which
         one-subject-at-a-time replay feeds each predictor, which is what
-        makes the fused calls bit-identical.  Stateless predictors
-        (``FLEET_BATCHABLE = True``) fuse into one batch ``predict`` per
-        model; stateful predictors fuse into one ``predict_fleet`` per
-        model with a subject-index vector and a fresh
+        makes the fused calls bit-identical.  Stateless, row-bit-stable
+        predictors (``FLEET_BATCHABLE = True``: the calibrated models and
+        the TimePPG TCNs) fuse into one batch ``predict`` per model;
+        stateful predictors fuse into one ``predict_fleet`` per model
+        with a subject-index vector and a fresh
         :class:`~repro.models.base.FleetState` whose slots re-enact the
-        per-subject ``reset()`` boundaries.  Under the ``"tolerance"``
-        equivalence policy, stateless-but-not-bit-stable predictors
-        (``TOLERANCE_FUSABLE``, the TimePPG TCNs) also fuse into one
-        plain batch ``predict`` — their predictions may then differ from
-        per-subject replay within :data:`EQUIVALENCE_ATOL` /
-        :data:`EQUIVALENCE_RTOL`, everything else stays bit-identical.
+        per-subject ``reset()`` boundaries.
 
         Costs are gathered from a ``(hardware revision, model, target)``
         value table: each combination the plans route is looked up once
@@ -1221,13 +1173,6 @@ class CHRISRuntime:
 
         for code, name in enumerate(self.zoo.names):
             predictor = self.zoo.entry(name).predictor
-            # Stateless predictors fuse into one plain batch; under the
-            # tolerance policy, stateless-but-not-bit-stable predictors
-            # (TimePPG) do too — trading bitwise reproduction of their
-            # predictions for one fused cross-subject forward.
-            plain_fused = predictor.FLEET_BATCHABLE or (
-                self.equivalence == "tolerance" and predictor.TOLERANCE_FUSABLE
-            )
             if not predictor.FLEET_BATCHABLE:
                 # Per-run instance state is reset once; the per-subject
                 # boundaries live in fresh state slots.
@@ -1248,7 +1193,7 @@ class CHRISRuntime:
                 template = next(s.ppg_windows[:1] for s in subjects if s.n_windows)
                 ppg = np.broadcast_to(template, (idx.size,) + template.shape[1:])
                 accel = None
-            if plain_fused:
+            if predictor.FLEET_BATCHABLE:
                 predictions = predictor.predict(
                     ppg, accel, true_hr=hr[idx], activity=activity[idx]
                 )

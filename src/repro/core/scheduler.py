@@ -81,13 +81,11 @@ Equivalence contract
 The scheduler is **decision-for-decision identical to sequential
 replay**: collecting every completed session's result reproduces exactly
 ``runtime.run_many(subjects, constraint)`` over the completed sessions
-in submission order, no matter how arrivals were batched.  (Under the
-runtime's ``equivalence="tolerance"`` policy the contract relaxes
-exactly as documented in
-:mod:`repro.core.runtime`: tolerance-fused models' *predictions* may
-move within the documented atol/rtol because batch composition depends
-on arrival coalescing; routing, costs and every other field stay
-bit-identical.)  Batches are planned in submission order and executed
+in submission order, no matter how arrivals were batched, at the
+runtime's dtype.  Arrival coalescing changes the batch shapes of fused
+stateless models such as TimePPG; their forwards are row-bit-stable
+(:mod:`repro.core.runtime`, *Equivalence contract*), so no prediction
+bit moves.  Batches are planned in submission order and executed
 in dispatch order on the scheduler's private stream runtime, so
 execution itself advances the predictor streams exactly like sequential
 replay.

@@ -1,10 +1,12 @@
 """Floating-point dtype policy for the reduced-precision inference engine.
 
 The runtime supports two end-to-end floating dtypes: ``float64`` (the
-bitwise reference) and ``float32`` (the reduced-precision deployment
-path, routed through the ``equivalence="tolerance"`` policy — see
-:mod:`repro.core.runtime`).  This module centralizes the two helpers the
-inference-path modules need to stay REP001-clean (dtype discipline, see
+default) and ``float32`` (the reduced-precision deployment path).  Both
+run under the same contract — every fused path is bitwise equal to
+sequential replay at its dtype (see :mod:`repro.core.runtime`); only
+comparisons across dtypes use the per-dtype tolerances.  This module
+centralizes the two helpers the inference-path modules need to stay
+REP001-clean (dtype discipline, see
 :mod:`repro.analysis.dtype_discipline`):
 
 * :func:`resolve_dtype` — normalize and validate a user-facing dtype

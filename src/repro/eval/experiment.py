@@ -208,24 +208,17 @@ class CalibratedExperiment:
     def runtime(
         self,
         activity_classifier: ActivityClassifier | None = None,
-        equivalence: str | None = None,
         dtype: str = "float64",
     ) -> CHRISRuntime:
         """A CHRIS runtime wired to this experiment's zoo/engine/system.
 
-        ``equivalence`` selects the fast-path reproduction contract of
-        :class:`~repro.core.runtime.CHRISRuntime` (``None`` resolves per
-        dtype — bitwise for float64, tolerance for float32;
-        ``"tolerance"`` lets TimePPG-style predictors fuse across
-        subjects within the documented per-dtype atol/rtol).  ``dtype``
-        selects the inference precision of the signal hot path.
+        ``dtype`` selects the inference precision of the signal hot path.
         """
         return CHRISRuntime(
             zoo=self.zoo,
             engine=self.engine,
             system=self.system,
             activity_classifier=activity_classifier,
-            equivalence=equivalence,
             dtype=dtype,
         )
 
@@ -234,16 +227,11 @@ class CalibratedExperiment:
         max_workers: int | None = None,
         activity_classifier: ActivityClassifier | None = None,
         shards_per_worker: int = 4,
-        equivalence: str | None = None,
         dtype: str = "float64",
     ) -> FleetExecutor:
         """A process-pool fleet executor over this experiment's runtime."""
         return FleetExecutor(
-            self.runtime(
-                activity_classifier=activity_classifier,
-                equivalence=equivalence,
-                dtype=dtype,
-            ),
+            self.runtime(activity_classifier=activity_classifier, dtype=dtype),
             max_workers=max_workers,
             shards_per_worker=shards_per_worker,
         )
@@ -254,7 +242,6 @@ class CalibratedExperiment:
         max_batch_size: int | None = None,
         use_oracle_difficulty: bool = True,
         activity_classifier: ActivityClassifier | None = None,
-        equivalence: str | None = None,
         dtype: str = "float64",
     ) -> FleetScheduler:
         """An online session scheduler over this experiment's runtime.
@@ -264,11 +251,7 @@ class CalibratedExperiment:
         order; close it (or use it as a context manager) when done.
         """
         return FleetScheduler(
-            self.runtime(
-                activity_classifier=activity_classifier,
-                equivalence=equivalence,
-                dtype=dtype,
-            ),
+            self.runtime(activity_classifier=activity_classifier, dtype=dtype),
             constraint,
             max_batch_size=max_batch_size,
             use_oracle_difficulty=use_oracle_difficulty,

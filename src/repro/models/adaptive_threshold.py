@@ -47,12 +47,11 @@ class AdaptiveThresholdPredictor(HeartRatePredictor):
         Plausibility band used to reject spurious inter-peak intervals.
     """
 
-    # Equivalence-contract flags (REP004 requires them explicit): AT is
+    # Equivalence-contract flag (REP004 requires it explicit): AT is
     # stateful (NaN fallback carries across windows), so the fleet path
     # must go through the stacked-state predict_fleet, not naive window
-    # batching; and as a bitwise-policy model it is never tolerance-fused.
+    # batching.
     FLEET_BATCHABLE = False
-    TOLERANCE_FUSABLE = False
 
     def __init__(
         self,

@@ -268,22 +268,14 @@ class HeartRatePredictor:
     #: Whether back-to-back runs can be fused into one batched
     #: :meth:`predict` call.  ``True`` requires that :meth:`reset` does not
     #: influence predictions (no per-run temporal state is consumed by
-    #: :meth:`predict`), so concatenating two subjects' window streams is
+    #: :meth:`predict`) and that the batch lowering is row-bit-stable (a
+    #: window's prediction does not depend on which windows share its
+    #: batch), so concatenating two subjects' window streams is
     #: bit-identical to two sequential runs.  Stateful trackers (anything
     #: reading ``_last_estimate`` or similar) must keep this ``False``; the
-    #: fleet engine then dispatches them per subject segment instead.
+    #: fleet engine then dispatches them through stacked-state
+    #: :meth:`predict_fleet` instead.
     FLEET_BATCHABLE: bool = False
-
-    #: Whether the predictor is *stateless* but its batch lowering is not
-    #: row-bit-stable across batch shapes (BLAS-backed forwards whose
-    #: accumulation blocking depends on the batch size).  Such predictors
-    #: cannot keep the bitwise fleet contract when fused across subjects,
-    #: yet fusing them is numerically exact to floating-point rounding —
-    #: the runtime's ``equivalence="tolerance"`` policy
-    #: (:mod:`repro.core.runtime`) fuses them into the cross-subject
-    #: mega-batch and documents the atol/rtol their predictions may move
-    #: by.  Ignored under the default bitwise policy.
-    TOLERANCE_FUSABLE: bool = False
 
     def __init__(self, fs: float = 32.0) -> None:
         if fs <= 0:

@@ -130,9 +130,6 @@ class CalibratedHRModel(HeartRatePredictor):
     #: Laplace stream continues across runs), so whole fleets of subjects
     #: can be fused into one ``predict`` call per model.
     FLEET_BATCHABLE = True
-    #: Draws consume the Laplace stream sequentially, so cross-subject
-    #: fusion under the tolerance policy would reorder the stream.
-    TOLERANCE_FUSABLE = False
 
     def __init__(
         self,
@@ -258,10 +255,9 @@ class SmoothedCalibratedHRModel(CalibratedHRModel):
         tracker (but keeps the stateful dispatch).
     """
 
-    FLEET_BATCHABLE = False
     #: The smoothing recurrence is replayed bit-identically by the
-    #: stacked fleet path; tolerance fusion is neither needed nor sound.
-    TOLERANCE_FUSABLE = False
+    #: stacked fleet path.
+    FLEET_BATCHABLE = False
 
     def __init__(
         self,

@@ -43,11 +43,10 @@ class SpectralHRPredictor(HeartRatePredictor):
         frequency jumps implausibly far; a simple tracking smoother.
     """
 
-    # Equivalence-contract flags (REP004 requires them explicit): the
+    # Equivalence-contract flag (REP004 requires it explicit): the
     # tracking smoother is stateful, so fleet prediction goes through the
-    # stacked-state path; bitwise policy only, never tolerance-fused.
+    # stacked-state path.
     FLEET_BATCHABLE = False
-    TOLERANCE_FUSABLE = False
 
     def __init__(
         self,

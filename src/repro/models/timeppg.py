@@ -21,8 +21,8 @@ recorded in EXPERIMENTS.md).
 Inputs are 4-channel windows (PPG plus the three acceleration axes),
 standardized per window, at 32 Hz / 256 samples, as in the TimePPG papers.
 
-Inference mode and the equivalence policy
------------------------------------------
+Inference mode and fleet fusion
+-------------------------------
 :meth:`TimePPGPredictor.freeze` builds a frozen inference network —
 batch norm folded into the convolution weights
 (:func:`repro.nn.network.fold_batchnorm`) on top of the numpy stack's
@@ -31,18 +31,13 @@ uses instead of the training-oriented layer stack.  Folding changes
 predictions only by floating-point rounding (weights absorb the
 normalization exactly, up to one rounding per weight).
 
-TimePPG's forward is stateless, but its conv/dense layers go through
-BLAS, whose accumulation blocking depends on the batch shape — the same
-window is not bit-identical across different batch sizes.  Under the
-fleet engine's default **bitwise** equivalence policy the predictor
-therefore keeps per-subject forward batches (``FLEET_BATCHABLE =
-False``: every 64-window chunk boundary falls exactly where sequential
-replay puts it).  Under ``equivalence="tolerance"``
-(:mod:`repro.core.runtime`) the runtime fuses TimePPG's windows across
-all subjects into one mega-batch per fleet call (``TOLERANCE_FUSABLE =
-True``): routing, offload decisions and costs stay bit-identical, and
-only the predicted BPM may move within the documented
-``EQUIVALENCE_ATOL`` / ``EQUIVALENCE_RTOL``.
+TimePPG's forward is stateless and every inference forward of the nn
+stack is row-bit-stable (see :mod:`repro.nn.layers`): a window's
+prediction has the same bits whatever batch it is computed in, at
+float64, at float32 and on the int8 engine.  The predictor is therefore
+``FLEET_BATCHABLE``: the fleet engine fuses its windows across all
+subjects into one :meth:`~TimePPGPredictor.predict` call per fleet, and
+the result is still bit-identical to per-subject sequential replay.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dtypes import resolve_dtype
-from repro.models.base import HeartRatePredictor, PredictorInfo
+from repro.models.base import FleetState, HeartRatePredictor, PredictorInfo
 from repro.nn.layers import AvgPool1d, BatchNorm1d, Conv1d, Dense, Flatten, ReLU
 from repro.nn.network import Sequential, fold_batchnorm
 from repro.nn.ops_count import count_macs, count_parameters
@@ -187,12 +182,9 @@ class TimePPGPredictor(HeartRatePredictor):
         Initialization seed used when ``network`` is omitted.
     """
 
-    #: Stateless forward, but not row-bit-stable across batch shapes —
-    #: may fuse across subjects under the tolerance equivalence policy
-    #: (see the module docstring), and for the same reason must *not* be
-    #: naively fleet-batched under the bitwise policy.
-    FLEET_BATCHABLE = False
-    TOLERANCE_FUSABLE = True
+    #: Stateless, row-bit-stable forward (see the module docstring): the
+    #: fleet engine fuses every subject's windows into one batch.
+    FLEET_BATCHABLE = True
 
     def __init__(
         self,
@@ -358,30 +350,17 @@ class TimePPGPredictor(HeartRatePredictor):
         ppg_windows: np.ndarray,
         accel_windows: np.ndarray | None = None,
         subject_index: np.ndarray | None = None,
-        state: "np.ndarray | None" = None,
+        state: FleetState | None = None,
         **context,
     ) -> np.ndarray:
-        """Fused fleet prediction with per-subject forward batches.
+        """Fused fleet prediction: one :meth:`predict` over the whole stack.
 
-        The TCN forward reads no temporal state, but its dense/conv
-        layers go through BLAS, whose accumulation blocking depends on
-        the batch shape — the same row is not bit-identical across
-        different batch sizes (gemv vs gemm kernels).  Fusing subjects
-        would therefore shift the 64-window chunk boundaries relative
-        to sequential replay and change low-order bits.  The reference
-        per-subject dispatch keeps every chunk boundary exactly where
-        sequential replay puts it, so ``FLEET_BATCHABLE`` stays
-        ``False`` and the fused call delegates per subject — that is the
-        runtime's default *bitwise* equivalence policy.  Under
-        ``equivalence="tolerance"`` the runtime bypasses this method and
-        fuses TimePPG's windows across subjects into one plain
-        :meth:`predict` mega-batch (``TOLERANCE_FUSABLE``), trading the
-        bitwise contract for the documented atol/rtol.
+        The forward reads no per-run state and is row-bit-stable, so one
+        batch over every subject's windows equals per-subject replay bit
+        for bit, and ``state`` is left untouched.  The stack is still
+        validated like every other fused call.
         """
-        return super().predict_fleet(
-            ppg_windows,
-            accel_windows,
-            subject_index=subject_index,
-            state=state,
-            **context,
-        )
+        if subject_index is None or state is None:
+            raise TypeError("predict_fleet requires subject_index and state")
+        self._check_fleet_stack(np.shape(ppg_windows)[0], subject_index, state)
+        return self.predict(ppg_windows, accel_windows)

@@ -17,13 +17,23 @@ Inference mode
 ``forward(x, training=False)`` is a true inference mode, not merely a
 flag: layers skip (and drop) their backward caches, :class:`Dropout`
 allocates no mask, and :class:`Conv1d` lowers the (dilated, strided)
-convolution to a single GEMM — a zero-copy
-:func:`numpy.lib.stride_tricks.sliding_window_view` im2col gathered into
-a preallocated column buffer that is reused across calls, then one
-``matmul`` against the flattened kernel.  Outputs are fresh arrays;
-only the internal column buffer is reused.  For frozen networks,
+convolution to one GEMM per window — a zero-copy
+:func:`numpy.lib.stride_tricks.sliding_window_view` im2col
+(:meth:`Conv1d.im2col`) gathered into fresh columns, then one stacked
+``matmul`` against the flattened kernel.  Layers keep no scratch
+buffers between calls.  For frozen networks,
 :func:`repro.nn.network.fold_batchnorm` additionally folds every
 ``Conv → BatchNorm`` pair into the convolution weights.
+
+Inference forwards are **row-bit-stable**: a window's output bits do
+not depend on the batch it is computed in (its size, or the window's
+position).  A stacked ``matmul`` picks its BLAS kernel from the
+per-window matrix shape, never from the batch size, so :class:`Conv1d`
+runs the same GEMM for every window and :class:`Dense` the same
+vector-matrix product for every row; everything else is elementwise or
+reduces within a row.  This is what lets the fleet engine fuse
+different subjects' windows into one forward and still reproduce
+per-subject replay bit for bit.
 """
 
 from __future__ import annotations
@@ -149,9 +159,6 @@ class Conv1d(Layer):
             self.params["bias"] = np.zeros(out_channels, dtype=self.dtype)
         self.zero_grad()
         self._cache: dict = {}
-        #: Reusable im2col column buffer of the inference GEMM lowering
-        #: (allocated lazily, re-used while the input shape is stable).
-        self._gemm_cols: np.ndarray | None = None
 
     #: Whether a following BatchNorm1d was folded into this convolution's
     #: weights (set by :func:`repro.nn.network.fold_batchnorm`); the ops
@@ -192,14 +199,9 @@ class Conv1d(Layer):
             )
         return (self.out_channels, self.output_length(length))
 
-    # ------------------------------------------------------------- compute
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=self.dtype)
-        if x.ndim != 3 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv1d expects input of shape (batch, {self.in_channels}, length), got {x.shape}"
-            )
-        batch, _, length = x.shape
+    def _pad(self, x: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """Zero-pad ``x`` along time: ``(padded, pad_left, l_out)``."""
+        length = x.shape[-1]
         pad_left, pad_right = self._padding_amount(length)
         l_out = self.output_length(length)
         if l_out <= 0:
@@ -207,14 +209,42 @@ class Conv1d(Layer):
                 f"input length {length} too short for kernel span {self.effective_kernel}"
             )
         if pad_left or pad_right:
-            x_padded = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)))
-        else:
-            x_padded = x
+            x = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)))
+        return x, pad_left, l_out
 
+    def im2col(self, x: np.ndarray) -> np.ndarray:  # hot-path
+        """Inference im2col of a ``(batch, in_ch, length)`` input.
+
+        Pads ``x``, exposes every (dilated) kernel tap of every (strided)
+        output position through a zero-copy sliding-window view, and
+        gathers the taps into fresh ``(batch, in_ch * kernel, l_out)``
+        columns in ``x``'s dtype, so the convolution is one ``matmul``
+        with the kernel flattened to ``(out_ch, in_ch * kernel)``.  The
+        int8 engine (:meth:`repro.nn.quantization.QuantizedSequential.forward_integer`)
+        feeds it int32 codes.
+        """
+        x_padded, _, l_out = self._pad(x)
+        view = np.lib.stride_tricks.sliding_window_view(
+            x_padded, self.effective_kernel, axis=2
+        )
+        # (batch, in_ch, l_out, kernel): strided output positions, dilated taps.
+        view = view[:, :, : (l_out - 1) * self.stride + 1 : self.stride, :: self.dilation]
+        return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(
+            x.shape[0], self.in_channels * self.kernel_size, l_out
+        )
+
+    # ------------------------------------------------------------- compute
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        x = np.asarray(x, dtype=self.dtype)
+        if x.ndim != 3 or x.shape[1] != self.in_channels:
+            raise ValueError(
+                f"Conv1d expects input of shape (batch, {self.in_channels}, length), got {x.shape}"
+            )
         if not training:
             self._cache = {}
-            return self._forward_gemm(x_padded, l_out)
+            return self._forward_gemm(x)
 
+        x_padded, pad_left, l_out = self._pad(x)
         # Gather the im2col tensor: (batch, in_ch, kernel, l_out).
         tap_offsets = np.arange(self.kernel_size, dtype=np.intp) * self.dilation
         out_positions = np.arange(l_out, dtype=np.intp) * self.stride
@@ -235,37 +265,17 @@ class Conv1d(Layer):
         }
         return out
 
-    def _forward_gemm(self, x_padded: np.ndarray, l_out: int) -> np.ndarray:  # hot-path
-        """Inference lowering: stride-tricks im2col + one batched GEMM.
+    def _forward_gemm(self, x: np.ndarray) -> np.ndarray:  # hot-path
+        """Inference lowering: :meth:`im2col` + one GEMM per window.
 
-        A zero-copy sliding-window view exposes every (dilated) kernel
-        tap of every (strided) output position; the taps are gathered
-        into a preallocated ``(batch, in_ch * kernel, l_out)`` column
-        buffer — reused across calls while the input shape is stable —
-        and the convolution collapses into one ``matmul`` with the
-        kernel flattened to ``(out_ch, in_ch * kernel)``.  The returned
-        array is freshly allocated; only the column buffer is reused.
+        ``matmul`` of the 2-D kernel against the stacked
+        ``(batch, in_ch * kernel, l_out)`` columns runs the same BLAS
+        GEMM once per window, so a window's output does not depend on
+        its batch.  The columns are built fresh on every call: a cached
+        buffer would pin a whole batch's columns per layer between calls.
         """
-        batch = x_padded.shape[0]
-        view = np.lib.stride_tricks.sliding_window_view(
-            x_padded, self.effective_kernel, axis=2
-        )
-        # (batch, in_ch, l_out, kernel): strided output positions, dilated taps.
-        view = view[:, :, : (l_out - 1) * self.stride + 1 : self.stride, :: self.dilation]
-        shape = (batch, self.in_channels, self.kernel_size, l_out)
-        # The column buffer inherits the input's dtype (and is reallocated
-        # on a dtype switch): a float32 forward must not stage its columns
-        # through a float64 scratch array.
-        if (
-            self._gemm_cols is None
-            or self._gemm_cols.shape != shape
-            or self._gemm_cols.dtype != x_padded.dtype
-        ):
-            self._gemm_cols = np.empty(shape, dtype=x_padded.dtype)
-        np.copyto(self._gemm_cols, view.transpose(0, 1, 3, 2))
-        cols = self._gemm_cols.reshape(batch, self.in_channels * self.kernel_size, l_out)
         weight = self.params["weight"].reshape(self.out_channels, -1)
-        out = np.matmul(weight, cols)
+        out = np.matmul(weight, self.im2col(x))
         if self.use_bias:
             out += self.params["bias"][None, :, None]
         return out
@@ -343,7 +353,13 @@ class Dense(Layer):
                 f"Dense expects input of shape (batch, {self.in_features}), got {x.shape}"
             )
         self._cache = x if training else None
-        out = x @ self.params["weight"].T
+        if training:
+            out = x @ self.params["weight"].T
+        else:
+            # One vector-matrix product per row: BLAS would run a one-row
+            # batch as gemv and a larger one as gemm, whose accumulation
+            # order differs, so a row's bits would depend on its batch.
+            out = np.matmul(x[:, None, :], self.params["weight"].T)[:, 0, :]
         if self.use_bias:
             out += self.params["bias"]
         return out

@@ -98,9 +98,8 @@ class Sequential:
         """Convert every layer's parameters and buffers to ``dtype`` in place.
 
         Threads the runtime dtype through the whole stack (weights,
-        biases, batch-norm running statistics, gradient buffers); scratch
-        buffers like the im2col column buffer re-inherit the new dtype
-        lazily on the next forward pass.  Returns ``self`` (chainable).
+        biases, batch-norm running statistics, gradient buffers).
+        Returns ``self`` (chainable).
         """
         for layer in self.layers:
             layer.to_dtype(dtype)
@@ -121,19 +120,17 @@ class Sequential:
 
 
 def _strip_runtime_buffers(layer: Layer) -> Layer:
-    """Drop backward caches / scratch buffers from a copied layer.
+    """Drop backward caches from a copied layer.
 
     The folded network is inference-only: carrying a deep copy of the
     source layers' training caches (im2col tensors, batch-norm and
-    dropout masks) or GEMM column buffers would pin a full training
-    batch's activations for the frozen network's lifetime.
+    dropout masks) would pin a full training batch's activations for the
+    frozen network's lifetime.
     """
     if hasattr(layer, "_cache"):
         layer._cache = {} if isinstance(layer._cache, dict) else None
     if hasattr(layer, "_mask"):
         layer._mask = None
-    if hasattr(layer, "_gemm_cols"):
-        layer._gemm_cols = None
     return layer
 
 
@@ -166,9 +163,9 @@ def fold_batchnorm(network: Sequential, dtype=None) -> Sequential:
     in evaluation mode).  The result is an inference-only network for
     **frozen** weights: it shares nothing with the original, so training
     the original afterwards requires folding again.  Folded outputs match
-    the unfolded evaluation forward to floating-point rounding — see the
-    tolerance equivalence policy in :mod:`repro.core.runtime` for how the
-    runtime accounts for that.
+    the unfolded evaluation forward to floating-point rounding (one
+    rounding per folded weight); the runtime's bitwise contract compares
+    a frozen network against itself, never against the unfolded one.
 
     The ops counter keeps charging the folded normalizations
     (:mod:`repro.nn.ops_count` reads :attr:`Conv1d.bn_folded`), so energy

@@ -168,32 +168,6 @@ class QuantizedSequential:
             self._weight_codes[i] = codes.astype(np.int8)
         return self._weight_codes[i]
 
-    @staticmethod
-    def _conv_integer_accumulate(layer: Conv1d, centered: np.ndarray) -> np.ndarray:
-        """int32 im2col convolution of zero-point-centered input codes.
-
-        ``centered`` is ``(batch, in_channels, length)`` int32 with the
-        input zero point already subtracted, so zero-padding contributes
-        exactly zero to every accumulator tap.
-        """
-        batch, _, length = centered.shape
-        if length < layer.effective_kernel:
-            raise ValueError(
-                f"input length {length} too short for kernel span {layer.effective_kernel}"
-            )
-        pad_left, pad_right = layer._padding_amount(length)
-        l_out = layer.output_length(length)
-        if pad_left or pad_right:
-            centered = np.pad(centered, ((0, 0), (0, 0), (pad_left, pad_right)))
-        view = np.lib.stride_tricks.sliding_window_view(
-            centered, layer.effective_kernel, axis=2
-        )
-        view = view[:, :, : (l_out - 1) * layer.stride + 1 : layer.stride, :: layer.dilation]
-        cols = np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(
-            batch, layer.in_channels * layer.kernel_size, l_out
-        )
-        return cols
-
     def forward_integer(self, x: np.ndarray, return_codes: bool = False) -> np.ndarray:
         """True int8 inference: int8 codes, int32 accumulators.
 
@@ -239,9 +213,10 @@ class QuantizedSequential:
                     acc = centered @ w_codes.astype(np.int32).T
                     bias = layer.params["bias"][None, :]
                 else:
-                    cols = self._conv_integer_accumulate(layer, centered)
+                    # Zero-padding the centered codes contributes exactly
+                    # zero to every accumulator tap.
                     weight = w_codes.reshape(layer.out_channels, -1).astype(np.int32)
-                    acc = np.matmul(weight, cols)
+                    acc = np.matmul(weight, layer.im2col(centered))
                     bias = layer.params["bias"][None, :, None]
                 out_spec = self.activation_specs[i]
                 # Requantize: double-precision scale product + bias,

@@ -2,7 +2,7 @@
 
 ``GoodPredictor``/``DelegatingPredictor`` subclass the root defined in
 ``contract_dirty.py`` (the class graph is name-based across the whole
-fixture corpus), declare both flags, and handle fleet state the two
+fixture corpus), declare the flag, and handle fleet state the two
 accepted ways.  The twin pair ``scale_rows``/``scale_rows_batch`` is
 complete with matching defaults.
 """
@@ -10,7 +10,6 @@ complete with matching defaults.
 
 class GoodPredictor(HeartRatePredictor):  # noqa: F821 - resolved by name in the lint class graph
     FLEET_BATCHABLE = True
-    TOLERANCE_FUSABLE = False
 
     def predict_fleet(self, ppg, accel=None, subject_index=None, state=None):
         subject_index = self._check_fleet_stack(len(ppg), subject_index, state)
@@ -18,8 +17,7 @@ class GoodPredictor(HeartRatePredictor):  # noqa: F821 - resolved by name in the
 
 
 class DelegatingPredictor(GoodPredictor):
-    FLEET_BATCHABLE = True
-    TOLERANCE_FUSABLE = True
+    FLEET_BATCHABLE = False
 
     def predict_fleet(self, ppg, accel=None, subject_index=None, state=None):
         return super().predict_fleet(ppg, accel, subject_index, state)

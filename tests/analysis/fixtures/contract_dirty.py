@@ -9,7 +9,6 @@ this module (configured in the test) names ``scalar_fn``/``scalar_fn_batch``
 
 class HeartRatePredictor:
     FLEET_BATCHABLE = False
-    TOLERANCE_FUSABLE = False
 
     def predict_fleet(self, ppg, accel=None, subject_index=None, state=None):
         subject_index = self._check_fleet_stack(len(ppg), subject_index, state)
@@ -19,20 +18,19 @@ class HeartRatePredictor:
         return subject_index
 
 
-class MissingFlags(HeartRatePredictor):  # PLANT: REP004 x2
-    """Declares neither flag: two findings, one per missing flag."""
+class MissingFlag(HeartRatePredictor):  # PLANT: REP004
+    """Does not declare the flag: one finding."""
 
 
 class BadFleetOverride(HeartRatePredictor):
     FLEET_BATCHABLE = True
-    TOLERANCE_FUSABLE = False
 
     def predict_fleet(self, ppg, accel=None, subject_index=None, state=None):  # PLANT: REP004
         return [p * 2.0 for p in ppg]
 
 
-class IndirectlyBad(BadFleetOverride):  # PLANT: REP004 x2
-    """Transitive subclass missing both flags — the closure must reach it."""
+class IndirectlyBad(BadFleetOverride):  # PLANT: REP004
+    """Transitive subclass missing the flag — the closure must reach it."""
 
 
 def scalar_fn(x, scale=2.0):  # PLANT: REP004

@@ -2,21 +2,17 @@
 
 The fleet correctness contract — *every* multi-subject path is
 decision-for-decision identical to sequential replay (one ``run`` per
-subject, :func:`~repro.eval.benchmarking.sequential_replay`) — is
-pinned here across seeded randomized scenarios instead of a handful of
-hand-picked fixtures.  Hypothesis draws fleet compositions (subject
-counts and lengths, BLE traces or not, heterogeneous hardware revisions,
-RF vs oracle difficulty, stateful vs ``FLEET_BATCHABLE`` predictors —
-including a fully stateful zoo with a signal-reading spectral tracker —
-the ``equivalence`` policy axis (bitwise vs tolerance) with a real
-signal-reading TimePPG network in the zoo, the inference precision axis
-(float64 vs float32 — float32 always under the tolerance policy with
-the wider ``EQUIVALENCE_TOLERANCES`` bounds), executor worker counts,
+subject, :func:`~repro.eval.benchmarking.sequential_replay`), bit for
+bit at the runtime's dtype — is pinned here across seeded randomized
+scenarios instead of a handful of hand-picked fixtures.  Hypothesis
+draws fleet compositions (subject counts and lengths, BLE traces or
+not, heterogeneous hardware revisions, RF vs oracle difficulty,
+stateful vs ``FLEET_BATCHABLE`` predictors — including a fully stateful
+zoo with a signal-reading spectral tracker — a real signal-reading
+TimePPG network in the zoo whose predictions are not clipped, the
+inference precision axis (float64 vs float32), executor worker counts,
 arrival orderings, batch-size limits, mid-queue retirements) and every
-example asserts bit-identical results — except the predictions of
-tolerance-fused models under ``equivalence="tolerance"``, which must
-stay within the runtime's documented ``EQUIVALENCE_ATOL`` /
-``EQUIVALENCE_RTOL`` while every other field stays exact:
+example asserts bit-identical results:
 
 * :class:`~repro.core.scheduler.FleetScheduler` — dynamic sessions
   submitted one by one must replay exactly like sequential replay over
@@ -48,11 +44,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.decision_engine import Constraint
 from repro.core.fleet import FleetExecutor, SharedSubjectStore
-from repro.core.runtime import (
-    CHRISRuntime,
-    EQUIVALENCE_TOLERANCES,
-    RunResult,
-)
+from repro.core.runtime import CHRISRuntime, EQUIVALENCE_TOLERANCES, FleetResult
 from repro.core.scheduler import FleetScheduler, SessionState
 from repro.data.dataset import WindowedSubject
 from repro.eval.benchmarking import sequential_replay, stateful_zoo
@@ -69,49 +61,48 @@ WINDOW_LENGTH = 16
 
 #: A real (signal-reading) TimePPG variant small enough for the property
 #: suite's 16-sample windows; its forward is the genuine BLAS-backed TCN,
-#: which is exactly what the tolerance equivalence axis needs to stress.
+#: which is what fusing windows across subjects must not perturb.  The
+#: hidden dense layer is wide enough for BLAS's gemv and gemm kernels to
+#: round differently: a lowering that picks its kernel by batch size
+#: fails the suite.
 TINY_TIMEPPG_CONFIG = TimePPGConfig(
     name="TimePPG-Big",
     input_length=WINDOW_LENGTH,
-    block_channels=(2, 2, 2),
+    block_channels=(4, 8, 32),
     kernel_size=3,
-    head_pool=2,
-    head_hidden=0,
+    head_pool=1,
+    head_hidden=8,
 )
 
 
-def assert_results_equivalent(
-    reference: RunResult,
-    result: RunResult,
-    tolerance_models: frozenset,
-    dtype: str = "float64",
-) -> None:
-    """Bit-exact equality except tolerance-fused models' predictions.
+def tiny_timeppg(seed: int) -> TimePPGPredictor:
+    """A frozen :data:`TINY_TIMEPPG_CONFIG` TCN with unclipped predictions.
 
-    Under ``equivalence="tolerance"`` the only field allowed to move —
-    and only on windows routed to a tolerance-fused model — is the
-    predicted HR, within the runtime's documented per-dtype atol/rtol
-    (``EQUIVALENCE_TOLERANCES``).  Everything else (routing, difficulty,
-    offload, costs, configuration) must stay bit-identical, whatever the
-    policy or precision.
+    The untrained network outputs ~0 BPM, which ``predict`` clips to
+    30 BPM: every prediction would be the same constant and no
+    batch-shape drift could show.  A 120 BPM head bias moves the
+    predictions into the [30, 220] BPM clip range, and 200x head weights
+    spread them over tens of BPM, so a last-bit drift of the hidden
+    activations survives the bias add.
     """
-    if not tolerance_models:
-        assert_results_identical(reference, result)
-        return
-    atol, rtol = EQUIVALENCE_TOLERANCES[dtype]
-    relaxed = np.isin(reference.model_names.astype(str), sorted(tolerance_models))
-    np.testing.assert_array_equal(
-        reference.predicted_hr[~relaxed], result.predicted_hr[~relaxed]
+    predictor = TimePPGPredictor(TINY_TIMEPPG_CONFIG, seed=seed)
+    head = predictor.network.layers[-1].params
+    head["weight"] *= 200.0
+    head["bias"] += 120.0
+    return predictor.freeze()
+
+
+def assert_timeppg_unclipped(fleet: FleetResult) -> None:
+    """No TimePPG-Big prediction of ``fleet`` sits on a clip bound."""
+    predictions = np.concatenate(
+        [
+            r.predicted_hr[r.model_names.astype(str) == "TimePPG-Big"]
+            for r in fleet.results.values()
+        ]
     )
-    np.testing.assert_allclose(
-        result.predicted_hr[relaxed],
-        reference.predicted_hr[relaxed],
-        atol=atol,
-        rtol=rtol,
-    )
-    exact = copy.copy(result)
-    exact.predicted_hr = reference.predicted_hr
-    assert_results_identical(reference, exact)
+    assert predictions.size, "no window was routed to the TCN"
+    assert np.all((predictions > 30.0) & (predictions < 220.0)), predictions
+
 
 SCENARIO_SETTINGS = dict(
     deadline=None,
@@ -202,20 +193,16 @@ def fleet_scenarios(draw):
         # composition must never move a decision bit.
         "policy": draw(st.sampled_from(["drain", "deadline"])),
         "use_rf": draw(st.booleans()),
-        # "none": all FLEET_BATCHABLE; "flag": one calibrated model forced
+        # "none": all FLEET_BATCHABLE; "flag": TimePPG-Big forced
         # through the stateful dispatch; "zoo": the fully stateful zoo
         # (spectral tracker + smoothed calibrated trackers).
         "stateful": draw(st.sampled_from(["none", "flag", "zoo"])),
-        # Equivalence policy axis: bitwise keeps every path bit-exact;
-        # tolerance fuses TOLERANCE_FUSABLE predictors across subjects.
-        "equivalence": draw(st.sampled_from(["bitwise", "tolerance"])),
         # Inference precision axis: float32 runs the signal hot path in
-        # single precision (always under the tolerance policy, with the
-        # wider per-dtype bounds of EQUIVALENCE_TOLERANCES).
+        # single precision, compared against float32 sequential replay.
         "dtype": draw(st.sampled_from(["float64", "float32"])),
         # Swap a real (signal-reading) TimePPG network into the zoo so
-        # the tolerance axis exercises a genuine BLAS forward (ignored
-        # by the fully stateful zoo, which replaces every predictor).
+        # fusion runs a genuine BLAS forward (ignored by the fully
+        # stateful zoo, which replaces every predictor).
         "timeppg": draw(st.booleans()),
         "retire": draw(st.integers(min_value=-1, max_value=n_subjects - 1)),
     }
@@ -241,15 +228,6 @@ def build_fleet(scenario):
     return arrival, traces, systems
 
 
-def tolerance_fused_models(runtime: CHRISRuntime) -> frozenset:
-    """Zoo members whose predictions may legally move under tolerance."""
-    if runtime.equivalence != "tolerance":
-        return frozenset()
-    return frozenset(
-        entry.name for entry in runtime.zoo if entry.predictor.TOLERANCE_FUSABLE
-    )
-
-
 def make_runtime(scenario) -> CHRISRuntime:
     """A pristine runtime configured for the scenario's difficulty source."""
     experiment = _experiment()
@@ -263,20 +241,13 @@ def make_runtime(scenario) -> CHRISRuntime:
             # A real TCN behind the TimePPG-Big deployment (the model the
             # selected configurations actually route windows to), frozen
             # so the fold + GEMM inference path is the one under test.
-            zoo.entry("TimePPG-Big").predictor = TimePPGPredictor(
-                TINY_TIMEPPG_CONFIG, seed=7
-            ).freeze()
-    dtype = scenario.get("dtype", "float64")
-    # float32 inference cannot honor a bitwise contract against the
-    # float64 reference; it always runs under the tolerance policy.
-    equivalence = scenario["equivalence"] if dtype == "float64" else "tolerance"
+            zoo.entry("TimePPG-Big").predictor = tiny_timeppg(seed=7)
     runtime = CHRISRuntime(
         zoo=zoo,
         engine=experiment.engine,
         system=experiment.system,
         activity_classifier=_classifier() if scenario["use_rf"] else None,
-        equivalence=equivalence,
-        dtype=dtype,
+        dtype=scenario.get("dtype", "float64"),
     )
     if scenario["stateful"] == "flag":
         # Force one model through the stateful dispatch path.
@@ -338,13 +309,9 @@ def test_scheduler_matches_sequential_replay(scenario):
             sid: sys for sid, sys in systems.items() if sid in {s.subject_id for s in completed}
         },
     )
-    fused = tolerance_fused_models(reference)
     for session in completed:
-        assert_results_equivalent(
-            reference_fleet.results[session.subject_id],
-            session.result,
-            fused,
-            dtype=str(reference.dtype),
+        assert_results_identical(
+            reference_fleet.results[session.subject_id], session.result
         )
 
     # The scheduler's stream runtime must land on exactly the cross-run
@@ -356,18 +323,17 @@ def test_scheduler_matches_sequential_replay(scenario):
 
 @settings(max_examples=10, **SCENARIO_SETTINGS)
 @given(scenario=fleet_scenarios())
-def test_tolerance_fused_timeppg_within_documented_bounds(scenario):
-    """The tolerance policy's contract, pinned on every scenario shape.
+def test_fused_timeppg_matches_sequential_replay(scenario):
+    """Cross-subject TimePPG fusion is bit-identical, on every scenario shape.
 
-    Forces ``equivalence="tolerance"`` with a real TimePPG network in
-    the zoo (everything else — arrival order, batch limits,
-    retirements, traces, hardware mix — still varies), submits
-    the fleet as dynamic sessions, and checks the fused results against
-    sequential replay: every field bit-identical except the predictions
-    of windows routed to the fused TCN, which must stay within the
-    runtime's documented ``EQUIVALENCE_ATOL`` / ``EQUIVALENCE_RTOL``.
+    Forces a real TimePPG network with unclipped predictions into the
+    zoo (everything else — dtype, arrival order, batch limits,
+    retirements, traces, hardware mix — still varies), submits the fleet
+    as dynamic sessions, so arrival coalescing decides the TCN's batch
+    shapes, and checks every field of every result against sequential
+    replay bit for bit.
     """
-    scenario = dict(scenario, equivalence="tolerance", timeppg=True)
+    scenario = dict(scenario, timeppg=True)
     if scenario["stateful"] == "zoo":
         # The fully stateful zoo replaces every predictor; keep the real
         # TCN in the zoo so the fused path is actually exercised.
@@ -402,11 +368,8 @@ def test_tolerance_fused_timeppg_within_documented_bounds(scenario):
         (s.subject_id, s.state, s.error) for s in sessions
     ]
 
-    reference = make_runtime(scenario)
-    fused = tolerance_fused_models(reference)
-    assert fused, "the tolerance scenario must carry a TOLERANCE_FUSABLE model"
     reference_fleet = sequential_replay(
-        reference,
+        make_runtime(scenario),
         [s.recording for s in completed],
         CONSTRAINT,
         use_oracle_difficulty=not scenario["use_rf"],
@@ -417,12 +380,14 @@ def test_tolerance_fused_timeppg_within_documented_bounds(scenario):
             sid: sys for sid, sys in systems.items() if sid in {s.subject_id for s in completed}
         },
     )
+    if any(
+        np.any(r.model_names.astype(str) == "TimePPG-Big")
+        for r in reference_fleet.results.values()
+    ):
+        assert_timeppg_unclipped(reference_fleet)
     for session in completed:
-        assert_results_equivalent(
-            reference_fleet.results[session.subject_id],
-            session.result,
-            fused,
-            dtype=str(reference.dtype),
+        assert_results_identical(
+            reference_fleet.results[session.subject_id], session.result
         )
 
 
@@ -453,31 +418,26 @@ def test_pool_executor_matches_sequential_replay(scenario):
         systems=systems,
     )
     assert pooled.subject_ids == sequential.subject_ids
-    fused = tolerance_fused_models(reference_runtime)
     for sid in sequential.subject_ids:
-        assert_results_equivalent(
-            sequential.results[sid],
-            pooled.results[sid],
-            fused,
-            dtype=str(reference_runtime.dtype),
-        )
+        assert_results_identical(sequential.results[sid], pooled.results[sid])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_float32_fleet_decision_compatible_across_workers(workers):
     """A float32 fleet run is decision-compatible at any worker count.
 
-    The sequential float64 bitwise run is the reference: a float32
-    executor fleet must route every window to the same model and target
-    with the same costs, report float32 predictions, and keep the
-    predicted HR of every model within the documented float32 tolerance
-    bounds — whether one, two, or four workers execute the shards.
+    Two references.  Against float32 sequential replay the executor
+    fleet is bit-identical, like every fused path at its own dtype.
+    Against the float64 sequential run it must route every window to the
+    same model and target with the same costs, report float32
+    predictions, and keep the predicted HR of every model within the
+    documented float32 tolerance bounds — whether one, two, or four
+    workers execute the shards.
     """
     scenario64 = {
         "stateful": "none",
         "timeppg": True,
         "use_rf": False,
-        "equivalence": "tolerance",
         "dtype": "float64",
     }
     scenario32 = dict(scenario64, dtype="float32")
@@ -486,6 +446,9 @@ def test_float32_fleet_decision_compatible_across_workers(workers):
     reference = sequential_replay(
         make_runtime(scenario64), subjects, CONSTRAINT, use_oracle_difficulty=True
     )
+    reference32 = sequential_replay(
+        make_runtime(scenario32), subjects, CONSTRAINT, use_oracle_difficulty=True
+    )
     executor = FleetExecutor(
         make_runtime(scenario32), max_workers=workers, shards_per_worker=2
     )
@@ -493,9 +456,11 @@ def test_float32_fleet_decision_compatible_across_workers(workers):
 
     atol, rtol = EQUIVALENCE_TOLERANCES["float32"]
     assert pooled.subject_ids == reference.subject_ids
+    assert_timeppg_unclipped(pooled)
     for sid in reference.subject_ids:
         ref, res = reference.results[sid], pooled.results[sid]
         assert res.predicted_hr.dtype == np.float32
+        assert_results_identical(reference32.results[sid], res)
         np.testing.assert_array_equal(ref.model_names, res.model_names)
         np.testing.assert_array_equal(ref.offloaded, res.offloaded)
         np.testing.assert_array_equal(ref.predicted_difficulty, res.predicted_difficulty)
@@ -539,16 +504,13 @@ def test_shared_subject_store_round_trips_exactly(scenario):
 def test_resumed_checkpoint_run_is_bit_identical_to_uninterrupted(
     scenario, interrupt_after
 ):
-    """Kill-and-resume == uninterrupted, *bit-identical* — even under the
-    tolerance policy.
+    """Kill-and-resume == uninterrupted, *bit-identical*.
 
     Both runs use the same checkpointed shard layout, and every shard is
     a pure function of (pristine runtime, shipped plans, prior window
     counts): whether a shard executes before or after a crash cannot move
     a single bit, and loaded ``DONE`` shards are byte-verified staged
-    copies of exactly such executions.  So unlike the pooled-vs-sequential
-    comparison (which tolerates fused-model drift), this one asserts
-    strict identity on every field.
+    copies of exactly such executions.
     """
     arrival, traces, systems = build_fleet(scenario)
     use_oracle = not scenario["use_rf"]
@@ -594,6 +556,4 @@ def test_resumed_checkpoint_run_is_bit_identical_to_uninterrupted(
     assert resumed.subject_ids == uninterrupted.subject_ids
     assert resumed.n_failed == 0
     for sid in uninterrupted.subject_ids:
-        assert_results_equivalent(
-            uninterrupted.results[sid], resumed.results[sid], frozenset()
-        )
+        assert_results_identical(uninterrupted.results[sid], resumed.results[sid])

@@ -149,9 +149,9 @@ class TestInferenceMode:
             quantized,
         )
 
-    def test_tolerance_fusable_flag(self):
-        assert TimePPGPredictor.TOLERANCE_FUSABLE
-        assert not TimePPGPredictor.FLEET_BATCHABLE
+    def test_fleet_batchable_flag(self):
+        """Row-bit-stable and stateless: fused into one batch per fleet."""
+        assert TimePPGPredictor.FLEET_BATCHABLE
 
 
 class TestZeroRowBatches:
