@@ -134,17 +134,26 @@ def record_checksum(result: RunResult) -> str:
     time (on the reconstructed record), so any bit that fails to survive
     the columnar round trip fails verification.
     """
+    # Model names hash as a fixed-width unicode array: object -> str picks
+    # the record-local width, so the staged record and its columnar
+    # reconstruction canonicalize to identical bytes.
+    return _record_checksum(result, result.model_names.astype(str))
+
+
+def _record_checksum(result: RunResult, names: np.ndarray) -> str:
+    """:func:`record_checksum` given the record's fixed-width ``names``.
+
+    Arrays are hashed through their buffers (no ``tobytes`` copies);
+    :meth:`RunStager.stage_shard` passes the names it already converted
+    for the archive.
+    """
     digest = hashlib.sha256()
     for name in _NPZ_ARRAY_FIELDS:
         array = np.ascontiguousarray(getattr(result, name))
         digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(array.tobytes())
-    # Model names hash as a fixed-width unicode array: object -> str picks
-    # the record-local width, so the staged record and its columnar
-    # reconstruction canonicalize to identical bytes.
-    names = result.model_names.astype(str)
+        digest.update(array)
     digest.update(str(names.dtype).encode("utf-8"))
-    digest.update(names.tobytes())
+    digest.update(names)
     digest.update(repr(result.configuration).encode("utf-8"))
     for start, configuration in result.configuration_segments:
         digest.update(str(int(start)).encode("utf-8"))
@@ -231,7 +240,9 @@ class RunStager:
             "checksum": sha256_hex(data),
             "n_records": len(results),
             "subject_ids": [sid for sid, _ in results],
-            "record_checksums": [record_checksum(r) for r in records],
+            "record_checksums": [
+                _record_checksum(r, names) for r, names in zip(records, name_parts)
+            ],
         }
         self._write_manifest()
         return path
