@@ -23,7 +23,11 @@ deadline-miss fraction, and the saturated deadline-vs-drain throughput
 ratio), and through the difficulty detector (``"difficulty"`` block:
 one fused ``predict_difficulty`` call per fleet plan vs one call per
 subject of the per-window detector it replaced, at the replay and
-serving shapes, with medians, interquartile ranges and the host) — and
+serving shapes, with medians, interquartile ranges and the host), and
+through the offline set-up (``"setup"`` block: seconds per stage of
+synthesis, forest fits, zoo build and freeze and configuration
+profiling, plus the forest fit against the per-threshold split search
+of ``tests/ml/split_oracle.py``) — and
 writes the measured throughputs, MAE and
 offload statistics to ``BENCH_runtime.json`` at the repository root, so
 successive PRs can track the perf trajectory of every hot path.  Each
@@ -56,10 +60,12 @@ from repro.eval.benchmarking import (  # noqa: E402
     benchmark_latency,
     benchmark_runtime,
     benchmark_scheduler,
+    benchmark_setup,
     benchmark_stateful_fleet,
 )
 from repro.eval.experiment import CalibratedExperiment  # noqa: E402
 from tests.ml.forest_oracle import difficulty_oracle  # noqa: E402
+from tests.ml.split_oracle import oracle_split_search  # noqa: E402
 
 
 def main(output_path: Path | None = None) -> dict:
@@ -83,6 +89,7 @@ def main(output_path: Path | None = None) -> dict:
     )
     outcome["latency"] = benchmark_latency(experiment, seed=0)
     outcome["difficulty"] = benchmark_difficulty(experiment, difficulty_oracle)
+    outcome["setup"] = benchmark_setup(oracle_split_search)
     output_path.write_text(json.dumps(outcome, indent=2) + "\n")
     append_history(outcome, output_path.parent / "BENCH_history.jsonl")
     print(json.dumps(outcome, indent=2))
@@ -121,6 +128,7 @@ def append_history(outcome: dict, history_path: Path) -> None:
             shape: block["fused_windows_per_s"]["median"]
             for shape, block in outcome["difficulty"]["shapes"].items()
         },
+        "setup_total_s": outcome["setup"]["stages"]["total_s"]["median"],
         "host": outcome["difficulty"]["host"],
     }
     with history_path.open("a") as sink:

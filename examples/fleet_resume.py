@@ -3,7 +3,7 @@
 
 The fleet engine journals every shard through a PENDING → RUNNING →
 DONE/FAILED lifecycle and stages completed shards' results to disk as
-checksummed npz, so a restarted run re-executes only the work a crash
+checksummed columnar files, so a restarted run re-executes only the work a crash
 destroyed.  This example walks the whole durability story on a
 24-device fleet:
 

@@ -2,11 +2,12 @@
 
 The crash-safety story of :mod:`repro.core.checkpoint` rests on one
 invariant: durable state is only ever committed through the atomic
-temp-file-then-``os.replace`` helpers (``atomic_write_bytes`` /
-``atomic_write_text``).  A bare ``open(path, "w")`` write — or a
-``Path.write_text`` / ``Path.write_bytes`` call — in a persistence
-module can tear on a crash, leaving a half-visible journal or manifest
-that a resumed run would then trust.
+temp-file-then-``os.replace`` helpers (``atomic_write_buffers`` /
+``atomic_write_bytes`` / ``atomic_write_text``).  A bare
+``open(path, "w")`` write — or a ``Path.write_text`` /
+``Path.write_bytes`` call — in a persistence module can tear on a
+crash, leaving a half-visible journal or manifest that a resumed run
+would then trust.
 
 This checker flags, inside the configured ``persistence_modules``:
 
@@ -84,8 +85,9 @@ class _WriteVisitor(ast.NodeVisitor):
                     self._flag(
                         node.lineno,
                         "bare write-mode open() in a persistence module; "
-                        "commit durable state through atomic_write_bytes/"
-                        "atomic_write_text (temp file + os.replace)",
+                        "commit durable state through atomic_write_buffers/"
+                        "atomic_write_bytes/atomic_write_text (temp file + "
+                        "os.replace)",
                     )
             elif (
                 isinstance(node.func, ast.Attribute)
@@ -94,8 +96,9 @@ class _WriteVisitor(ast.NodeVisitor):
                 self._flag(
                     node.lineno,
                     f"direct .{node.func.attr}() in a persistence module; "
-                    "commit durable state through atomic_write_bytes/"
-                    "atomic_write_text (temp file + os.replace)",
+                    "commit durable state through atomic_write_buffers/"
+                    "atomic_write_bytes/atomic_write_text (temp file + "
+                    "os.replace)",
                 )
         self.generic_visit(node)
 

@@ -7,18 +7,19 @@ in its ``checkpoint_dir``:
 
 :class:`RunStager`
     Persists each completed shard's :class:`~repro.core.runtime.RunResult`
-    records as one ``shard-NNNN.npz`` file plus a ``manifest.json`` index.
-    The shard archive is *columnar*: each per-window field is stored once,
-    concatenated across the shard's records, with a ``lengths`` array to
-    split them back — one flat npz instead of one archive per record, so
-    staging a 10 MB shard costs a handful of large array writes rather
-    than hundreds of small ones.  Every write is *atomic* (temp file in
-    the target directory, ``os.replace``), so a crash mid-write can never
-    leave a half-visible record — the file either has its old content or
-    its new content.  The manifest carries a whole-file checksum and
-    per-record checksums; :meth:`RunStager.load_shard` verifies them and
-    raises :class:`StagedShardError` on any mismatch, so silent
-    corruption is re-executed rather than loaded.
+    records as one ``shard-NNNN.bin`` file plus a ``manifest.json`` index.
+    The shard file is *columnar*: each per-window field is stored once,
+    concatenated across the shard's records, behind a small metadata
+    block that splits them back — one flat file instead of one archive
+    per record, written straight from the records' array buffers.  Every
+    write is *atomic* (temp file in the target directory, ``os.replace``),
+    so a crash mid-write can never leave a half-visible record — the file
+    either has its old content or its new content.  The manifest carries
+    the file size, a checksum of the metadata block and per-record
+    checksums over the columns, so every byte the loader reads is hashed
+    exactly once; :meth:`RunStager.load_shard` verifies them and raises
+    :class:`StagedShardError` on any mismatch, so silent corruption is
+    re-executed rather than loaded.
 
 :class:`FleetJournal`
     Tracks per-shard lifecycle (``PENDING -> RUNNING -> DONE/FAILED``)
@@ -39,7 +40,6 @@ machinery and pinned by the property suite.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -57,6 +57,7 @@ __all__ = [
     "ShardStatus",
     "RunStager",
     "FleetJournal",
+    "atomic_write_buffers",
     "atomic_write_bytes",
     "atomic_write_text",
     "sha256_hex",
@@ -65,7 +66,12 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.json"
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+
+#: Shard-file column holding the model-name codes.
+_CODES = "model_codes"
+#: Byte alignment of the first column of a shard file.
+_ALIGN = 16
 
 
 class StagedShardError(RuntimeError):
@@ -77,8 +83,8 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
+def atomic_write_buffers(path: Path, buffers: Sequence) -> None:
+    """Write ``buffers`` back to back to ``path`` atomically (temp file + ``os.replace``).
 
     The temp file lives in the target directory so the final rename never
     crosses a filesystem boundary: after a *process* crash the path holds
@@ -96,11 +102,16 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     try:
         with open(tmp, "wb") as handle:
-            handle.write(data)
+            handle.writelines(buffers)
         os.replace(tmp, path)
     finally:
         if tmp.exists():  # pragma: no cover - only on a failed replace
             os.unlink(tmp)
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """:func:`atomic_write_buffers` for one ``bytes`` object."""
+    atomic_write_buffers(path, [data])
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -129,31 +140,46 @@ def record_checksum(result: RunResult) -> str:
     """Canonical checksum of one :class:`RunResult`'s content.
 
     Computed over the raw bytes and dtypes of every per-window array,
-    the model-name sequence, and the configuration reprs — the same
+    the model-name sequence (as codes into its sorted name table, see
+    :func:`_encode_names`), and the configuration reprs — the same
     function runs at staging time (on the executed record) and at load
     time (on the reconstructed record), so any bit that fails to survive
     the columnar round trip fails verification.
     """
-    # Model names hash as a fixed-width unicode array: object -> str picks
-    # the record-local width, so the staged record and its columnar
-    # reconstruction canonicalize to identical bytes.
-    return _record_checksum(result, result.model_names.astype(str))
+    return _record_checksum(result, *_encode_names(result.model_names))
 
 
-def _record_checksum(result: RunResult, names: np.ndarray) -> str:
-    """:func:`record_checksum` given the record's fixed-width ``names``.
+def _encode_names(names: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """A model-name sequence as ``(table, codes)`` with ``table[codes] == names``.
+
+    ``table`` is the sorted distinct names, ``codes`` the narrowest
+    unsigned integer array.  A zoo holds a handful of names, so one
+    equality mask per name keeps the work in C loops; a fixed-width
+    unicode copy of the sequence would cost a per-element conversion and
+    ~10x the bytes to hash and stage.
+    """
+    table = sorted(set(names.tolist()))
+    codes = np.zeros(len(names), dtype=np.min_scalar_type(max(len(table) - 1, 0)))
+    for code, name in enumerate(table[1:], start=1):
+        codes[names == name] = code
+    return table, codes
+
+
+def _record_checksum(result: RunResult, table: list[str], codes: np.ndarray) -> str:
+    """:func:`record_checksum` given the record's encoded model names.
 
     Arrays are hashed through their buffers (no ``tobytes`` copies);
-    :meth:`RunStager.stage_shard` passes the names it already converted
+    :meth:`RunStager.stage_shard` passes the encoding it already built
     for the archive.
     """
     digest = hashlib.sha256()
     for name in _NPZ_ARRAY_FIELDS:
         array = np.ascontiguousarray(getattr(result, name))
-        digest.update(str(array.dtype).encode("utf-8"))
+        digest.update(array.dtype.str.encode("utf-8"))
         digest.update(array)
-    digest.update(str(names.dtype).encode("utf-8"))
-    digest.update(names)
+    digest.update(json.dumps(table).encode("utf-8"))
+    digest.update(codes.dtype.str.encode("utf-8"))
+    digest.update(codes)
     digest.update(repr(result.configuration).encode("utf-8"))
     for start, configuration in result.configuration_segments:
         digest.update(str(int(start)).encode("utf-8"))
@@ -164,14 +190,19 @@ def _record_checksum(result: RunResult, names: np.ndarray) -> str:
 class RunStager:
     """Append-only on-disk store of per-shard fleet results.
 
-    One ``shard-NNNN.npz`` file per staged shard, in columnar layout:
+    One ``shard-NNNN.bin`` file per staged shard, in columnar layout:
     every per-window field of :class:`RunResult` is stored as a single
-    array concatenated across the shard's records, next to a ``lengths``
-    array that splits them back per subject and one pickled blob holding
-    the configuration objects.  One file is self-contained and loads
-    without consulting other shards.  The ``manifest.json`` index maps
-    shard index to file name, whole-file checksum, and per-record
-    checksums (see :func:`record_checksum`).
+    column concatenated across the shard's records (model names as
+    integer codes into a shard-wide name table).  The metadata block in
+    front holds two little-endian ``uint64`` sizes, a JSON header
+    (subject ids, record lengths, name table, segment starts, and each
+    column's name, dtype and length) and one pickled blob with the
+    configuration objects, zero-padded to :data:`_ALIGN` bytes; the
+    columns follow widest dtype first, so each starts aligned.  One file
+    is self-contained and loads without consulting other shards.  The
+    ``manifest.json`` index maps shard index to file name, size,
+    metadata checksum, and per-record checksums (see
+    :func:`record_checksum`).
     """
 
     def __init__(self, directory: "str | Path") -> None:
@@ -184,7 +215,7 @@ class RunStager:
 
     # ------------------------------------------------------------- layout
     def shard_path(self, shard: int) -> Path:
-        return self.directory / f"shard-{shard:04d}.npz"
+        return self.directory / f"shard-{shard:04d}.bin"
 
     def staged_shards(self) -> list[int]:
         """Shard indices with a manifest entry, ascending."""
@@ -201,25 +232,42 @@ class RunStager:
         manifest never references — harmless, re-staged on the next run.
         """
         records = [result for _, result in results]
-        payload: dict[str, np.ndarray] = {
-            "lengths": np.array([r.n_windows for r in records], dtype=np.int64),
+        # Model names are stored as codes into one shard-wide name table;
+        # each record's own encoding (which its checksum covers) maps
+        # onto it through a per-record lookup.
+        encoded = [_encode_names(r.model_names) for r in records]
+        table = sorted({name for names, _ in encoded for name in names})
+        index = {name: code for code, name in enumerate(table)}
+        code_dtype = np.min_scalar_type(max(len(table) - 1, 0))
+        columns = {
+            name: [np.asarray(getattr(r, name)) for r in records]
+            for name in _NPZ_ARRAY_FIELDS
         }
-        for name in _NPZ_ARRAY_FIELDS:
-            parts = [getattr(r, name) for r in records]
-            payload[name] = (
-                np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-            )
-        name_parts = [r.model_names.astype(str) for r in records]
-        payload["model_names"] = (
-            np.concatenate(name_parts) if name_parts else np.zeros(0, dtype=str)
-        )
-        payload["segment_lengths"] = np.array(
-            [len(r.configuration_segments) for r in records], dtype=np.int64
-        )
-        payload["segment_starts"] = np.array(
-            [start for r in records for start, _ in r.configuration_segments],
-            dtype=np.int64,
-        )
+        columns[_CODES] = [
+            np.array([index[name] for name in names], dtype=code_dtype)[codes]
+            for names, codes in encoded
+        ]
+        typed = [
+            (name, np.result_type(*parts) if parts else np.dtype(np.int64), parts)
+            for name, parts in columns.items()
+        ]
+        fields, buffers = [], []
+        # Widest items first: with the metadata padded to _ALIGN, every
+        # column then starts aligned for its dtype.
+        for name, dtype, parts in sorted(typed, key=lambda column: -column[1].itemsize):
+            fields.append([name, dtype.str, sum(part.size for part in parts)])
+            buffers.extend(np.ascontiguousarray(part, dtype=dtype) for part in parts)
+        header = json.dumps(
+            {
+                "subject_ids": [sid for sid, _ in results],
+                "lengths": [int(r.n_windows) for r in records],
+                "model_table": table,
+                "segment_starts": [
+                    [int(start) for start, _ in r.configuration_segments] for r in records
+                ],
+                "fields": fields,
+            }
+        ).encode("utf-8")
         blob = pickle.dumps(
             [
                 (r.configuration, [cfg for _, cfg in r.configuration_segments])
@@ -227,21 +275,22 @@ class RunStager:
             ],
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        payload["configurations"] = np.frombuffer(blob, dtype=np.uint8)
-        payload["subject_ids"] = np.array([sid for sid, _ in results], dtype=str)
-        buffer = io.BytesIO()
-        np.savez(buffer, **payload)
-        data = buffer.getvalue()
+        meta = len(header).to_bytes(8, "little") + len(blob).to_bytes(8, "little")
+        meta += header + blob
+        meta += bytes(-len(meta) % _ALIGN)
         faults.fire("stager.write", shard=shard)
         path = self.shard_path(shard)
-        atomic_write_bytes(path, data)
+        atomic_write_buffers(path, [meta, *buffers])
         self._manifest["shards"][str(shard)] = {
             "file": path.name,
-            "checksum": sha256_hex(data),
+            "size": len(meta) + sum(buffer.nbytes for buffer in buffers),
+            "meta_size": len(meta),
+            "checksum": sha256_hex(meta),
             "n_records": len(results),
             "subject_ids": [sid for sid, _ in results],
             "record_checksums": [
-                _record_checksum(r, names) for r, names in zip(records, name_parts)
+                _record_checksum(r, names, codes)
+                for r, (names, codes) in zip(records, encoded)
             ],
         }
         self._write_manifest()
@@ -251,49 +300,63 @@ class RunStager:
         """Load and verify one staged shard (bit-identical to what was staged).
 
         Raises :class:`StagedShardError` when the shard was never staged,
-        its file is missing, or any checksum (whole file or per record)
-        fails — the caller re-executes the shard instead of trusting it.
+        its file is missing, or any check fails: the file size, the
+        metadata checksum (verified before anything in the file is
+        parsed), the range of the model-name codes or a per-record
+        checksum — the caller re-executes the shard instead of trusting
+        it.
         """
         entry = self._manifest["shards"].get(str(shard))
         if entry is None:
             raise StagedShardError(f"shard {shard} was never staged")
         path = self.directory / entry["file"]
         try:
-            data = path.read_bytes()
+            data = bytearray(path.read_bytes())
         except OSError as exc:
             raise StagedShardError(f"staged file for shard {shard} unreadable: {exc}") from exc
-        if sha256_hex(data) != entry["checksum"]:
+        meta = int(entry["meta_size"])
+        if len(data) != entry["size"] or sha256_hex(memoryview(data)[:meta]) != entry["checksum"]:
             raise StagedShardError(
                 f"staged file for shard {shard} fails its checksum (torn or corrupt)"
             )
         try:
-            with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-                subject_ids = [str(sid) for sid in archive["subject_ids"]]
-                lengths = archive["lengths"]
-                arrays = {name: archive[name] for name in _NPZ_ARRAY_FIELDS}
-                model_names = archive["model_names"]
-                segment_lengths = archive["segment_lengths"]
-                segment_starts = archive["segment_starts"]
-                configurations = pickle.loads(archive["configurations"].tobytes())
-        except (KeyError, ValueError, OSError, pickle.UnpicklingError) as exc:
+            header_size = int.from_bytes(data[:8], "little")
+            blob_size = int.from_bytes(data[8:16], "little")
+            header = json.loads(data[16 : 16 + header_size])
+            configurations = pickle.loads(
+                data[16 + header_size : 16 + header_size + blob_size]
+            )
+            arrays, offset = {}, meta
+            for name, dtype, count in header["fields"]:
+                arrays[name] = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+                offset += arrays[name].nbytes
+            subject_ids = header["subject_ids"]
+            model_table = np.array(header["model_table"], dtype=object)
+        except (KeyError, TypeError, ValueError, EOFError, pickle.UnpicklingError) as exc:
             raise StagedShardError(f"staged file for shard {shard} unparsable: {exc}") from exc
+        # The columns are only verified by the per-record checksums, after
+        # reconstruction; the name codes are the one column whose values
+        # are used before then (as indices), so bit rot there must fail
+        # here rather than as an IndexError.
+        if arrays[_CODES].size and int(arrays[_CODES].max()) >= len(model_table):
+            raise StagedShardError(
+                f"staged file for shard {shard} holds an out-of-range model-name code"
+            )
         if subject_ids != list(entry["subject_ids"]) or len(configurations) != len(
             subject_ids
         ):
             raise StagedShardError(f"staged shard {shard} holds the wrong subjects")
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        seg_offsets = np.concatenate([[0], np.cumsum(segment_lengths)])
+        offsets = np.concatenate([[0], np.cumsum(header["lengths"], dtype=np.int64)])
         results: list[tuple[str, RunResult]] = []
         for index, subject_id in enumerate(subject_ids):
             lo, hi = int(offsets[index]), int(offsets[index + 1])
             configuration, segment_configs = configurations[index]
-            starts = segment_starts[int(seg_offsets[index]) : int(seg_offsets[index + 1])]
             result = RunResult(
                 configuration=configuration,
-                model_names=model_names[lo:hi].astype(object),
-                configuration_segments=[
-                    (int(start), cfg) for start, cfg in zip(starts, segment_configs)
-                ],
+                model_names=model_table[arrays[_CODES][lo:hi]],
+                configuration_segments=list(
+                    zip(header["segment_starts"][index], segment_configs)
+                ),
                 **{name: arrays[name][lo:hi] for name in _NPZ_ARRAY_FIELDS},
             )
             if record_checksum(result) != entry["record_checksums"][index]:

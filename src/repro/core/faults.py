@@ -248,11 +248,14 @@ def corrupt_staged_shard(
 
     ``mode="truncate"`` drops the second half of the file (a torn write
     that somehow survived — e.g. media failure after the rename);
-    ``mode="flip"`` inverts one byte in the middle (silent corruption).
-    Either way the stager's checksum must reject the record on load.
+    ``mode="flip"`` inverts one byte in the middle and ``mode="flip_last"``
+    the final byte (silent corruption).  Either way the stager must
+    reject the shard on load.
     Returns the damaged path.
     """
-    path = Path(checkpoint_dir) / f"shard-{shard:04d}.npz"
+    from repro.core.checkpoint import RunStager  # checkpoint imports this module
+
+    path = RunStager(checkpoint_dir).shard_path(shard)
     if not path.exists():
         raise FileNotFoundError(f"no staged shard file at {path}")
     data = path.read_bytes()
@@ -261,6 +264,8 @@ def corrupt_staged_shard(
     elif mode == "flip":
         mid = len(data) // 2
         damaged = data[:mid] + bytes([data[mid] ^ 0xFF]) + data[mid + 1 :]
+    elif mode == "flip_last":
+        damaged = data[:-1] + bytes([data[-1] ^ 0xFF])
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
     path.write_bytes(damaged)

@@ -65,7 +65,7 @@ while the rest of the fleet completes normally.
 
 With a ``checkpoint_dir``, runs are additionally *crash-safe*: each
 completed shard's results are staged to disk through
-:class:`~repro.core.checkpoint.RunStager` (atomic npz + checksummed
+:class:`~repro.core.checkpoint.RunStager` (atomic columnar file + checksummed
 manifest) and its lifecycle tracked in a
 :class:`~repro.core.checkpoint.FleetJournal`.  A restarted
 :meth:`FleetExecutor.iter_runs` / :meth:`FleetExecutor.run_fleet` over

@@ -31,6 +31,7 @@ from repro.core.configuration import (
 )
 from repro.core.pareto import pareto_front
 from repro.core.zoo import ModelsZoo
+from repro.data.activities import NUM_DIFFICULTY_LEVELS
 from repro.data.dataset import WindowedSubject
 from repro.hw.platform import WearableSystem
 from repro.hw.profiles import ExecutionTarget
@@ -237,31 +238,34 @@ class ConfigurationProfiler:
             self.system.ble.connected = was_connected
         return costs
 
-    def profile_configuration(
-        self, configuration: Configuration, data: ProfilingData
+    def _profile(
+        self, configuration: Configuration, data: ProfilingData, costs: dict
     ) -> ProfiledConfiguration:
-        """Profile a single configuration on the profiling data."""
+        """Profile one configuration with precomputed prediction costs.
+
+        The configuration routes each difficulty level to a (model,
+        target) pair; every per-window quantity is gathered from those
+        nine routes by the window's predicted level.
+        """
         for model in configuration.models:
             if model not in data.errors:
                 raise KeyError(f"profiling data has no error trace for model {model!r}")
             if model not in self.zoo:
                 raise KeyError(f"model {model!r} is not in the zoo")
 
-        costs = self._prediction_costs()
-        n = data.n_windows
-        errors = np.empty(n)
-        watch_energy = np.empty(n)
-        phone_energy = np.empty(n)
-        latency = np.empty(n)
-        offloaded = np.zeros(n, dtype=bool)
-        for i in range(n):
-            model, target = configuration.model_for_difficulty(int(data.predicted_difficulty[i]))
-            cost = costs[(model, target)]
-            errors[i] = data.errors[model][i]
-            watch_energy[i] = cost.watch_total_j
-            phone_energy[i] = cost.phone_compute_j
-            latency[i] = cost.latency_s
-            offloaded[i] = target is ExecutionTarget.PHONE
+        routes = [
+            configuration.model_for_difficulty(level)
+            for level in range(1, NUM_DIFFICULTY_LEVELS + 1)
+        ]
+        route_costs = [costs[route] for route in routes]
+        level = data.predicted_difficulty - 1
+        models = list(configuration.models)
+        model_index = np.array([models.index(model) for model, _ in routes])[level]
+        errors = np.choose(model_index, [data.errors[model] for model in models])
+        watch_energy = np.array([cost.watch_total_j for cost in route_costs])[level]
+        phone_energy = np.array([cost.phone_compute_j for cost in route_costs])[level]
+        latency = np.array([cost.latency_s for cost in route_costs])[level]
+        offloaded = np.array([target is ExecutionTarget.PHONE for _, target in routes])[level]
         return ProfiledConfiguration(
             configuration=configuration,
             mae_bpm=float(errors.mean()),
@@ -270,6 +274,12 @@ class ConfigurationProfiler:
             mean_latency_s=float(latency.mean()),
             offload_fraction=float(offloaded.mean()),
         )
+
+    def profile_configuration(
+        self, configuration: Configuration, data: ProfilingData
+    ) -> ProfiledConfiguration:
+        """Profile a single configuration on the profiling data."""
+        return self._profile(configuration, data, self._prediction_costs())
 
     # --------------------------------------------------------------- public
     def profile_all(
@@ -286,5 +296,6 @@ class ConfigurationProfiler:
         if configurations is None:
             ordered = [entry.name for entry in self.zoo.ordered_by_cost()]
             configurations = enumerate_configurations(ordered)
-        profiled = [self.profile_configuration(c, data) for c in configurations]
+        costs = self._prediction_costs()
+        profiled = [self._profile(c, data, costs) for c in configurations]
         return ConfigurationTable(profiled)

@@ -79,8 +79,12 @@ DIFFICULTY_BY_ACTIVITY_ID = np.array(
 )
 
 
-def difficulties_of(activities: "np.ndarray") -> "np.ndarray":
-    """Vectorized :func:`difficulty_of` over an array of raw identifiers."""
+def activity_ids(activities: "np.ndarray") -> "np.ndarray":
+    """Raw identifiers as an integer array, checked to be in range.
+
+    The array indexes the per-activity lookup tables (one entry per
+    :data:`ACTIVITIES` member, in identifier order).
+    """
     activities = np.asarray(activities, dtype=int)
     if activities.size and (
         activities.min() < 0 or activities.max() >= len(ACTIVITIES)
@@ -88,7 +92,12 @@ def difficulties_of(activities: "np.ndarray") -> "np.ndarray":
         raise ValueError(
             f"activity identifiers must be in [0, {len(ACTIVITIES) - 1}]"
         )
-    return DIFFICULTY_BY_ACTIVITY_ID[activities]
+    return activities
+
+
+def difficulties_of(activities: "np.ndarray") -> "np.ndarray":
+    """Vectorized :func:`difficulty_of` over an array of raw identifiers."""
+    return DIFFICULTY_BY_ACTIVITY_ID[activity_ids(activities)]
 
 
 def activities_by_difficulty() -> tuple[Activity, ...]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.activities import Activity
+from repro.data.activities import ACTIVITIES, Activity, activity_ids
 
 #: Typical steady-state heart-rate offset (BPM, added to the subject's
 #: resting HR) and short-term variability (BPM std) per activity.
@@ -35,6 +35,12 @@ ACTIVITY_HR_PROFILE: dict[Activity, tuple[float, float]] = {
     Activity.STAIRS: (55.0, 6.0),
     Activity.TABLE_SOCCER: (35.0, 6.0),
 }
+
+#: :data:`ACTIVITY_HR_PROFILE` as two lookup tables indexed by raw
+#: activity identifier: set-point offset and variability.
+_HR_OFFSET_BY_ID, _HR_STD_BY_ID = np.array(
+    [ACTIVITY_HR_PROFILE[activity] for activity in ACTIVITIES]
+).T.copy()
 
 
 @dataclass
@@ -103,22 +109,26 @@ class HeartRateDynamics:
         if n == 0:
             return np.empty(0)
 
+        ids = activity_ids(labels)
         dt = 1.0 / self.fs
         alpha = dt / self.response_time_s  # set-point tracking gain per step
-        hr = np.empty(n)
-        current = self.setpoint(labels[0]) + self.rng.normal(0.0, self.variability(labels[0]))
-        tracked_setpoint = current
-        # Pre-draw the noise for speed; the per-step noise amplitude depends
-        # on the activity, so scale afterwards.
-        noise = self.rng.normal(0.0, 1.0, size=n)
-        for i in range(n):
-            activity = Activity(labels[i])
-            target = self.setpoint(activity)
-            std = self.variability(activity)
-            # Slow approach of the effective set-point towards the activity target.
-            tracked_setpoint += alpha * (target - tracked_setpoint)
-            # Mean-reverting fluctuation around the tracked set-point.
-            current += self.reversion_rate * dt * (tracked_setpoint - current)
-            current += std * np.sqrt(dt) * 0.5 * noise[i]
-            hr[i] = current
-        return np.clip(hr, 35.0, 200.0)
+        pull = self.reversion_rate * dt  # reversion towards the set-point per step
+        targets = self.resting_hr + _HR_OFFSET_BY_ID[ids]
+        current = float(targets[0]) + self.rng.normal(0.0, _HR_STD_BY_ID[ids[0]])
+        # The per-step noise amplitude depends on the activity: draw unit
+        # noise for every step at once and scale it by the lookup table.
+        kicks = _HR_STD_BY_ID[ids] * np.sqrt(dt) * 0.5 * self.rng.normal(0.0, 1.0, size=n)
+
+        def walk(current: float):
+            tracked_setpoint = current
+            # Iterating memoryviews yields Python floats without a
+            # per-sample list; the arithmetic is the same IEEE doubles.
+            for target, kick in zip(memoryview(targets), memoryview(kicks)):  # loop-ok: scalar recurrence
+                # Slow approach of the effective set-point towards the activity target.
+                tracked_setpoint += alpha * (target - tracked_setpoint)
+                # Mean-reverting fluctuation around the tracked set-point.
+                current += pull * (tracked_setpoint - current)
+                current += kick
+                yield current
+
+        return np.clip(np.fromiter(walk(current), dtype=float, count=n), 35.0, 200.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.activities import Activity
+from repro.data.activities import ACTIVITIES, Activity, activity_ids
 from repro.signal.filters import butter_bandpass_filter
 
 
@@ -71,6 +71,11 @@ ACTIVITY_MOTION_PROFILES: dict[Activity, MotionProfile] = {
     Activity.STAIRS: MotionProfile(0.45, 1.60, 0.40, 0.35, 0.08, 0.80),
     Activity.TABLE_SOCCER: MotionProfile(0.55, 2.50, 1.20, 0.60, 0.12, 1.10),
 }
+
+#: Artifact coupling of each activity, indexed by raw activity identifier.
+_COUPLING_BY_ID = np.array(
+    [ACTIVITY_MOTION_PROFILES[activity].artifact_coupling for activity in ACTIVITIES]
+)
 
 
 @dataclass
@@ -183,9 +188,7 @@ class MotionArtifactModel:
         if n > 40:
             dynamic = butter_bandpass_filter(dynamic, self.band_hz[0], self.band_hz[1], self.fs, order=2)
 
-        coupling = np.array(
-            [ACTIVITY_MOTION_PROFILES[Activity(a)].artifact_coupling for a in labels]
-        )
+        coupling = _COUPLING_BY_ID[activity_ids(labels)]
         gain = 1.0 + self.rng.normal(0.0, self.gain_std, size=n)
         gain = np.clip(gain, 0.2, 2.5)
         return dynamic * coupling * gain

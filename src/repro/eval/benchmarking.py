@@ -18,6 +18,7 @@ compare against :func:`sequential_replay`, a loop of per-subject
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import os
@@ -28,6 +29,7 @@ import numpy as np
 
 from repro.core.decision_engine import Constraint
 from repro.core.fleet import FleetExecutor
+from repro.core.profiling import ConfigurationProfiler, ProfilingData
 from repro.core.runtime import (
     CHRISRuntime,
     EQUIVALENCE_ATOL,
@@ -37,13 +39,17 @@ from repro.core.runtime import (
 )
 from repro.core.scheduler import FleetScheduler, SessionState
 from repro.core.zoo import ModelsZoo, ZooEntry
-from repro.data.dataset import WindowedSubject
+from repro.data.activities import ACTIVITIES
+from repro.data.dataset import WindowedDataset, WindowedSubject
 from repro.data.synthetic import SyntheticDaliaGenerator, SyntheticDatasetConfig
+from repro.hw.platform import WearableSystem
 from repro.ml.activity_classifier import ActivityClassifier
+from repro.ml.random_forest import RandomForestClassifier
 from repro.models.adaptive_threshold import AdaptiveThresholdPredictor
 from repro.models.error_model import SmoothedCalibratedHRModel
 from repro.models.spectral_tracker import SpectralHRPredictor
 from repro.models.timeppg import (
+    TIMEPPG_BIG_CONFIG,
     TIMEPPG_SMALL_CONFIG,
     TimePPGConfig,
     TimePPGPredictor,
@@ -1238,3 +1244,105 @@ def benchmark_difficulty(experiment, reference) -> dict:
             block[f"{name}_windows_per_s"] = _spread([total / t for t in times[name]])
         out["shapes"][f"{n_subjects}x{n_windows}"] = block
     return out
+
+
+#: The offline set-up :func:`benchmark_setup` times, as the benchmark
+#: pipeline runs it: ``CalibratedExperiment.build(seed=0, n_subjects=4,
+#: activity_duration_s=40.0)`` (classifier trained on the first half of
+#: its corpus, configurations profiled on the rest) plus a classifier on
+#: a 2-subject x 60 s corpus and frozen TimePPG-Small/Big.
+SETUP_EXPERIMENT_CORPUS = SyntheticDatasetConfig(n_subjects=4, activity_duration_s=40.0, seed=0)
+SETUP_CLASSIFIER_CORPUS = SyntheticDatasetConfig(
+    n_subjects=2, activity_duration_s=60.0, seed=20230417
+)
+#: Rounds :func:`benchmark_setup` times.
+SETUP_ROUNDS = 7
+
+
+def _setup_stages() -> dict[str, float]:
+    """Seconds of each stage of one offline set-up."""
+    times = {}
+    start = time.perf_counter()
+    corpus = SyntheticDaliaGenerator(SETUP_EXPERIMENT_CORPUS).generate_windowed()
+    classifier_train = SyntheticDaliaGenerator(SETUP_CLASSIFIER_CORPUS).generate_windowed()
+    times["synthesis_s"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    half = len(corpus.subjects) // 2
+    train = WindowedDataset(corpus.subjects[:half]).concatenated()
+    classifier = ActivityClassifier(random_state=0).fit(train.accel_windows, train.activity)
+    train = classifier_train.concatenated()
+    ActivityClassifier(random_state=0).fit(train.accel_windows, train.activity)
+    times["forest_fit_s"] = time.perf_counter() - start
+
+    from repro.eval.experiment import build_calibrated_zoo  # experiment imports this module
+
+    start = time.perf_counter()
+    zoo = build_calibrated_zoo(seed=0)
+    for config in (TIMEPPG_SMALL_CONFIG, TIMEPPG_BIG_CONFIG):
+        TimePPGPredictor(config, seed=0).freeze()
+    times["zoo_build_freeze_s"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    profiling = WindowedDataset(corpus.subjects[half:]).concatenated()
+    data = ProfilingData.from_zoo_predictions(zoo, profiling, activity_classifier=classifier)
+    ConfigurationProfiler(zoo, WearableSystem()).profile_all(data)
+    times["profiling_s"] = time.perf_counter() - start
+    return times
+
+
+def benchmark_setup(reference_split_search) -> dict:
+    """Offline set-up seconds per stage, and the forest fit vs a reference search.
+
+    ``stages`` holds the median and interquartile range over
+    :data:`SETUP_ROUNDS` rounds of each stage of the set-up described at
+    :data:`SETUP_EXPERIMENT_CORPUS` (synthesis, forest fits, zoo build
+    and TimePPG freeze, configuration profiling) and of their sum.
+
+    ``forest_fit`` times the paper's 8-tree, depth-5 forest on the
+    classifier corpus's features, alternating each round between the
+    shipped split search and the one ``reference_split_search()`` (a
+    context manager) swaps in; the benchmarks pass the per-threshold
+    loop of ``tests/ml/split_oracle.py``.  ``speedup`` is the median of
+    the per-round reference / shipped time ratios; ``nodes_identical``
+    confirms both fits built the same node arrays.
+    """
+    rounds_times = [_setup_stages() for _ in range(SETUP_ROUNDS)]
+    stages = {name: _spread([r[name] for r in rounds_times]) for name in rounds_times[0]}
+    stages["total_s"] = _spread([sum(r.values()) for r in rounds_times])
+
+    train = SyntheticDaliaGenerator(SETUP_CLASSIFIER_CORPUS).generate_windowed().concatenated()
+    features = ActivityClassifier().extract_features(train.accel_windows)
+    features = (features - features.mean(axis=0)) / (features.std(axis=0) + 1e-12)
+
+    def fit():
+        return RandomForestClassifier(n_estimators=8, max_depth=5, random_state=0).fit(
+            features, train.activity, n_classes=len(ACTIVITIES)
+        )
+
+    searches = {"shipped": contextlib.nullcontext, "reference": reference_split_search}
+    times: dict[str, list[float]] = {name: [] for name in searches}
+    forests = {}
+    for round_ in range(SETUP_ROUNDS):
+        for name in list(searches)[:: 1 if round_ % 2 == 0 else -1]:
+            start = time.perf_counter()
+            with searches[name]():
+                forests[name] = fit()
+            times[name].append(time.perf_counter() - start)
+    shipped, reference = forests["shipped"], forests["reference"]
+    nodes_identical = all(
+        np.array_equal(getattr(shipped, name), getattr(reference, name), equal_nan=True)
+        for name in ("_feature", "_threshold", "_left", "_right", "_value", "_roots")
+    )
+    return {
+        "host": host_fingerprint(),
+        "rounds": SETUP_ROUNDS,
+        "stages": stages,
+        "forest_fit": {
+            "n_samples": int(features.shape[0]),
+            "shipped_s": _spread(times["shipped"]),
+            "reference_s": _spread(times["reference"]),
+            "speedup": _spread([r / v for r, v in zip(times["reference"], times["shipped"])]),
+            "nodes_identical": bool(nodes_identical),
+        },
+    }

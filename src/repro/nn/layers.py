@@ -445,7 +445,7 @@ class BatchNorm1d(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if not self._cache:
             raise RuntimeError("backward called before a training-mode forward pass")
-        grad_output = np.asarray(grad_output, dtype=float)
+        grad_output = np.asarray(grad_output, dtype=self.dtype)
         x_hat = self._cache["x_hat"]
         inv_std = self._cache["inv_std"]
         n = self._cache["n"]

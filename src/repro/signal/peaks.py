@@ -171,43 +171,39 @@ def adaptive_threshold_peaks_batch(  # hot-path
     # Region starts of every row at once: an above-threshold sample whose
     # left neighbour (False at the row edge, so runs can never span
     # adjacent rows) is below threshold.
-    prev = np.empty_like(above)
-    prev[:, 0] = False
-    prev[:, 1:] = above[:, :-1]
-    start_mask = (above & ~prev).ravel()
+    start_mask = above.copy()
+    start_mask[:, 1:] &= ~above[:, :-1]
 
     # Compact to the in-region samples once and do all remaining work on
-    # that (much smaller) gather: values, start flags and region ids per
-    # in-region sample.  This keeps the full-batch-size passes down to
-    # the boolean ops above, which matters because everything here is
-    # exact integer/comparison logic — the only dtype-sensitive arrays
-    # are ``vals`` and ``region_max``.
+    # that (much smaller) gather.  This keeps the full-batch-size passes
+    # down to the boolean ops above, which matters because everything
+    # here is exact integer/comparison logic — the only dtype-sensitive
+    # arrays are ``vals`` and ``region_max``.
     in_region = np.flatnonzero(above.ravel())
     vals = x.ravel()[in_region]
-    is_start = start_mask[in_region]
-    boundaries = np.flatnonzero(is_start)
+    boundaries = np.flatnonzero(start_mask.ravel()[in_region])
 
     # Region maxima: one reduceat over the compacted values (each
     # segment runs from a region start to the next — compaction removed
-    # the gaps, and regions never span rows).
-    region_max = np.maximum.reduceat(vals, boundaries)
+    # the gaps, and regions never span rows).  ``vals`` holds no NaN (a
+    # NaN sample is never above threshold), so ``fmax`` is ``maximum``
+    # without the NaN checks.
+    region_max = np.fmax.reduceat(vals, boundaries)
 
     # First in-region position equal to the region max == np.argmax of
-    # the region (float equality against an exact maximum).  int32 region
-    # ids halve the cumsum traffic; the guard keeps pathological batches
-    # (>2**31 in-region samples) exact.
-    counter = np.int32 if in_region.size < 2**31 else np.intp
-    region_of = np.cumsum(is_start, dtype=counter)
-    region_of -= 1
-    is_max = vals == region_max[region_of]
-    max_regions = region_of[is_max]
-    # ``max_regions`` is sorted (flat order), so the first hit of each
-    # region is wherever the region id changes.
-    first = np.concatenate(
-        [[0], np.flatnonzero(max_regions[1:] != max_regions[:-1]) + 1]
-    )
-    peak_flat = in_region[is_max][first]
-    return (peak_flat // length).astype(int), (peak_flat % length).astype(int)
+    # the region (float equality against an exact maximum).  Every region
+    # holds at least one hit, so as many hits as regions means one each;
+    # only tied maxima need the first hit per region picked out.
+    sizes = np.diff(boundaries, append=vals.size)
+    hits = np.flatnonzero(vals == np.repeat(region_max, sizes))
+    if hits.size != boundaries.size:
+        hit_region = np.searchsorted(boundaries, hits, side="right")
+        first = np.empty(hits.size, dtype=bool)
+        first[0] = True
+        np.not_equal(hit_region[1:], hit_region[:-1], out=first[1:])
+        hits = hits[first]
+    rows, positions = np.divmod(in_region[hits], length)
+    return rows.astype(int, copy=False), positions.astype(int, copy=False)
 
 
 def peak_intervals_to_bpm_batch(  # hot-path
@@ -238,14 +234,16 @@ def peak_intervals_to_bpm_batch(  # hot-path
     out = np.full(n_rows, np.nan, dtype=float)
     if peak_rows.size < 2:
         return out
-    same_row = peak_rows[1:] == peak_rows[:-1]
-    intervals = (np.diff(peak_positions) / float(fs))[same_row]
-    interval_rows = peak_rows[1:][same_row]
+    # Intervals are converted for every adjacent pair and the cross-row
+    # pairs masked out together with the band, so the per-pair BPM values
+    # are the scalar ones and only one gather per output runs.
     with np.errstate(divide="ignore"):
-        bpm = 60.0 / intervals
-    band = (bpm >= min_bpm) & (bpm <= max_bpm)
-    valid_bpm = bpm[band]
-    valid_rows = interval_rows[band]
+        bpm = 60.0 / (np.diff(peak_positions) / float(fs))
+    keep = peak_rows[1:] == peak_rows[:-1]
+    keep &= bpm >= min_bpm
+    keep &= bpm <= max_bpm
+    valid_bpm = bpm[keep]
+    valid_rows = peak_rows[1:][keep]
     if valid_bpm.size == 0:
         return out
     counts = np.bincount(valid_rows, minlength=n_rows)

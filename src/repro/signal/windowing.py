@@ -92,8 +92,11 @@ def sliding_windows(x: np.ndarray, spec: WindowSpec = DEFAULT_WINDOW_SPEC) -> np
     if n == 0:
         tail_shape = (0, spec.length) if x.ndim == 1 else (0, spec.length, x.shape[1])
         return np.empty(tail_shape, dtype=x.dtype)
-    starts = np.arange(n) * spec.stride
-    return np.stack([x[s:s + spec.length] for s in starts])
+    # sliding_window_view puts the window axis last: move it back behind
+    # the window index before copying.
+    views = np.lib.stride_tricks.sliding_window_view(x, spec.length, axis=0)
+    views = views[: n * spec.stride : spec.stride]
+    return np.moveaxis(views, -1, 1).copy()
 
 
 def window_start_times(n_samples: int, spec: WindowSpec = DEFAULT_WINDOW_SPEC) -> np.ndarray:
@@ -106,17 +109,21 @@ def label_windows(labels: np.ndarray, spec: WindowSpec = DEFAULT_WINDOW_SPEC) ->
     """Assign one label per window from a per-sample label stream.
 
     The label of a window is the majority per-sample label inside it (used
-    for activity labels).  ``labels`` must be an integer array of
-    per-sample annotations.
+    for activity labels), the smallest label on a tie.  ``labels`` must be
+    an integer array of per-sample annotations.  Window counts are
+    differences of running per-label counts, so memory grows with the
+    number of distinct labels times the stream length: meant for a handful
+    of classes.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError(f"label_windows expects 1-D labels, got shape {labels.shape}")
     n = spec.num_windows(labels.shape[0])
-    out = np.empty(n, dtype=labels.dtype)
-    for i in range(n):
-        start = i * spec.stride
-        chunk = labels[start:start + spec.length]
-        values, counts = np.unique(chunk, return_counts=True)
-        out[i] = values[int(np.argmax(counts))]
-    return out
+    if n == 0:
+        return np.empty(0, dtype=labels.dtype)
+    values, codes = np.unique(labels, return_inverse=True)
+    running = np.zeros((labels.size + 1, values.size), dtype=np.intp)
+    np.cumsum(codes[:, None] == np.arange(values.size), axis=0, out=running[1:])
+    starts = np.arange(n) * spec.stride
+    counts = running[starts + spec.length] - running[starts]
+    return values[np.argmax(counts, axis=1)]

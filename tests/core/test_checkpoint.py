@@ -224,9 +224,66 @@ class TestRunStager:
         assert fresh.staged_shards() == [1]
         assert_bit_identical(records[0][1], fresh.load_shard(1)[0][1])
 
+    def test_edge_records_round_trip(self, tmp_path, calibrated_experiment):
+        """Empty, float32 and adversarial-float records load bit-identical,
+        as aligned, writable arrays."""
+        configuration = calibrated_experiment.table.configurations[0]
+        names = sorted(MODEL_REGISTRY)
+        tricky = np.array([-0.0, 5e-324, np.inf, -np.inf, np.nan, 1.0 + 2**-52])
+
+        def record(values):
+            n = values.size
+            return RunResult(
+                configuration=configuration,
+                window_index=np.arange(n, dtype=int),
+                predicted_difficulty=np.zeros(n, dtype=int),
+                true_difficulty=np.ones(n, dtype=int),
+                model_names=np.array(
+                    [names[i % len(names)] for i in range(n)], dtype=object
+                ),
+                offloaded=np.arange(n) % 2 == 0,
+                predicted_hr=values,
+                true_hr=values[::-1].copy(),
+                watch_compute_j=values,
+                watch_radio_j=values,
+                watch_idle_j=values,
+                phone_compute_j=values,
+                latency_s=values,
+                configuration_segments=[(0, configuration)] if n else [],
+            )
+
+        staged = [
+            ("odd", record(tricky[:5])),
+            ("empty", record(np.zeros(0))),
+            ("tricky", record(tricky)),
+        ]
+        stager = RunStager(tmp_path)
+        stager.stage_shard(0, staged)
+        stager.stage_shard(1, [("single", record(tricky.astype(np.float32)))])
+        stager.stage_shard(2, [])
+        loaded = stager.load_shard(0) + stager.load_shard(1)
+        assert stager.load_shard(2) == []
+        expected = staged + [("single", record(tricky.astype(np.float32)))]
+        assert [sid for sid, _ in loaded] == [sid for sid, _ in expected]
+        for (_, want), (_, got) in zip(expected, loaded):
+            assert_bit_identical(want, got)
+            for name in _NPZ_ARRAY_FIELDS:
+                array = getattr(got, name)
+                assert array.flags.aligned and array.flags.writeable, name
+
     def test_unstaged_shard_raises(self, tmp_path):
         with pytest.raises(StagedShardError, match="never staged"):
             RunStager(tmp_path).load_shard(5)
+
+    def test_metadata_corruption_fails_checksum(self, tmp_path, records):
+        """A flipped byte in the header is caught before anything is parsed."""
+        stager = RunStager(tmp_path)
+        path = stager.stage_shard(0, records[:2])
+        data = bytearray(path.read_bytes())
+        data[20] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(StagedShardError, match="checksum"):
+            stager.load_shard(0)
 
     @pytest.mark.parametrize("mode", ["truncate", "flip"])
     def test_corruption_fails_checksum(self, tmp_path, records, mode):
@@ -234,6 +291,15 @@ class TestRunStager:
         stager.stage_shard(0, records[:2])
         faults.corrupt_staged_shard(tmp_path, 0, mode=mode)
         with pytest.raises(StagedShardError, match="checksum"):
+            stager.load_shard(0)
+
+    def test_name_code_corruption_is_rejected(self, tmp_path, records):
+        """The model-name codes end the file and are used as indices before
+        the record checksums run; a flipped code must still be rejected."""
+        stager = RunStager(tmp_path)
+        stager.stage_shard(0, records[:2])
+        faults.corrupt_staged_shard(tmp_path, 0, mode="flip_last")
+        with pytest.raises(StagedShardError, match="model-name code"):
             stager.load_shard(0)
 
     def test_missing_file_raises(self, tmp_path, records):
@@ -394,7 +460,7 @@ class TestCheckpointedExecution:
         assert plan.armed() == 1  # nothing executed: all four shards loaded
         assert_fleets_identical(reference_fleet, fleet)
 
-    @pytest.mark.parametrize("mode", ["truncate", "flip"])
+    @pytest.mark.parametrize("mode", ["truncate", "flip", "flip_last"])
     def test_corrupt_staged_shard_is_re_executed(
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path, mode
     ):

@@ -62,6 +62,15 @@ class TestLayerDtype:
         out = bn.forward(np.zeros((2, 3, 8)), training=False)
         assert out.dtype == np.dtype(dtype)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_batchnorm_backward_in_dtype(self, dtype):
+        bn = BatchNorm1d(3, dtype=dtype)
+        x = np.random.default_rng(0).standard_normal((2, 3, 8))
+        out = bn.forward(x, training=True)
+        grad = bn.backward(np.ones_like(out, dtype=np.float64))  # float64 coerced
+        assert out.dtype == grad.dtype == np.dtype(dtype)
+        assert bn.grads["gamma"].dtype == bn.grads["beta"].dtype == np.dtype(dtype)
+
     def test_stateless_layers_preserve_floating_dtype(self):
         x32 = np.random.default_rng(0).standard_normal((2, 3, 8)).astype(np.float32)
         assert ReLU().forward(x32).dtype == np.float32

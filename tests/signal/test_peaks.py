@@ -109,6 +109,16 @@ class TestAdaptiveThresholdPeaksBatch:
         x[3] = np.sin(np.linspace(0, 12 * np.pi, 64))
         self.assert_rows_identical(x)
 
+    def test_tied_region_maxima_pick_the_first(self):
+        """Quantized rows tie maxima inside regions; argmax takes the first."""
+        rng = np.random.default_rng(7)
+        x = np.round(rng.standard_normal((64, 96)) * 2)
+        x[0, 40:44] = 9.0  # a flat-topped region
+        rows, _ = adaptive_threshold_peaks_batch(x)
+        self.assert_rows_identical(x)
+        self.assert_rows_identical(x.astype(np.float32))
+        assert rows.size > 0
+
     def test_empty_batches(self):
         rows, positions = adaptive_threshold_peaks_batch(np.zeros((0, 32)))
         assert rows.size == 0 and positions.size == 0
