@@ -1089,7 +1089,6 @@ class CHRISRuntime:
         plans: Sequence[_ExecutionPlan],
         systems: Mapping[str, WearableSystem] | None = None,
         fleet_states: Mapping[str, "FleetState"] | None = None,
-        fleet_slots: np.ndarray | None = None,
     ) -> FleetResult:
         """Execute precomputed fleet plans.
 
@@ -1100,15 +1099,12 @@ class CHRISRuntime:
         shard from plans computed once in the parent, and the scheduler
         executes batches it planned on its dispatcher thread.
 
-        ``fleet_states``/``fleet_slots`` switch stateful predictors from
-        fresh per-batch state to **streaming continuations**: instead of a
-        fresh :class:`~repro.models.base.FleetState` per call, each
-        stateful model continues from ``fleet_states[name]`` at the
-        long-lived slot ``fleet_slots[i]`` of subject ``i``, and the
-        advanced slot values are written back — this is how the online
-        scheduler feeds single arriving windows through ``predict_fleet``
-        without replaying whole sessions (see
-        :meth:`repro.core.scheduler.FleetScheduler.open_stream`).
+        ``fleet_states`` gives every stateful model a batch-positional
+        :class:`~repro.models.base.FleetState` (slot ``i`` continues
+        subject ``i``) to start from and advance in place, instead of
+        fresh per-subject state — the online scheduler gathers its
+        streams' long-lived slots into these
+        (:class:`repro.core.scheduler.FleetScheduler`).
         """
         self._reset_predictors()
         predicted_hr, cost_arrays = self._execute_fleet(
@@ -1116,7 +1112,6 @@ class CHRISRuntime:
             plans,
             systems=systems,
             fleet_states=fleet_states,
-            fleet_slots=fleet_slots,
         )
 
         fleet = FleetResult()
@@ -1143,7 +1138,6 @@ class CHRISRuntime:
         plans: Sequence[_ExecutionPlan],
         systems: Mapping[str, WearableSystem] | None = None,
         fleet_states: Mapping[str, FleetState] | None = None,
-        fleet_slots: np.ndarray | None = None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Execute all subjects' plans in per-model fleet-wide groups.
 
@@ -1155,8 +1149,8 @@ class CHRISRuntime:
         the TimePPG TCNs) fuse into one batch ``predict`` per model;
         stateful predictors fuse into one ``predict_fleet`` per model
         with a subject-index vector and a fresh
-        :class:`~repro.models.base.FleetState` whose slots re-enact the
-        per-subject ``reset()`` boundaries.
+        :class:`~repro.models.base.FleetState` (or ``fleet_states[name]``)
+        whose slots re-enact the per-subject ``reset()`` boundaries.
 
         Costs are gathered from a ``(hardware revision, model, target)``
         value table: each combination the plans route is looked up once
@@ -1175,7 +1169,7 @@ class CHRISRuntime:
             predictor = self.zoo.entry(name).predictor
             if not predictor.FLEET_BATCHABLE:
                 # Per-run instance state is reset once; the per-subject
-                # boundaries live in fresh state slots.
+                # boundaries live in the state slots.
                 predictor.reset()
             idx = np.flatnonzero(model_codes == code)
             if idx.size == 0:
@@ -1198,18 +1192,11 @@ class CHRISRuntime:
                     ppg, accel, true_hr=hr[idx], activity=activity[idx]
                 )
             else:
-                # Streaming continuation: gather the batch's long-lived
-                # slots into a batch-local sub-state (slots = batch
-                # positions, monotone as predict_fleet requires) while the
-                # windows keep arrival order — the order every predictor's
-                # random stream consumes — then scatter the advanced slot
-                # values back for the next batch.
-                persistent = fleet_states.get(name) if fleet_states is not None else None
-                if persistent is not None:
-                    batch_slots = np.asarray(fleet_slots, dtype=np.intp)
-                    state = persistent.take_slots(batch_slots)
-                else:
-                    state = predictor.make_fleet_state(len(subjects))
+                state = (
+                    fleet_states[name]
+                    if fleet_states is not None
+                    else predictor.make_fleet_state(len(subjects))
+                )
                 predictions = predictor.predict_fleet(
                     ppg,
                     accel,
@@ -1218,8 +1205,6 @@ class CHRISRuntime:
                     true_hr=hr[idx],
                     activity=activity[idx],
                 )
-                if persistent is not None:
-                    persistent.restore_slots(batch_slots, state)
             predicted_hr[idx] = np.asarray(predictions, dtype=self.dtype)
 
         # Hardware revisions in first-seen order; a homogeneous fleet has

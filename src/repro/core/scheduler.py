@@ -14,6 +14,15 @@ the system's :class:`~repro.hw.platform.CostTableRegistry`.
 
 Execution model
 ---------------
+Every session belongs to a *stream* that owns one slot of the
+scheduler's continuation state (one stacked
+:class:`~repro.models.base.FleetState` per stateful predictor).
+:meth:`~FleetScheduler.submit` makes a stream that enqueues its
+recording and closes; :meth:`~FleetScheduler.open_stream` keeps one
+open for pushes.  A closed stream's slot is freed — the per-subject
+``reset()`` boundary of sequential replay — once its last session
+resolved.
+
 A dispatcher thread drains the arrival queue into *batches*: every
 session waiting when the dispatcher wakes (bounded by
 ``max_batch_size``) is planned on the dispatcher
@@ -22,12 +31,10 @@ one worker thread that executes it as one cross-subject mega-batch
 (:meth:`~repro.core.runtime.CHRISRuntime._run_many_planned`), so the
 next batch is planned while the current one executes.  Process
 parallelism belongs to :class:`~repro.core.fleet.FleetExecutor`; the
-scheduler executes its batches one at a time, in dispatch order.
-Stateful predictors ride the same fused path: each mega-batch allocates
-a stacked :class:`~repro.models.base.FleetState` with one state slot
-per session it fuses — an arriving session gets a fresh slot in the
-batch that executes it, and a session retired while still queued is
-never planned and never occupies one.  Under
+scheduler executes its batches one at a time, in dispatch order.  Only
+the scheduler knows the slot layout: each attempt gathers the batch's
+slots into batch-positional copies for the runtime, and a successful
+one scatters them back before any of its sessions resolves.  Under
 load, arrivals therefore coalesce into large fused ``predict`` calls —
 the same amortization that makes mega-batched ``run_many`` several times
 faster than per-subject replay — while a lightly loaded scheduler
@@ -56,13 +63,12 @@ deadline-miss fraction and batch-size statistics off the hot path.
 Streaming dispatch
 ------------------
 :meth:`FleetScheduler.open_stream` turns the scheduler into a true
-online server: each stream owns one long-lived
-:class:`~repro.models.base.FleetState` slot per stateful model, and
-:meth:`StreamSession.push` submits *single arriving windows* that
-execute through ``predict_fleet`` continuations — the slot carries the
-tracker state across batches, so nothing ever replays a whole session.
-Pushes that are still queued coalesce in place (one growing window
-batch per stream), which keeps at most one queued session per stream
+online server: :meth:`StreamSession.push` submits *single arriving
+windows* that execute through ``predict_fleet`` continuations — the
+stream's slot carries the tracker state across batches, so nothing ever
+replays a whole session.  Pushes that are still queued coalesce in
+place (one growing window batch per stream), which keeps at most one
+queued session per stream — so a batch never holds one slot twice —
 and lets the deadline policy fuse an entire SLO window's worth of
 arrivals into one mega-batch.
 
@@ -115,7 +121,8 @@ fast-forwarded to the batch's planned start position for a retry and to
 the as-if-planned position after the batch once retries are exhausted —
 cross-run predictor state is a pure function of cumulative windows
 consumed (see :meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state`),
-so a rebuilt attempt is bit-identical to a first attempt.  Only when
+so a rebuilt attempt is bit-identical to a first attempt; a failed
+attempt advanced only its own copy of the continuation slots.  Only when
 that rebuild *itself* fails (a zoo that cannot be copied or
 fast-forwarded) does the scheduler poison itself: queued sessions fail
 and further submissions raise, because stream positions can no longer be
@@ -165,37 +172,33 @@ class SessionState(Enum):
 
 @dataclass(eq=False)
 class FleetSession:
-    """Handle for one submitted recording (returned by :meth:`FleetScheduler.submit`).
+    """Handle for one queued batch of a :attr:`stream`'s windows.
 
-    The scheduler mutates :attr:`state`, :attr:`result` and :attr:`error`;
-    consumers read them after the session is yielded by
-    :meth:`FleetScheduler.as_completed` (or after
+    Returned by :meth:`FleetScheduler.submit` and
+    :meth:`StreamSession.push`.  The scheduler mutates :attr:`state`,
+    :attr:`result` and :attr:`error`; consumers read them after the
+    session is yielded by :meth:`FleetScheduler.as_completed` (or after
     :meth:`FleetScheduler.join`).
 
     Latency bookkeeping: :attr:`arrivals_s` holds one ``clock()`` stamp
-    per *arrival event* — a whole-recording :meth:`FleetScheduler.submit`
-    is one event, every :meth:`StreamSession.push` coalesced into the
-    session adds one — and :attr:`dispatch_s`/:attr:`complete_s` record
-    when the session left the queue and resolved.  ``slo_s`` overrides
-    the scheduler-wide deadline budget; ``stream_slot`` names the
-    long-lived :class:`~repro.models.base.FleetState` slot of a streaming
-    session (``None`` for ordinary submissions).
+    per *arrival event* — a submitted recording is one event, every
+    push coalesced into the session adds one — and
+    :attr:`dispatch_s`/:attr:`complete_s` record when the session left
+    the queue and resolved.  Hardware, SLO budget and state slot are the
+    :attr:`stream`'s.
     """
 
     subject_id: str
     recording: WindowedSubject
-    system: WearableSystem | None = None
+    stream: "StreamSession" = field(repr=False)
     connected_trace: np.ndarray | None = None
     ticket: int = 0
     state: SessionState = SessionState.QUEUED
     result: RunResult | None = field(default=None, repr=False)
     error: BaseException | None = field(default=None, repr=False)
-    slo_s: float | None = None
     arrivals_s: list[float] = field(default_factory=list, repr=False)
     dispatch_s: float | None = field(default=None, repr=False)
     complete_s: float | None = field(default=None, repr=False)
-    stream_slot: int | None = None
-    stream: "StreamSession | None" = field(default=None, repr=False)
 
     @property
     def done(self) -> bool:
@@ -236,9 +239,9 @@ class VirtualClock:
 
 
 class StreamSession:
-    """One open per-window serving stream (see :meth:`FleetScheduler.open_stream`).
+    """One serving stream (see :meth:`FleetScheduler.open_stream`).
 
-    Holds the stream's identity, its long-lived state slot, and the
+    Holds the stream's identity, hardware, SLO budget, state slot and
     coalescing cursor; all mutable fields are touched under the owning
     scheduler's lock.  :meth:`push` submits one arriving window;
     :meth:`close` retires the stream and recycles its state slot once
@@ -333,8 +336,9 @@ class FleetScheduler:
         How long before the oldest deadline the dispatcher releases a
         held batch — the headroom left for planning and execution.
     max_streams:
-        Capacity of the long-lived per-model state used by
-        :meth:`open_stream` (concurrently open streams).
+        How many :meth:`open_stream` streams may be open at once.  It
+        also sizes the initial continuation state, which grows when
+        submitted recordings need more slots; ``submit`` has no cap.
     clock:
         Monotonic time source for arrival stamps and deadlines; defaults
         to ``time.monotonic``.  Inject a :class:`VirtualClock` for
@@ -417,17 +421,20 @@ class FleetScheduler:
         #: every later recording or pushed window must match them.
         self._window_shapes: tuple | None = None  # guarded-by: _lock, _arrivals, _resolved
         # ----------------------------------------- serving / latency state
-        #: Open streams by id and the freelist of long-lived state slots.
+        #: Open streams by id, the freelist of state slots, and the next
+        #: slot id to hand out once the freelist is empty.
         self._streams: dict[str, StreamSession] = {}  # guarded-by: _lock, _arrivals, _resolved
         self._free_slots = list(range(max_streams - 1, -1, -1))  # guarded-by: _lock, _arrivals, _resolved
-        #: Long-lived per-model fleet states backing streaming
-        #: continuations.  Created under the lock by the first
-        #: ``open_stream`` — before any streaming session can exist — and
-        #: thereafter its *contents* are touched only by the single
-        #: executing worker and by slot recycling after a stream's last
-        #: session resolved, so the gather/execute/scatter cycle itself
-        #: runs unlocked.
-        self._fleet_states: dict[str, FleetState] | None = None
+        self._new_slots = itertools.count(max_streams)
+        #: Long-lived continuation state of every stateful predictor, one
+        #: slot per stream (``_take_slot_locked`` grows it).  The worker
+        #: gathers a batch's slots and scatters them back under the lock
+        #: and runs the batch on its own copies in between.
+        self._fleet_states: dict[str, FleetState] = {  # guarded-by: _lock, _arrivals, _resolved
+            entry.name: entry.predictor.make_fleet_state(max_streams)
+            for entry in self._runtime.zoo
+            if not entry.predictor.FLEET_BATCHABLE
+        }
         #: Latency samples (one per arrival event): enqueue→dispatch and
         #: enqueue→complete, plus deadline misses and per-batch window
         #: counts.  Appended under the lock at dispatch/resolve time —
@@ -456,9 +463,10 @@ class FleetScheduler:
         connected_trace: np.ndarray | None = None,
         slo_s: float | None = None,
     ) -> FleetSession:
-        """Enqueue one session; returns its handle immediately.
+        """Enqueue one recording; returns its session handle immediately.
 
-        ``system`` attaches the subject's own hardware (heterogeneous
+        The recording is the one session of a new stream that closes at
+        once, so it starts from fresh tracker state.  ``system`` attaches the subject's own hardware (heterogeneous
         fleets); ``connected_trace`` replays the session through the
         BLE-trace path; ``slo_s`` overrides the scheduler-wide deadline
         budget for this session.  A subject id may be resubmitted once
@@ -491,19 +499,13 @@ class FleetScheduler:
             self._admit_locked(
                 recording.ppg_windows.shape[1:], recording.accel_windows.shape[1:]
             )
-            session = FleetSession(
-                subject_id=subject_id,
-                recording=recording,
-                system=system,
-                connected_trace=connected_trace,
-                ticket=next(self._tickets),
-                slo_s=slo_s,
-                arrivals_s=[self._clock()],
+            stream = StreamSession(
+                self, subject_id, self._take_slot_locked(), recording.spec, system, slo_s
             )
-            self._active_ids.add(subject_id)
-            self._pending.append(session)
-            self._unresolved += 1
-            self._arrivals.notify_all()
+            session = self._enqueue_locked(stream, subject_id, recording, connected_trace)
+            # Never registered, so close() cannot touch an open stream of
+            # the same id; the slot recycles when the session resolves.
+            stream._open = False
         return session
 
     def retire(self, session: FleetSession) -> bool:
@@ -545,20 +547,15 @@ class FleetScheduler:
             self._admit_locked()
             if stream_id in self._streams:
                 raise ValueError(f"stream {stream_id!r} is already open")
-            if not self._free_slots:
+            if len(self._streams) >= self.max_streams:
                 raise RuntimeError(
-                    f"all {self.max_streams} stream slots are in use "
+                    f"all {self.max_streams} streams are open "
                     f"(close a stream or raise max_streams)"
                 )
-            if self._fleet_states is None:
-                self._fleet_states = {
-                    entry.name: entry.predictor.make_fleet_state(self.max_streams)
-                    for entry in self._runtime.zoo
-                }
             stream = StreamSession(
                 self,
                 stream_id,
-                self._free_slots.pop(),
+                self._take_slot_locked(),
                 spec if spec is not None else DEFAULT_WINDOW_SPEC,
                 system,
                 slo_s,
@@ -599,7 +596,6 @@ class FleetScheduler:
             if not stream._open:
                 raise RuntimeError(f"stream {stream.stream_id!r} is closed")
             self._admit_locked(ppg.shape[1:], accel.shape[1:])
-            now = self._clock()
             live = stream._live
             if (
                 live is not None
@@ -618,12 +614,13 @@ class FleetScheduler:
                     activity=np.concatenate([rec.activity, activity_arr]),
                     hr=np.concatenate([rec.hr, hr_arr]),
                 )
-                live.arrivals_s.append(now)
+                live.arrivals_s.append(self._clock())
                 return live
             subject_id = f"{stream.stream_id}#{next(stream._pushes)}"
-            session = FleetSession(
-                subject_id=subject_id,
-                recording=WindowedSubject(
+            return self._enqueue_locked(
+                stream,
+                subject_id,
+                WindowedSubject(
                     subject_id=subject_id,
                     ppg_windows=ppg,
                     accel_windows=accel,
@@ -631,20 +628,49 @@ class FleetScheduler:
                     hr=hr_arr,
                     spec=stream.spec,
                 ),
-                system=stream.system,
-                ticket=next(self._tickets),
-                slo_s=stream.slo_s,
-                arrivals_s=[now],
-                stream_slot=stream.slot,
-                stream=stream,
             )
-            stream._live = session
-            stream._unresolved += 1
-            self._active_ids.add(subject_id)
-            self._pending.append(session)
-            self._unresolved += 1
-            self._arrivals.notify_all()
+
+    def _enqueue_locked(  # unguarded-ok: _active_ids, _pending, _unresolved
+        self,
+        stream: StreamSession,
+        subject_id: str,
+        recording: WindowedSubject,
+        connected_trace: np.ndarray | None = None,
+    ) -> FleetSession:
+        """Queue a new session of ``stream`` (lock held, input admitted)."""
+        session = FleetSession(
+            subject_id=subject_id,
+            recording=recording,
+            stream=stream,
+            connected_trace=connected_trace,
+            ticket=next(self._tickets),
+            arrivals_s=[self._clock()],
+        )
+        stream._live = session
+        stream._unresolved += 1
+        self._active_ids.add(subject_id)
+        self._pending.append(session)
+        self._unresolved += 1
+        self._arrivals.notify_all()
         return session
+
+    def _take_slot_locked(self) -> int:  # unguarded-ok: _free_slots, _fleet_states
+        """A fresh state slot for a new stream (lock held).
+
+        Recycles a freed slot, or hands out the next slot id and doubles
+        every continuation state that is too small to hold it.
+        """
+        if self._free_slots:
+            return self._free_slots.pop()
+        slot = next(self._new_slots)
+        for name, state in self._fleet_states.items():
+            if slot >= state.n_slots:
+                grown = self._pristine_zoo.entry(name).predictor.make_fleet_state(
+                    2 * state.n_slots
+                )
+                grown.restore_slots(np.arange(state.n_slots), state)
+                self._fleet_states[name] = grown
+        return slot
 
     def _admit_locked(  # unguarded-ok: _closed, _corrupted, _window_shapes
         self, ppg_shape: tuple | None = None, accel_shape: tuple | None = None
@@ -714,7 +740,7 @@ class FleetScheduler:
     def _release_at_locked(self) -> float:  # unguarded-ok: _pending
         """Deadline-policy release time of the oldest queued window (lock held)."""
         head = self._pending[0]
-        budget = self.slo_s if head.slo_s is None else head.slo_s
+        budget = self.slo_s if head.stream.slo_s is None else head.stream.slo_s
         return head.arrivals_s[0] + budget - self.deadline_slack_s
 
     def _release_wait_locked(self) -> float | None:  # unguarded-ok: _pending, _paused, _closed
@@ -733,16 +759,7 @@ class FleetScheduler:
                 batch: list[FleetSession] = []
                 limit = self.max_batch_size or len(self._pending)
                 now = self._clock()
-                # Streaming and whole-recording sessions never share a
-                # batch (streams dispatch through long-lived state slots,
-                # recordings through fresh ones): a batch is the longest
-                # same-kind submission-order prefix of the queue.
-                streaming = self._pending[0].stream_slot is not None
-                while (
-                    self._pending
-                    and len(batch) < limit
-                    and (self._pending[0].stream_slot is not None) == streaming
-                ):
+                while self._pending and len(batch) < limit:
                     session = self._pending.popleft()
                     session.state = SessionState.RUNNING
                     session.dispatch_s = now
@@ -776,29 +793,23 @@ class FleetScheduler:
 
     def _prepare_batch(
         self, batch: list[FleetSession]
-    ) -> tuple[list, dict[str, WearableSystem], dict[str, int], dict[str, int], np.ndarray | None]:
+    ) -> tuple[list, dict[str, WearableSystem], dict[str, int], dict[str, int], np.ndarray]:
         """Plan a batch on the stream runtime (dispatcher side).
 
         Planning is side-effect free on predictor state.  Returns
-        ``(plans, systems, prior_totals, post_totals, fleet_slots)`` —
-        the cumulative per-model window totals before and after this
-        batch, which retries and the failure restore use to rebuild
-        stream positions, plus the long-lived state slot of each session
-        for a streaming batch (``None`` otherwise; batches are
-        kind-homogeneous by construction).
+        ``(plans, systems, prior_totals, post_totals, slots)`` — the
+        cumulative per-model window totals before and after this batch,
+        which retries and the failure restore use to rebuild stream
+        positions, and the state slot of each session's stream.
         """
         subjects = [s.recording for s in batch]
-        fleet_slots = (
-            np.array([s.stream_slot for s in batch], dtype=np.intp)
-            if batch[0].stream_slot is not None
-            else None
-        )
+        slots = np.array([s.stream.slot for s in batch], dtype=np.intp)
         traces = {
             s.subject_id: s.connected_trace
             for s in batch
             if s.connected_trace is not None
         }
-        systems = {s.subject_id: s.system for s in batch if s.system is not None}
+        systems = {s.subject_id: s.stream.system for s in batch if s.stream.system is not None}
         plans = self._runtime._plan_fleet(
             subjects, self.constraint, self.use_oracle_difficulty, traces, systems=systems
         )
@@ -811,7 +822,7 @@ class FleetScheduler:
             for name, count in counts.items():
                 self._stream_totals[name] = self._stream_totals.get(name, 0) + count
         post = dict(self._stream_totals)
-        return plans, systems, prior, post, fleet_slots
+        return plans, systems, prior, post, slots
 
     def _rebuild_zoo(self, totals: Mapping[str, int]):
         """A stream zoo positioned at cumulative stream position ``totals``.
@@ -849,51 +860,38 @@ class FleetScheduler:
         systems: dict[str, WearableSystem],
         prior_totals: dict[str, int],
         post_totals: dict[str, int],
-        fleet_slots: np.ndarray | None = None,
+        slots: np.ndarray,
     ) -> None:
         """Execute one batch with retry/backoff and quarantine-on-exhaustion.
 
         Every attempt runs on the stream runtime: batches execute one at a
         time in dispatch order, so execution advances the predictor
-        streams exactly like sequential replay.  A failed attempt leaves
+        streams exactly like sequential replay.  Each attempt gathers the
+        batch's continuation ``slots`` into batch-positional copies under
+        the lock; only a successful attempt scatters them back, before
+        any session resolves and frees its slot.  A failed attempt leaves
         the stream runtime partway through the batch, so its zoo is
         rebuilt — at the batch's planned start position
         (``prior_totals``) for a retry, which is bit-identical to a first
         attempt, or at the as-if-planned position after the batch
         (``post_totals``) once retries are exhausted, since subsequent
         batches were planned assuming this batch's windows were consumed.
-        A streaming batch (``fleet_slots``) additionally snapshots the
-        long-lived continuation states up front and restores them on
-        failure, so a retried or quarantined batch never leaves a
-        stream's tracker half-advanced.
         """
         subjects = [s.recording for s in batch]
-        state_snapshot = (
-            {name: copy.deepcopy(state) for name, state in self._fleet_states.items()}
-            if fleet_slots is not None
-            else None
-        )
         for attempt in itertools.count():
             try:
                 faults.fire("scheduler.batch")
+                with self._lock:
+                    states = {
+                        name: state.take_slots(slots)
+                        for name, state in self._fleet_states.items()
+                    }
                 fleet = self._runtime._run_many_planned(
-                    subjects,
-                    plans,
-                    systems=systems,
-                    fleet_states=self._fleet_states if fleet_slots is not None else None,
-                    fleet_slots=fleet_slots,
+                    subjects, plans, systems=systems, fleet_states=states
                 )
                 results = [fleet.results[s.subject_id] for s in batch]
                 break
             except BaseException as exc:  # noqa: BLE001 - retried, then reported
-                if state_snapshot is not None:
-                    # The failed attempt may have scattered partial slot
-                    # values; reinstall the pre-batch continuation states
-                    # (a fresh copy per attempt, so retries are
-                    # bit-identical to a first attempt and a quarantined
-                    # batch's windows never reach any tracker).
-                    for name, snap in state_snapshot.items():
-                        self._fleet_states[name] = copy.deepcopy(snap)
                 exhausted = attempt >= self.max_retries
                 try:
                     self._runtime.zoo = self._rebuild_zoo(
@@ -908,6 +906,8 @@ class FleetScheduler:
                     return
                 time.sleep(faults.backoff_delay(self.retry_backoff_s, attempt))
         with self._lock:
+            for name, state in states.items():
+                self._fleet_states[name].restore_slots(slots, state)
             now = self._clock()
             for session, result in zip(batch, results):
                 if session.done:
@@ -945,7 +945,7 @@ class FleetScheduler:
         self, session: FleetSession, now: float
     ) -> None:  # unguarded-ok: _complete_latencies, _deadline_misses
         """Record a completed session's per-arrival latency samples (lock held)."""
-        budget = self.slo_s if session.slo_s is None else session.slo_s
+        budget = self.slo_s if session.stream.slo_s is None else session.stream.slo_s
         waits = [now - t for t in session.arrivals_s]
         self._complete_latencies.extend(waits)
         self._deadline_misses += sum(1 for w in waits if w > budget)
@@ -959,12 +959,11 @@ class FleetScheduler:
         """
         self._active_ids.discard(session.subject_id)
         stream = session.stream
-        if stream is not None:
-            stream._unresolved -= 1
-            if stream._live is session:
-                stream._live = None
-            if not stream._open and stream._unresolved == 0:
-                self._release_slot_locked(stream)
+        stream._unresolved -= 1
+        if stream._live is session:
+            stream._live = None
+        if not stream._open and stream._unresolved == 0:
+            self._release_slot_locked(stream)
         if deliver:
             self._done_q.put(session)
         self._unresolved -= 1
@@ -975,14 +974,10 @@ class FleetScheduler:
 
         Freeing the slot re-initializes it in every continuation state —
         the per-subject ``reset()`` boundary of sequential replay — so
-        the next stream assigned this slot starts fresh.  Safe unlocked
-        on the state contents: the stream has no unresolved sessions, so
-        no in-flight batch references this slot, and concurrent batches
-        touch disjoint slots of the state arrays.
+        the next stream assigned this slot starts fresh.
         """
-        if self._fleet_states is not None:
-            for state in self._fleet_states.values():
-                state.free([stream.slot])
+        for state in self._fleet_states.values():
+            state.free([stream.slot])
         self._free_slots.append(stream.slot)
 
     # --------------------------------------------------------------- results
@@ -1025,7 +1020,13 @@ class FleetScheduler:
         return stats
 
     def next_done(self, timeout: float | None = None) -> FleetSession | None:
-        """The next completed (or failed) session, ``None`` on timeout."""
+        """The next completed (or failed) session, ``None`` on timeout.
+
+        Every resolved session (``DONE`` or ``FAILED``) waits in an
+        unbounded delivery queue until this method or
+        :meth:`as_completed` takes it: a server that never consumes
+        results grows that queue by one handle per session.
+        """
         try:
             return self._done_q.get(timeout=timeout)
         except queue.Empty:
@@ -1038,7 +1039,8 @@ class FleetScheduler:
         resolved *and* delivered; submissions made while iterating extend
         the stream.  Results arrive in completion order — consumers that
         need submission order can sort by :attr:`FleetSession.ticket`.
-        Intended for a single consumer.
+        Intended for a single consumer; it drains the delivery queue
+        :meth:`next_done` describes.
         """
         while True:
             try:

@@ -147,10 +147,11 @@ class AccelerometerSynthesizer:
         positions = self.rng.integers(0, n, size=n_events)
         amplitudes = self.rng.normal(0.0, profile.jerk_amplitude, size=n_events)
         np.add.at(train, positions, amplitudes)
-        # Exponential decay kernel of ~0.25 s.
+        # Exponential decay kernel of ~0.25 s, centred like mode="same"
+        # but cut to n samples even for a bout shorter than the kernel.
         kernel_len = max(2, int(0.25 * self.fs))
         kernel = np.exp(-np.arange(kernel_len) / (0.1 * self.fs))
-        return np.convolve(train, kernel, mode="same")
+        return np.convolve(train, kernel)[(kernel_len - 1) // 2 :][:n]
 
 
 @dataclass

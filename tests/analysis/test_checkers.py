@@ -179,6 +179,9 @@ def test_real_scheduler_and_registry_declarations_present():
         "_deadline_misses", "_batch_windows",
         # Admission geometry: the first admitted input's window shapes.
         "_window_shapes",
+        # Continuation state: one slot per stream, gathered and scattered
+        # by the worker under the lock.
+        "_fleet_states",
     }
     assert all(locks == frozenset({"_lock", "_arrivals", "_resolved"}) for locks in guarded.values())
 

@@ -275,6 +275,9 @@ def test_scheduler_matches_sequential_replay(scenario):
         policy=scenario["policy"],
         slo_s=0.01,
         deadline_slack_s=0.0,
+        # One initial slot: every multi-subject example grows the
+        # continuation state and recycles slots through submit.
+        max_streams=1,
     )
     with scheduler:
         sessions = [

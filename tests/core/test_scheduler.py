@@ -929,6 +929,184 @@ class TestStreamingBitIdentity:
         assert later.state is SessionState.DONE
         np.testing.assert_array_equal(later.result.predicted_hr, reference.predicted_hr)
 
+    def test_mixed_submits_and_pushes_fuse_into_one_batch(self, calibrated_experiment):
+        # Whole recordings and stream pushes are one session kind: queued
+        # together they dispatch as one batch, still equal to sequential
+        # replay in submission order.  Two open streams fill the
+        # max_streams=2 slots, so every submit grows the slot layout.
+        recordings = [make_subject(f"r{i}", n_windows=6, seed=20 + i) for i in range(3)]
+        streamed = [make_subject(f"w{i}", n_windows=3, seed=30 + i) for i in range(2)]
+        scheduler = FleetScheduler(
+            make_stateful_runtime(calibrated_experiment),
+            CONSTRAINT,
+            use_oracle_difficulty=True,
+            max_streams=2,
+        )
+        scheduler.pause()
+        streams = [scheduler.open_stream(s.subject_id) for s in streamed]
+        sessions = []
+        for w in range(3):
+            sessions.append(push_window(streams[0], streamed[0], w))
+            sessions.append(scheduler.submit(recordings[w].subject_id, recordings[w]))
+            sessions.append(push_window(streams[1], streamed[1], w))
+        scheduler.resume()
+        scheduler.join()
+        for stream in streams:
+            stream.close()
+        assert scheduler.latency_stats()["n_batches"] == 1
+
+        ordered = sorted(set(sessions), key=lambda s: s.ticket)
+        assert [s.subject_id for s in ordered] == ["w0#0", "r0", "w1#0", "r1", "r2"]
+        reference = sequential_replay(
+            make_stateful_runtime(calibrated_experiment),
+            [s.recording for s in ordered],
+            CONSTRAINT,
+            use_oracle_difficulty=True,
+        )
+        for session in ordered:
+            assert session.state is SessionState.DONE
+            assert_results_identical(reference.results[session.subject_id], session.result)
+        # Every slot, grown or not, is recycled once its session resolved.
+        free = sorted(scheduler._free_slots)  # unguarded read: scheduler is idle
+        assert free == list(range(len(free)))
+        assert len(free) >= len(ordered)
+        scheduler.close()
+
+    def test_slot_growth_keeps_open_stream_continuations(self, calibrated_experiment):
+        # With one initial slot, the submits below grow the continuation
+        # state while the open stream's slot holds an advanced tracker:
+        # every result must equal the same run on a scheduler that never
+        # grows.
+        subject = make_subject("w0", n_windows=8, seed=7)
+        recordings = [make_subject(f"r{i}", n_windows=3, seed=50 + i) for i in range(3)]
+
+        def serve(max_streams):
+            scheduler = FleetScheduler(
+                make_stateful_runtime(calibrated_experiment),
+                CONSTRAINT,
+                use_oracle_difficulty=True,
+                max_streams=max_streams,
+            )
+            stream = scheduler.open_stream("w0")
+            sessions = [push_window(stream, subject, w) for w in range(4)]
+            scheduler.join()
+            scheduler.pause()
+            sessions += [scheduler.submit(r.subject_id, r) for r in recordings]
+            scheduler.resume()
+            scheduler.join()
+            sessions += [push_window(stream, subject, w) for w in range(4, 8)]
+            scheduler.join()
+            stream.close()
+            scheduler.close()
+            return sorted(set(sessions), key=lambda s: s.ticket)
+
+        grown, fixed = serve(max_streams=1), serve(max_streams=64)
+        assert [s.subject_id for s in grown] == [s.subject_id for s in fixed]
+        for a, b in zip(grown, fixed):
+            assert a.state is b.state is SessionState.DONE
+            assert_results_identical(b.result, a.result)
+
+
+def fail_second_predict_fleet(scheduler) -> dict:
+    """Make the second stateful ``predict_fleet`` call raise, once.
+
+    By then the first stateful model of the batch has already advanced
+    its tracker slots, so a failed attempt leaves partial state behind
+    unless the scheduler keeps it out of the stream's continuation.
+    """
+    calls = {"n": 0}
+    for entry in scheduler._runtime.zoo:
+        original = entry.predictor.predict_fleet
+
+        def flaky(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("second stateful model failed mid-batch")
+            return _original(*args, **kwargs)
+
+        entry.predictor.predict_fleet = flaky
+    return calls
+
+
+class TestStreamingBatchFailsMidExecution:
+    """A streaming batch whose execution fails after a model already ran."""
+
+    def _scheduler(self, experiment, max_retries):
+        return FleetScheduler(
+            make_stateful_runtime(experiment),
+            CONSTRAINT,
+            use_oracle_difficulty=True,
+            max_retries=max_retries,
+            retry_backoff_s=0.0,
+        )
+
+    def test_retry_matches_replay(self, calibrated_experiment):
+        subject = make_subject("w0", n_windows=12, seed=6)
+        reference = sequential_replay(
+            make_stateful_runtime(calibrated_experiment),
+            [subject],
+            CONSTRAINT,
+            use_oracle_difficulty=True,
+        ).results["w0"]
+        scheduler = self._scheduler(calibrated_experiment, max_retries=1)
+        stream = scheduler.open_stream("w0")
+        sessions = [push_window(stream, subject, w) for w in range(4)]
+        scheduler.join()
+        scheduler.pause()
+        sessions += [push_window(stream, subject, w) for w in range(4, 10)]
+        calls = fail_second_predict_fleet(scheduler)
+        scheduler.resume()
+        scheduler.join()
+        assert calls["n"] >= 2  # the fault really fired
+        sessions += [push_window(stream, subject, w) for w in range(10, 12)]
+        scheduler.join()
+        stream.close()
+        scheduler.close()
+
+        ordered = sorted(set(sessions), key=lambda s: s.ticket)
+        assert all(s.state is SessionState.DONE for s in ordered)
+        np.testing.assert_array_equal(
+            np.concatenate([s.result.model_names for s in ordered]), reference.model_names
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([s.result.predicted_hr for s in ordered]), reference.predicted_hr
+        )
+
+    def test_quarantine_keeps_pre_batch_continuation(self, calibrated_experiment):
+        subject = make_subject("w0", n_windows=12, seed=6)
+        scheduler = self._scheduler(calibrated_experiment, max_retries=0)
+        stream = scheduler.open_stream("w0")
+        for w in range(4):
+            push_window(stream, subject, w)
+        scheduler.join()
+
+        def continuation():  # unguarded reads: the scheduler is idle
+            return {
+                name: state.last_estimate[stream.slot].copy()
+                for name, state in scheduler._fleet_states.items()
+            }
+
+        before = continuation()
+        assert np.isfinite(list(before.values())).any()
+        scheduler.pause()
+        failed = {push_window(stream, subject, w) for w in range(4, 10)}
+        calls = fail_second_predict_fleet(scheduler)
+        scheduler.resume()
+        scheduler.join()
+        assert calls["n"] >= 2
+        (failed,) = failed
+        assert failed.state is SessionState.FAILED
+        after = continuation()
+        assert after.keys() == before.keys()
+        for name in before:
+            np.testing.assert_array_equal(after[name], before[name])
+
+        later = [push_window(stream, subject, w) for w in range(10, 12)]
+        scheduler.join()
+        assert all(s.state is SessionState.DONE for s in later)
+        stream.close()
+        scheduler.close()
+
 
 def at_runtime(experiment) -> CHRISRuntime:
     """Every deployment served by a real (signal-reading) AT detector."""

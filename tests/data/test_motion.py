@@ -1,5 +1,7 @@
 """Tests for repro.data.motion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,60 @@ class TestAccelerometerSynthesizer:
     def test_2d_labels_rejected(self):
         with pytest.raises(ValueError):
             AccelerometerSynthesizer().synthesize(np.zeros((3, 3), dtype=int))
+
+
+#: Table-soccer motion with jerks so dense that every bout draws some.
+DENSE_JERKS = dataclasses.replace(
+    ACTIVITY_MOTION_PROFILES[Activity.TABLE_SOCCER], jerk_rate_hz=1000.0
+)
+
+
+def jerk_train_oracle(synth: AccelerometerSynthesizer, n: int, profile) -> np.ndarray:
+    """The ``mode="same"`` jerk train, valid for bouts at least a kernel long."""
+    n_events = synth.rng.poisson(profile.jerk_rate_hz * n / synth.fs)
+    train = np.zeros(n)
+    if n_events == 0 or n == 0:
+        return train
+    positions = synth.rng.integers(0, n, size=n_events)
+    amplitudes = synth.rng.normal(0.0, profile.jerk_amplitude, size=n_events)
+    np.add.at(train, positions, amplitudes)
+    kernel_len = max(2, int(0.25 * synth.fs))
+    kernel = np.exp(-np.arange(kernel_len) / (0.1 * synth.fs))
+    return np.convolve(train, kernel, mode="same")
+
+
+class TestJerkTrain:
+    @pytest.mark.parametrize(
+        "fs, n",
+        [(32.0, n) for n in (8, 9, 31, 256, 299, 2000, 9600)] + [(64.0, 16), (64.0, 301)],
+    )
+    def test_matches_same_mode_oracle(self, fs, n):
+        synth = AccelerometerSynthesizer(fs=fs, rng=np.random.default_rng(n))
+        oracle = AccelerometerSynthesizer(fs=fs, rng=np.random.default_rng(n))
+        expected = jerk_train_oracle(oracle, n, DENSE_JERKS)
+        assert np.any(expected)
+        np.testing.assert_array_equal(synth._jerk_train(n, DENSE_JERKS), expected)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bout_shorter_than_kernel(self, n):
+        synth = AccelerometerSynthesizer(rng=np.random.default_rng(n))
+        jerks = synth._jerk_train(n, DENSE_JERKS)
+        assert jerks.shape == (n,)
+        assert np.any(jerks)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_short_bout_synthesizes(self, n, monkeypatch):
+        monkeypatch.setitem(ACTIVITY_MOTION_PROFILES, Activity.TABLE_SOCCER, DENSE_JERKS)
+        labels = np.concatenate(
+            [
+                np.full(64, int(Activity.WALKING)),
+                np.full(n, int(Activity.TABLE_SOCCER)),
+                np.full(64, int(Activity.WALKING)),
+            ]
+        )
+        accel = AccelerometerSynthesizer(rng=np.random.default_rng(n)).synthesize(labels)
+        assert accel.shape == (labels.size, 3)
+        assert np.isfinite(accel).all()
 
 
 class TestMotionArtifactModel:
