@@ -18,23 +18,19 @@ or, once the package is installed, as the ``repro-lint`` console
 script.  It is also gated in tier-1 via
 ``tests/analysis/test_lint_clean.py``.
 
-Two-pass architecture
+One-pass architecture
 ---------------------
 
-The engine runs in two passes.  **Pass 1** parses every module once and
-builds a :class:`~repro.analysis.engine.ModuleSummary` per file: for
-each function, the locks it acquires (``with self._lock:``, bare
-``.acquire()``, or transitively via self-method calls), the dtype fact
-of the arrays it returns (``'float64'`` pin, dtype-``'param'``
-threading, or unknown), the resources it constructs, and its outgoing
-call sites; plus per-class mutex declarations (``Condition(self._lock)``
-canonicalizes to its underlying mutex) and the import graph.  Parses
-and summaries are cached per file on ``(mtime, size)`` — see
-:func:`clear_caches` — so a warm whole-repo run is mostly stat calls.
-**Pass 2** runs the per-module checkers (REP001-REP003, REP005, REP008)
-and the summary-driven project checkers (REP004, REP006, REP007), which
-stitch the per-file summaries into a project call graph and reason
-across function and module boundaries.
+The engine parses every module once (``ast`` plus the ``tokenize``-read
+pragmas; parses are cached per file on ``(mtime, size)`` — see
+:func:`clear_caches` — so a warm whole-repo run is mostly stat calls)
+and hands each parsed module to the per-module checkers: REP001-REP003,
+REP005, REP008, and REP006, which shares REP002's held-lock walker and
+follows ``self.<method>()`` calls within one class.  The one
+project-level check, REP004, then sees every module at once because a
+predictor's base class and its scalar/batch twins may live in other
+files.  No call graph is built: each rule flags a fact where it is
+made, not where a caller uses it.
 
 Rule catalogue
 --------------
@@ -42,12 +38,18 @@ Rule catalogue
 ``REP001`` dtype discipline (inference modules only — see
     ``engine.DEFAULT_DTYPE_MODULES``).  Flags dtype-less
     ``np.zeros/empty/ones/full/array/arange`` allocations (they default
-    to float64), any ``np.float64`` reference, and
-    ``.astype(float)``-style re-promoting casts.  ``dtype=float`` used
-    to coerce *caller input* at a public boundary is allowed; the
-    ``*_like`` allocators inherit dtype and are never flagged.  This is
-    the ground-clearing for the float32/int8 roadmap item: new scratch
-    arrays must inherit their dtype from the data they hold.
+    to float64); allocations pinned to float64 by a ``dtype=float``,
+    ``"float64"``, ``"f8"`` or ``"double"`` keyword (also on
+    ``asarray``/``linspace``), flagged where the pin is made so a
+    helper returning such an array is caught before any caller
+    consumes it; any ``np.float64`` reference; and
+    ``.astype(float)``-style re-promoting casts.
+    ``np.asarray(<parameter>, dtype=float)`` coercing *caller input* at
+    a public boundary is allowed; the ``*_like`` allocators inherit
+    dtype and are never flagged.  New scratch arrays must inherit their
+    dtype from the data they hold; a deliberate float64 contract (the
+    BPM conversion from integer peak positions) carries
+    ``# lint-ok: REP001``.
 
 ``REP002`` lock discipline (threaded modules only — see
     ``engine.DEFAULT_LOCK_MODULES``).  An attribute declared with a
@@ -81,23 +83,14 @@ Rule catalogue
     ``engine.DEFAULT_LOCK_MODULES``).  Every mutex attribute in these
     modules must be registered with a ``# lock-order:`` pragma, and
     nested acquisitions — direct ``with`` blocks, bare ``.acquire()``,
-    or locks taken inside a called self-method — must follow the
-    declared partial order (closed transitively).  Also flags cyclic or
-    self-aliasing declarations, and re-entrant acquisition of a
-    non-reentrant lock (``RLock``-rooted mutexes, including argless
-    ``Condition()``, are exempt from re-entry).  Helper-call
+    or locks taken inside a called self-method of the same class
+    (closed transitively) — must follow the declared partial order.
+    Also flags cyclic or self-aliasing declarations, and re-entrant
+    acquisition of a non-reentrant lock (``RLock``-rooted mutexes,
+    including argless ``Condition()``, are exempt from re-entry): e.g.
+    ``CostTableRegistry.profile_system`` calls ``self.lookup()`` under
+    ``self._lock``, which only an ``RLock`` makes safe.  Helper-call
     acquisitions are attributed to the call site with a ``via`` note.
-
-``REP007`` interprocedural dtype flow (inference modules only — the
-    REP001 set).  A *dtype-aware* function (one with a ``dtype``
-    parameter, or using ``resolve_dtype``/``self.dtype``) must not
-    consume the result of a helper whose return value is pinned to
-    float64.  Pins are traced through local variables and ``return
-    helper(...)`` chains across modules, and only count the forms
-    REP001 cannot see (``dtype=float``, ``dtype="float64"``,
-    ``dtype=np.float64`` keywords) so the two rules never double-report;
-    ``np.asarray(<param>, dtype=float)`` boundary coercion is exempt.
-    The finding anchors at the call site and names the origin pin.
 
 ``REP008`` resource lifecycle (lifecycle modules only — see
     ``engine.DEFAULT_LIFECYCLE_MODULES``).  ``SharedMemory``, executor
@@ -176,8 +169,6 @@ from repro.analysis.engine import (
     Finding,
     LintConfig,
     LintReport,
-    ModuleSummary,
-    ProjectSummary,
     clear_caches,
     default_config,
     format_github,
@@ -186,7 +177,6 @@ from repro.analysis.engine import (
     format_text,
     load_baseline,
     run_lint,
-    summarize_module,
     write_baseline,
 )
 
@@ -196,8 +186,6 @@ __all__ = [
     "Finding",
     "LintConfig",
     "LintReport",
-    "ModuleSummary",
-    "ProjectSummary",
     "clear_caches",
     "default_config",
     "format_github",
@@ -206,6 +194,5 @@ __all__ = [
     "format_text",
     "load_baseline",
     "run_lint",
-    "summarize_module",
     "write_baseline",
 ]

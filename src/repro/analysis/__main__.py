@@ -38,7 +38,7 @@ _FORMATTERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Repo-specific AST invariant linter (REP001-REP008).",
+        description="Repo-specific AST invariant linter (REP001-REP006, REP008).",
     )
     parser.add_argument(
         "--format",

@@ -2,21 +2,27 @@
 
 The float32/int8 engine planned on the roadmap only works if the
 inference path *inherits* dtypes from its inputs instead of silently
-re-promoting to float64.  Three patterns are flagged in the configured
+re-promoting to float64.  Four patterns are flagged in the configured
 inference modules (``LintConfig.dtype_modules``):
 
 1. allocation calls that default to float64 —
    ``np.zeros/empty/ones/full/array/arange`` without a ``dtype``
    argument (``*_like`` variants inherit and are fine);
 2. explicit float64 pins: any ``np.float64`` reference;
-3. re-promoting casts: ``.astype(float)`` / ``.astype("float64")`` /
+3. allocations pinned to float64 by keyword —
+   ``np.zeros/empty/ones/full/array/arange/asarray/linspace`` with
+   ``dtype=float``, ``"float64"``, ``"f8"`` or ``"double"`` (a
+   ``dtype=np.float64`` keyword is already pattern 2).  The finding
+   lands where the pin is made, so a helper that returns such an array
+   is caught before any caller consumes it;
+4. re-promoting casts: ``.astype(float)`` / ``.astype("float64")`` /
    ``.astype(np.float64)``.
 
-``dtype=float`` as an *input coercion* (``np.asarray(x, dtype=float)``)
-is deliberately not flagged: it normalizes caller input at the public
-boundary rather than widening an intermediate, and is the documented
-entry contract of the signal modules.  Use ``# lint-ok: REP001`` for the
-rare justified exception.
+``np.asarray(<parameter>, dtype=float)`` is deliberately not flagged: it
+coerces caller input at the public boundary rather than widening an
+intermediate, and is the documented entry contract of the signal
+modules.  Use ``# lint-ok: REP001`` for the rare justified exception,
+such as the float64 BPM contract of the peak-interval conversion.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ _ALLOC_DTYPE_POSITION = {
     "array": 2,
     "arange": 4,
 }
+_PINNABLE_ALLOCS = {*_ALLOC_DTYPE_POSITION, "asarray", "linspace"}
 _NUMPY_NAMES = {"np", "numpy"}
 
 
@@ -50,13 +57,12 @@ def _is_numpy_attr(node: ast.AST, attr: str | None = None) -> bool:
     )
 
 
-def _is_float64_expr(node: ast.AST) -> bool:
-    """``np.float64`` / the string ``"float64"`` / a bare ``float64`` name."""
-    if _is_numpy_attr(node, "float64"):
-        return True
-    if isinstance(node, ast.Constant) and node.value == "float64":
-        return True
-    return isinstance(node, ast.Name) and node.id == "float64"
+def _names_float64(node: ast.AST) -> bool:
+    """``float`` / ``float64`` / ``"float64"`` / ``"f8"`` / ``"double"`` as a
+    dtype argument (``np.float64`` is flagged wherever it appears)."""
+    if isinstance(node, ast.Name):
+        return node.id in ("float", "float64")
+    return isinstance(node, ast.Constant) and node.value in ("float64", "f8", "double")
 
 
 class _DtypeVisitor(ast.NodeVisitor):
@@ -64,12 +70,16 @@ class _DtypeVisitor(ast.NodeVisitor):
         self.module = module
         self.findings: list[Finding] = []
         self._context: list[str] = []
+        self._params: list[set[str]] = []  # innermost function's parameters
 
     # Track the enclosing function/class name so messages stay meaningful
     # (and baseline-stable) without line numbers.
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        args = node.args
         self._context.append(node.name)
+        self._params.append({a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)})
         self.generic_visit(node)
+        self._params.pop()
         self._context.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
@@ -100,24 +110,40 @@ class _DtypeVisitor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if _is_numpy_attr(func) and func.attr in _ALLOC_DTYPE_POSITION:  # type: ignore[union-attr]
-            has_dtype_kw = any(kw.arg == "dtype" for kw in node.keywords)
-            has_dtype_pos = len(node.args) >= _ALLOC_DTYPE_POSITION[func.attr]  # type: ignore[union-attr]
-            if not (has_dtype_kw or has_dtype_pos):
+        if _is_numpy_attr(func) and func.attr in _PINNABLE_ALLOCS:  # type: ignore[union-attr]
+            dtype = next((kw.value for kw in node.keywords if kw.arg == "dtype"), None)
+            position = _ALLOC_DTYPE_POSITION.get(func.attr)  # type: ignore[union-attr]
+            if dtype is None and position is not None and len(node.args) < position:
                 self._add(
                     node,
                     f"np.{func.attr} without an explicit dtype defaults to float64 — "  # type: ignore[union-attr]
                     "inherit the input dtype or pass dtype=...",
                 )
+            elif dtype is not None and _names_float64(dtype) and not self._coerces_param(node):
+                self._add(
+                    node,
+                    f"np.{func.attr}(..., dtype={ast.unparse(dtype)}) pins the inference "  # type: ignore[union-attr]
+                    "path to float64 — inherit the input dtype instead",
+                )
         if isinstance(func, ast.Attribute) and func.attr == "astype" and node.args:
             arg = node.args[0]
-            is_float_name = isinstance(arg, ast.Name) and arg.id == "float"
-            if is_float_name or _is_float64_expr(arg):
+            if _names_float64(arg) or _is_numpy_attr(arg, "float64"):
                 self._add(
                     node,
                     "astype(float) re-promotes to float64 — cast to the input dtype instead",
                 )
         self.generic_visit(node)
+
+    def _coerces_param(self, call: ast.Call) -> bool:
+        """``np.asarray(<parameter>, ...)``: boundary coercion of caller input."""
+        func = call.func
+        return (
+            func.attr == "asarray"  # type: ignore[union-attr]
+            and bool(self._params)
+            and bool(call.args)
+            and isinstance(call.args[0], ast.Name)
+            and call.args[0].id in self._params[-1]
+        )
 
 
 def check_module(module: ParsedModule, config: LintConfig) -> list[Finding]:

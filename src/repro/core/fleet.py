@@ -49,8 +49,7 @@ instead pickle the whole fleet once per worker; to avoid that,
 :class:`SharedSubjectStore` copies the per-subject arrays into
 :mod:`multiprocessing.shared_memory` blocks once, and every worker
 *attaches* zero-copy NumPy views.  :class:`FleetExecutor` turns this on
-automatically whenever the effective start method is not ``fork`` (and
-on request via ``share_signals=True``).
+whenever the effective start method is not ``fork``.
 
 Durability and fault tolerance
 ------------------------------
@@ -329,14 +328,10 @@ class FleetExecutor:
     start_method:
         ``multiprocessing`` start method; the platform default when
         omitted (``fork`` on Linux, which shares the subjects' signal
-        arrays with workers without serializing them).
-    share_signals:
-        Whether to put the fleet's signal arrays into
-        :class:`SharedSubjectStore` shared-memory blocks that workers
-        attach instead of receiving pickled copies.  When omitted, shared
-        memory is used exactly when the effective start method is not
-        ``fork`` (``spawn``/``forkserver`` platforms), where it replaces
-        the per-worker pickling of the whole fleet.  Fleets with
+        arrays with workers without serializing them).  Under any other
+        start method (``spawn``/``forkserver``) the fleet's signal arrays
+        go into :class:`SharedSubjectStore` shared-memory blocks that
+        workers attach instead of receiving pickled copies; fleets with
         non-uniform window geometry fall back to pickling.
     checkpoint_dir:
         Directory for the durable shard journal and staged results (see
@@ -359,7 +354,6 @@ class FleetExecutor:
         max_workers: int | None = None,
         shards_per_worker: int = 4,
         start_method: str | None = None,
-        share_signals: bool | None = None,
         checkpoint_dir: "str | os.PathLike | None" = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
@@ -376,7 +370,6 @@ class FleetExecutor:
         self.max_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         self.shards_per_worker = shards_per_worker
         self.start_method = start_method
-        self.share_signals = share_signals
         self.checkpoint_dir = checkpoint_dir
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
@@ -665,14 +658,9 @@ class FleetExecutor:
             if self.start_method is not None
             else multiprocessing.get_start_method()
         )
-        share = (
-            self.share_signals
-            if self.share_signals is not None
-            else start_method != "fork"
-        )
         store = (
             SharedSubjectStore(subjects)
-            if share and SharedSubjectStore.supports(subjects)
+            if start_method != "fork" and SharedSubjectStore.supports(subjects)
             else None
         )
         attempts = {index: 0 for index in todo}

@@ -108,7 +108,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -742,7 +742,7 @@ class CHRISRuntime:
 
     def _plan_traced(
         self,
-        constraint: Constraint,
+        configuration_for: Callable[[bool], ProfiledConfiguration],
         connected: np.ndarray,
         difficulties: np.ndarray,
         route,
@@ -750,7 +750,8 @@ class CHRISRuntime:
         """Segment-wise routing plan for a recording with a BLE trace.
 
         The engine re-selects the operating configuration at every
-        connection-status change; the resulting plan carries one
+        connection-status change, through the plan's per-status
+        ``configuration_for`` cache; the resulting plan carries one
         configuration segment per change and the configuration active at
         the *end* of the run.  ``connected`` has been validated to one
         entry per window (``difficulties`` has one too), and the
@@ -760,17 +761,12 @@ class CHRISRuntime:
         model_codes = np.zeros(n, dtype=np.intp)
         offloaded = np.zeros(n, dtype=bool)
         segments: list[tuple[int, ProfiledConfiguration]] = []
-        configuration_by_status: dict[bool, ProfiledConfiguration] = {}
 
         starts = np.concatenate([[0], np.flatnonzero(np.diff(connected)) + 1])
         ends = np.concatenate([starts[1:], [n]])
         for start, end in zip(starts, ends):
             status = bool(connected[start])
-            if status not in configuration_by_status:
-                configuration_by_status[status] = self.engine.select_or_closest(
-                    constraint, connected=status
-                )
-            configuration = configuration_by_status[status]
+            configuration = configuration_for(status)
             segments.append((int(start), configuration))
             codes, off = route(configuration, difficulties[start:end], connected=status)
             model_codes[start:end] = codes
@@ -994,10 +990,10 @@ class CHRISRuntime:
     ) -> list[_ExecutionPlan]:
         """One execution plan per subject, in fleet order.
 
-        Untraced subjects on the same connection status share one
-        configuration: selection is a deterministic function of
+        Subjects and trace segments on the same connection status share
+        one configuration: selection is a deterministic function of
         ``(constraint, connection status)``, so selecting once per status
-        is decision-identical to selecting per subject.  With per-subject
+        is decision-identical to selecting per subject or per segment.  With per-subject
         ``systems`` the status is each subject's own hardware's.  A
         zero-window subject plans to nothing, under the configuration its
         current status selects.  Difficulty comes from one detector pass
@@ -1028,7 +1024,7 @@ class CHRISRuntime:
                     )
             if trace is not None and subject.n_windows:
                 plans.append(
-                    self._plan_traced(constraint, trace, subject_difficulties, route)
+                    self._plan_traced(configuration_for, trace, subject_difficulties, route)
                 )
             else:
                 status = bool(
@@ -1059,28 +1055,6 @@ class CHRISRuntime:
             }
             for plan in plans
         ]
-
-    def planned_model_window_counts(
-        self,
-        subjects: Iterable[WindowedSubject],
-        constraint: Constraint,
-        use_oracle_difficulty: bool = False,
-        connected_traces: Mapping[str, np.ndarray] | None = None,
-        systems: Mapping[str, WearableSystem] | None = None,
-    ) -> list[dict[str, int]]:
-        """Per-subject planned window count of every zoo model (no execution).
-
-        Planning is side-effect free: no predictor executes and no state
-        advances.
-        """
-        plans = self._plan_fleet(
-            list(subjects),
-            constraint,
-            use_oracle_difficulty,
-            dict(connected_traces or {}),
-            systems=systems,
-        )
-        return self.model_window_counts(plans)
 
     # ------------------------------------------------------- fleet execution
     def _run_many_planned(

@@ -151,13 +151,13 @@ class AdaptiveThresholdPredictor(HeartRatePredictor):
             raise ValueError(
                 f"AT expects (n, length) PPG windows, got shape {ppg_windows.shape}"
             )
-        if ppg_windows.shape[0] == 0:
-            return np.empty(0, dtype=float)
         # BPM estimates are deliberately float64 regardless of the kernel
         # dtype: intervals come from integer peak positions, and the class
         # contract (see __init__) keeps the conversion in the reference
-        # precision.
-        raw = self._raw_window_estimate_batch(ppg_windows)  # lint-ok: REP007
+        # precision — the empty batch included.
+        if ppg_windows.shape[0] == 0:
+            return np.empty(0, dtype=float)  # lint-ok: REP001
+        raw = self._raw_window_estimate_batch(ppg_windows)
         seed = np.nan if self._last_estimate is None else self._last_estimate
         stream = np.concatenate([[seed], raw])
         valid = ~np.isnan(stream)
@@ -194,8 +194,7 @@ class AdaptiveThresholdPredictor(HeartRatePredictor):
         subject_index = self._check_fleet_stack(
             ppg_windows.shape[0], subject_index, state
         )
-        # Same documented float64 BPM contract as predict() above.
-        raw = self._raw_window_estimate_batch(ppg_windows)  # lint-ok: REP007
+        raw = self._raw_window_estimate_batch(ppg_windows)
         out = self._with_fallback_fleet(raw, subject_index, state)
         self.reset()
         return out

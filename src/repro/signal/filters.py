@@ -134,7 +134,7 @@ def detrend(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         return np.zeros_like(x)
-    t = np.arange(x.size, dtype=float)
+    t = np.arange(x.size, dtype=x.dtype)
     slope, intercept = np.polyfit(t, x, 1)
     return x - (slope * t + intercept)
 

@@ -230,8 +230,9 @@ def peak_intervals_to_bpm_batch(  # hot-path
     # Scratch arrays carry explicit dtypes: the BPM math happens in float64
     # today (intervals come from integer positions / float(fs)), and the
     # index ranks are plain platform ints — neither may silently widen a
-    # future float32 pipeline's outputs.
-    out = np.full(n_rows, np.nan, dtype=float)
+    # future float32 pipeline's outputs.  The float64 BPM output is a
+    # contract, not a leak: AT's estimates stay in the reference precision.
+    out = np.full(n_rows, np.nan, dtype=float)  # lint-ok: REP001
     if peak_rows.size < 2:
         return out
     # Intervals are converted for every adjacent pair and the cross-row

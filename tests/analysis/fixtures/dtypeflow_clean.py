@@ -1,6 +1,6 @@
-"""REP007 fixture (clean twin): helpers thread the caller's dtype through
-(or coerce caller input at the documented boundary), so the dtype-aware
-callers inherit instead of re-promoting."""
+"""REP001 fixture (clean twin of ``dtypeflow_dirty.py``): helpers thread
+the caller's dtype through (or coerce caller input at the documented
+boundary), so the dtype-aware callers inherit instead of re-promoting."""
 
 import numpy as np
 
@@ -30,6 +30,6 @@ def scratch_rows(n, dtype=None):
 def boundary(values, dtype=None):
     dt = resolve_dtype(dtype)
     # Boundary coercion of caller input — the documented entry contract,
-    # exempt from the float64-pin fact.
+    # exempt from the float64-pin check.
     arr = np.asarray(values, dtype=float)
     return arr.astype(dt, copy=False)

@@ -1,8 +1,8 @@
-"""REP007 fixture (dirty twin): float64-pinned helpers feeding dtype-aware
-callers.  The pins use forms REP001 deliberately ignores (``dtype=float``
-and string dtype keywords on non-boundary allocations), so only the
-interprocedural pass can see them — including through a ``return
-helper(...)`` chain.  Parsed, never imported.
+"""REP001 fixture (dirty twin): float64-pinned helpers feeding dtype-aware
+callers.  The pins are ``dtype=`` keywords naming float64 on
+non-boundary allocations, so REP001 flags them where they are made —
+before any caller, direct or through a ``return helper(...)`` chain,
+consumes the pinned array.  Parsed, never imported.
 """
 
 import numpy as np
@@ -11,32 +11,32 @@ from repro.dtypes import resolve_dtype
 
 
 def _pinned_grid(n):
-    return np.arange(n, dtype="float64")
+    return np.arange(n, dtype="float64")  # PLANT: REP001
 
 
 def _pinned_scratch(n):
-    buf = np.zeros(n, dtype="float64")
+    buf = np.zeros(n, dtype="float64")  # PLANT: REP001
     return buf
 
 
 def _grid_via_chain(n):
-    # Propagates _pinned_grid's float64 fact one call deeper.
+    # Hands on _pinned_grid's float64 array one call deeper.
     return _pinned_grid(n)
 
 
 def window_positions(n, dtype=None):
     dt = resolve_dtype(dtype)
-    grid = _pinned_grid(n)  # PLANT: REP007
+    grid = _pinned_grid(n)
     return (grid / n).astype(dt, copy=False)
 
 
 def scratch_rows(n, dtype=None):
     dt = resolve_dtype(dtype)
-    buf = _pinned_scratch(n)  # PLANT: REP007
+    buf = _pinned_scratch(n)
     return buf.astype(dt, copy=False)
 
 
 def chained_positions(n):
     dt = resolve_dtype(None)
-    grid = _grid_via_chain(n)  # PLANT: REP007
+    grid = _grid_via_chain(n)
     return (grid * 2).astype(dt, copy=False)

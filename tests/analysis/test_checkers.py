@@ -22,16 +22,17 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 _MARKER = re.compile(r"#\s*PLANT:\s*(REP\d{3})(?:\s*x(\d+))?")
 
-DIRTY_BY_RULE = {
-    "REP001": "dtype_dirty.py",
-    "REP002": "lock_dirty.py",
-    "REP003": "hotpath_dirty.py",
-    "REP004": "contract_dirty.py",
-    "REP005": "persistence_dirty.py",
-    "REP006": "lockorder_dirty.py",
-    "REP007": "dtypeflow_dirty.py",
-    "REP008": "lifecycle_dirty.py",
-}
+# (rule, dirty twin): each dirty fixture trips exactly one rule.
+DIRTY_TWINS = (
+    ("REP001", "dtype_dirty.py"),
+    ("REP001", "dtypeflow_dirty.py"),
+    ("REP002", "lock_dirty.py"),
+    ("REP003", "hotpath_dirty.py"),
+    ("REP004", "contract_dirty.py"),
+    ("REP005", "persistence_dirty.py"),
+    ("REP006", "lockorder_dirty.py"),
+    ("REP008", "lifecycle_dirty.py"),
+)
 CLEAN_TWINS = (
     "dtype_clean.py",
     "lock_clean.py",
@@ -88,7 +89,7 @@ def report():
 def test_fixture_corpus_is_nonempty():
     expected = planted_expectations()
     assert expected, "fixture corpus lost its PLANT markers"
-    assert set(DIRTY_BY_RULE) == {code for (_, _, code) in expected}
+    assert {code for code, _ in DIRTY_TWINS} == {code for (_, _, code) in expected}
 
 
 def test_planted_violations_detected_exactly(report):
@@ -101,7 +102,7 @@ def test_clean_twins_have_no_findings(report):
     assert clean_hits == []
 
 
-@pytest.mark.parametrize("code,filename", sorted(DIRTY_BY_RULE.items()))
+@pytest.mark.parametrize("code,filename", DIRTY_TWINS)
 def test_each_dirty_twin_trips_only_its_rule(report, code, filename):
     codes_in_file = {f.code for f in report.new if f.file == filename}
     assert codes_in_file == {code}
@@ -203,3 +204,77 @@ def test_real_hot_path_marks_present():
         module = load_module(config.root, path)
         marked += len(module.pragmas.all("hot-path"))
     assert marked >= 10, f"hot-path annotations dropped to {marked}"
+
+
+# ------------------------------------------------ real nesting, real pins
+def _single_rule_config(root: Path, **modules) -> LintConfig:
+    """Config scanning ``root`` with every module list empty except the
+    ones given, so a copied real module trips only the rule under test."""
+    fields = dict(
+        dtype_modules=(),
+        lock_modules=(),
+        batch_twins=(),
+        persistence_modules=(),
+        lifecycle_modules=(),
+    )
+    fields.update(modules)
+    return LintConfig(root=root, baseline_path=None, **fields)
+
+
+def _copy_real_module(relpath: str, dest_root: Path, edit=lambda text: text) -> str:
+    from repro.analysis.engine import default_config
+
+    source = (default_config().root / relpath).read_text(encoding="utf-8")
+    target = dest_root / relpath
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(edit(source), encoding="utf-8")
+    return source
+
+
+def test_rep006_sees_profile_system_reentry_on_a_plain_lock(tmp_path):
+    """``CostTableRegistry.profile_system`` calls ``self.lookup()`` while
+    holding ``self._lock``.  That is only safe because the lock is an
+    RLock: with a plain Lock the call deadlocks, and REP006 must say so
+    on the call line."""
+    relpath = "hw/platform.py"
+    clean_root = tmp_path / "clean"
+    source = _copy_real_module(relpath, clean_root)
+    assert run_lint(_single_rule_config(clean_root, lock_modules=(relpath,))).new == []
+
+    assert "threading.RLock()" in source
+    plain_root = tmp_path / "plain"
+    _copy_real_module(
+        relpath, plain_root, lambda text: text.replace("threading.RLock()", "threading.Lock()")
+    )
+    report = run_lint(_single_rule_config(plain_root, lock_modules=(relpath,)))
+
+    lines = source.splitlines()
+    start = next(i for i, line in enumerate(lines) if "def profile_system(" in line)
+    call_line = next(
+        i + 1 for i in range(start, len(lines)) if "self.lookup(" in lines[i]
+    )
+    assert [(f.line, f.code) for f in report.new] == [(call_line, "REP006")]
+    assert "re-acquires non-reentrant lock 'self._lock'" in report.new[0].message
+    assert "profile_system" in report.new[0].message
+
+
+def test_rep001_flags_the_bpm_pin_without_its_lint_ok(tmp_path):
+    """The float64 BPM allocation in ``peak_intervals_to_bpm_batch`` is a
+    documented contract carrying ``# lint-ok: REP001``; without the
+    pragma REP001 must flag that line and nothing else."""
+    relpath = "signal/peaks.py"
+    clean_root = tmp_path / "clean"
+    source = _copy_real_module(relpath, clean_root)
+    assert run_lint(_single_rule_config(clean_root, dtype_modules=(relpath,))).new == []
+
+    pragma = "  # lint-ok: REP001"
+    assert source.count(pragma) == 1
+    bare_root = tmp_path / "bare"
+    _copy_real_module(relpath, bare_root, lambda text: text.replace(pragma, ""))
+    report = run_lint(_single_rule_config(bare_root, dtype_modules=(relpath,)))
+
+    pin_line = next(
+        i for i, line in enumerate(source.splitlines(), 1) if line.endswith(pragma)
+    )
+    assert "np.full(n_rows, np.nan, dtype=float)" in source.splitlines()[pin_line - 1]
+    assert [(f.line, f.code) for f in report.new] == [(pin_line, "REP001")]

@@ -1,6 +1,6 @@
 """Tier-1 gate: the repo must lint clean (modulo the committed baseline).
 
-This is the CI wiring of the invariant linter: a REP001-REP008 violation
+This is the CI wiring of the invariant linter: a REP001-REP006/REP008 violation
 anywhere under ``src/repro`` fails the ordinary
 ``PYTHONPATH=src python -m pytest`` run with the offending file:line in
 the assertion message.
@@ -37,9 +37,9 @@ def test_baseline_has_no_stale_entries():
 
 
 def test_lint_runtime_under_budget():
-    """Both passes over the whole repo stay inside the budget — cold
-    (parse + summarize every module) and warm (per-file caches keyed on
-    mtime/size make the second run mostly stat calls)."""
+    """A whole-repo run stays inside the budget — cold (parse every
+    module) and warm (the per-file parse cache keyed on mtime/size makes
+    the second run mostly stat calls)."""
     from repro.analysis import clear_caches
 
     clear_caches()

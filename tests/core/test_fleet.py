@@ -148,8 +148,11 @@ class TestMegaBatchedEquivalence:
     def test_planned_counts_match_executed_routing(
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
-        counts = make_runtime(calibrated_experiment).planned_model_window_counts(
-            small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
+        runtime = make_runtime(calibrated_experiment)
+        counts = runtime.model_window_counts(
+            runtime._plan_fleet(
+                list(small_dataset.subjects), CONSTRAINT, use_oracle_difficulty=True, traces={}
+            )
         )
         for subject, planned in zip(small_dataset.subjects, counts):
             executed = sequential_fleet.results[subject.subject_id].per_model_counts()
