@@ -27,7 +27,11 @@ serving shapes, with medians, interquartile ranges and the host), and
 through the offline set-up (``"setup"`` block: seconds per stage of
 synthesis, forest fits, zoo build and freeze and configuration
 profiling, plus the forest fit against the per-threshold split search
-of ``tests/ml/split_oracle.py``) — and
+of ``tests/ml/split_oracle.py``), and through the serving engine at
+scale (``"serving_scale"`` block: one paused-then-resumed burst of 100,
+1k and 10k streams x 1 window against the same windows submitted as
+one recording, interleaved, with medians, interquartile ranges and the
+host) — and
 writes the measured throughputs, MAE and
 offload statistics to ``BENCH_runtime.json`` at the repository root, so
 successive PRs can track the perf trajectory of every hot path.  Each
@@ -60,6 +64,7 @@ from repro.eval.benchmarking import (  # noqa: E402
     benchmark_latency,
     benchmark_runtime,
     benchmark_scheduler,
+    benchmark_serving_scale,
     benchmark_setup,
     benchmark_stateful_fleet,
 )
@@ -90,6 +95,7 @@ def main(output_path: Path | None = None) -> dict:
     outcome["latency"] = benchmark_latency(experiment, seed=0)
     outcome["difficulty"] = benchmark_difficulty(experiment, difficulty_oracle)
     outcome["setup"] = benchmark_setup(oracle_split_search)
+    outcome["serving_scale"] = benchmark_serving_scale(experiment)
     output_path.write_text(json.dumps(outcome, indent=2) + "\n")
     append_history(outcome, output_path.parent / "BENCH_history.jsonl")
     print(json.dumps(outcome, indent=2))
@@ -129,6 +135,10 @@ def append_history(outcome: dict, history_path: Path) -> None:
             for shape, block in outcome["difficulty"]["shapes"].items()
         },
         "setup_total_s": outcome["setup"]["stages"]["total_s"]["median"],
+        "serving_scale_burst_windows_per_s": {
+            shape: block["burst_windows_per_s"]["median"]
+            for shape, block in outcome["serving_scale"]["shapes"].items()
+        },
         "host": outcome["difficulty"]["host"],
     }
     with history_path.open("a") as sink:

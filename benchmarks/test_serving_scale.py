@@ -1,0 +1,60 @@
+"""Serving at scale: one-window-per-stream bursts against one recording.
+
+The online scheduler serves ``N`` open streams that each push one window
+while the dispatcher is paused; resuming releases them as one batch.
+The same ``N`` windows ``submit``-ted as one recording run the same
+routing and models through the same scheduler, as one session, so the
+ratio of the two throughputs isolates what serving ``N`` sessions costs
+over serving one: planning, gathering and splitting per session, and
+the scheduler's per-session bookkeeping.  Both sides are timed in
+alternating order inside one pass
+(:func:`~repro.eval.benchmarking.benchmark_serving_scale`, 7 rounds per
+stream count), so host drift cancels from the ratio.
+
+The floor is on the 10k-stream median ratio, the shape where
+per-session cost dominates.  Measured on a 2-core box with this file's
+experiment: 24 runs on one build (the A/A distribution) read
+0.022-0.037, median 0.029, 5th percentile :data:`AA_P5_10K`; the
+per-subject planning and result loops the columnar plan replaced read
+0.010-0.014 (8 runs), so they fail the floor.
+"""
+
+import json
+
+import pytest
+
+from benchmarks.conftest import emit
+from repro.eval.benchmarking import SERVING_SCALE_STREAMS, benchmark_serving_scale
+
+#: 5th percentile of the 10k-stream median ratio over the A/A runs.
+AA_P5_10K = 0.0254
+#: Required median burst / recording windows/s ratio at 10k streams x 1
+#: window: at least 5% under :data:`AA_P5_10K`, so noise alone cannot
+#: fail it.
+MIN_BURST_TO_RECORDING_10K = 0.018
+
+
+@pytest.mark.slow
+def test_serving_scale_floor(experiment, results_dir):
+    outcome = benchmark_serving_scale(experiment)
+
+    lines = []
+    for shape, block in outcome["shapes"].items():
+        ratio = block["burst_to_recording"]
+        lines.append(
+            f"{shape}: burst {block['burst_windows_per_s']['median']:,.0f} windows/s, "
+            f"one recording {block['recording_windows_per_s']['median']:,.0f}, "
+            f"push {block['push_windows_per_s']['median']:,.0f}; "
+            f"ratio {ratio['median']:.4f} [{ratio['q25']:.4f}, {ratio['q75']:.4f}]"
+        )
+    lines.append(f"floor at 10000x1: {MIN_BURST_TO_RECORDING_10K:.4f}")
+    emit(results_dir, "serving_scale", "\n".join(lines))
+    (results_dir / "serving_scale.json").write_text(json.dumps(outcome, indent=2) + "\n")
+
+    assert outcome["rounds"] >= 5
+    assert set(outcome["shapes"]) == {f"{n}x1" for n in SERVING_SCALE_STREAMS}
+    for shape, block in outcome["shapes"].items():
+        assert block["routing_identical"], f"{shape}: burst and recording routed differently"
+    assert AA_P5_10K >= 1.05 * MIN_BURST_TO_RECORDING_10K
+    ratio = outcome["shapes"]["10000x1"]["burst_to_recording"]["median"]
+    assert ratio >= MIN_BURST_TO_RECORDING_10K

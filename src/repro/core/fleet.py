@@ -10,10 +10,10 @@ order (:meth:`FleetExecutor.run_fleet`).
 
 Decision-for-decision equivalence with sequential replay
 --------------------------------------------------------
-The parent plans the entire fleet once (planning is vectorized and
-side-effect free) and ships each shard its slice of the plans, so
+The parent plans the entire fleet once (planning is columnar and
+side-effect free) and ships each shard its subject range of the plan, so
 difficulty inference and routing run exactly once per fleet.  Each
-shard executes its plans through the runtime's fleet path
+shard executes its plan slice through the runtime's fleet path
 (:meth:`~repro.core.runtime.CHRISRuntime._run_many_planned`), including
 the stacked-state fused dispatch for stateful predictors — shard
 boundaries, like subject boundaries, are state-slot boundaries, not
@@ -24,7 +24,7 @@ shard that starts at subject ``k`` must first put every predictor in the
 state replay would have reached after subjects ``0..k-1``.  Every shard
 task therefore fast-forwards its private predictor copies with
 :meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state` by the
-per-model window counts of the plans before it.  The result is
+per-model window counts the plan routes before it.  The result is
 bit-identical to ``run_many`` no matter how many workers execute or how
 shards are interleaved, at float64 and at float32: shard boundaries
 change the batch shapes of fused stateless models, and their
@@ -263,10 +263,10 @@ def _replay_shard(
     runtime: CHRISRuntime,
     subjects: Sequence[WindowedSubject],
     prior_windows: Mapping[str, int],
-    plans: list,
+    plan,
     systems: Mapping[str, WearableSystem],
 ) -> list[tuple[str, RunResult]]:
-    """Execute one shard's ``plans`` on a private ``runtime`` copy.
+    """Execute one shard's ``plan`` slice on a private ``runtime`` copy.
 
     ``prior_windows`` maps each zoo model to the number of windows the
     plan routes to it across all subjects *before* this shard; advancing
@@ -277,7 +277,7 @@ def _replay_shard(
         entry.predictor.advance_fleet_state(int(prior_windows.get(entry.name, 0)))
     shard_ids = {s.subject_id for s in subjects}
     shard_systems = {sid: sys for sid, sys in systems.items() if sid in shard_ids}
-    fleet = runtime._run_many_planned(subjects, plans, systems=shard_systems)
+    fleet = runtime._run_many_planned(subjects, plan, systems=shard_systems)
     return list(fleet.results.items())
 
 
@@ -286,7 +286,7 @@ def _run_fleet_shard(
     start: int,
     stop: int,
     prior_windows: Mapping[str, int],
-    plans: list,
+    plan,
 ) -> list[tuple[str, RunResult]]:
     """Worker side of one shard: :func:`_replay_shard` on ``subjects[start:stop]``."""
     faults.fire("fleet.shard", shard=shard_index)
@@ -296,7 +296,7 @@ def _run_fleet_shard(
     for system in systems.values():
         system.cost_registry = _WORKER_STATE["cost_registry"]
     return _replay_shard(
-        runtime, _WORKER_STATE["subjects"][start:stop], prior_windows, plans, systems
+        runtime, _WORKER_STATE["subjects"][start:stop], prior_windows, plan, systems
     )
 
 
@@ -388,17 +388,14 @@ class FleetExecutor:
         ]
 
     def _prior_window_counts(
-        self, plans: Sequence, bounds: Sequence[tuple[int, int]]
+        self, plan, bounds: Sequence[tuple[int, int]]
     ) -> list[dict[str, int]]:
         """Cumulative per-model window counts preceding each shard."""
+        counts = self.runtime.model_window_counts(plan)
+        prefix = np.zeros((counts.shape[0] + 1, counts.shape[1]), dtype=np.int64)
+        np.cumsum(counts, axis=0, out=prefix[1:])
         names = self.runtime.zoo.names
-        cumulative = {name: 0 for name in names}
-        prefix = [dict(cumulative)]
-        for counts in self.runtime.model_window_counts(plans):
-            for name in names:
-                cumulative[name] += counts[name]
-            prefix.append(dict(cumulative))
-        return [prefix[start] for start, _ in bounds]
+        return [dict(zip(names, prefix[start].tolist())) for start, _ in bounds]
 
     # ------------------------------------------------------------ streaming
     def iter_runs(
@@ -430,10 +427,10 @@ class FleetExecutor:
         _check_fleet_inputs(subjects, traces, systems)
         if not subjects:
             return
-        # Plan the entire fleet once, in the parent: the plans give every
-        # shard's fast-forward counts and are shipped to the shards, so
-        # difficulty inference and routing never repeat per shard.
-        plans = self.runtime._plan_fleet(
+        # Plan the entire fleet once, in the parent: the plan gives every
+        # shard's fast-forward counts and is shipped to the shards in
+        # slices, so difficulty inference and routing never repeat per shard.
+        plan = self.runtime._plan_fleet(
             subjects, constraint, use_oracle_difficulty, traces, systems=systems
         )
         bounds = self.shard_bounds(len(subjects))
@@ -445,8 +442,8 @@ class FleetExecutor:
             bounds = [(0, len(subjects))]
         else:
             self._profile_cost_tables(systems)
-        priors = self._prior_window_counts(plans, bounds)
-        plan_slices = [plans[start:stop] for start, stop in bounds]
+        priors = self._prior_window_counts(plan, bounds)
+        plan_slices = [plan[start:stop] for start, stop in bounds]
 
         journal = stager = None
         todo = list(range(len(bounds)))
@@ -585,14 +582,14 @@ class FleetExecutor:
         subjects: Sequence[WindowedSubject],
         bound: tuple[int, int],
         prior: Mapping[str, int],
-        plans: list,
+        plan,
         systems: Mapping[str, WearableSystem],
     ) -> list[tuple[str, RunResult]]:
         """In-process twin of :func:`_run_fleet_shard` (same fault site)."""
         faults.fire("fleet.shard", shard=index)
         start, stop = bound
         return _replay_shard(
-            copy.deepcopy(self.runtime), subjects[start:stop], prior, plans, systems
+            copy.deepcopy(self.runtime), subjects[start:stop], prior, plan, systems
         )
 
     def _run_shards_inprocess(
@@ -600,7 +597,7 @@ class FleetExecutor:
         subjects: Sequence[WindowedSubject],
         bounds: Sequence[tuple[int, int]],
         priors: Sequence[Mapping[str, int]],
-        plan_slices: Sequence[list],
+        plan_slices: Sequence,
         systems: Mapping[str, WearableSystem],
         todo: Sequence[int],
         journal: "FleetJournal | None",
@@ -635,7 +632,7 @@ class FleetExecutor:
         subjects: Sequence[WindowedSubject],
         bounds: Sequence[tuple[int, int]],
         priors: Sequence[Mapping[str, int]],
-        plan_slices: Sequence[list],
+        plan_slices: Sequence,
         systems: Mapping[str, WearableSystem],
         todo: Sequence[int],
         journal: "FleetJournal | None",

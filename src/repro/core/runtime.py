@@ -19,21 +19,24 @@ Every run — one recording or a whole fleet — takes the same path,
 :meth:`~CHRISRuntime.run_with_connection_trace` are one-subject fleet
 runs.
 
-1. **Plan** — difficulty prediction, configuration (re-)selection and
-   per-window model routing are computed up front as NumPy arrays.  The
-   difficulty detector runs once over every subject's windows and its
-   labels are sliced back per subject; selection and routing then run
-   per subject (so per-subject difficulty streams, connection traces and
-   configuration segments are preserved).  Routing maps each
-   difficulty level through a per-``(configuration, connection status)``
-   lookup table.  A traced subject's plan is built segment-wise: the
-   feasible configuration set changes with the BLE status, so the engine
-   re-selects exactly at each connection-status change and phone targets
-   degrade to the watch while disconnected.
+1. **Plan** — one columnar plan for the whole fleet, computed before
+   any model runs: per-window difficulty, connection status, model code
+   and offload flag, plus per-subject window offsets and configuration
+   segments.  The difficulty detector runs once over every subject's
+   windows.  A window's connection status is its subject's BLE trace
+   entry, or else the status of its subject's system; the engine selects
+   one configuration per status, and one lookup table indexed by
+   ``(status, difficulty)`` routes every window, with phone targets
+   degraded to the watch while disconnected.  A subject's configuration
+   segments start at its first window and at every status change inside
+   it.  ``plan[a:b]`` is the plan of a subject range, which is how the
+   fleet executor ships shards.
 2. **Execute** — all subjects' windows are stacked into per-model groups
    across the whole population and **one** fused call per model is
-   dispatched for the entire fleet.  How that call looks depends on the
-   predictor:
+   dispatched for the entire fleet.  A model's signals are gathered in
+   one concatenation that takes a fully routed subject's arrays whole
+   and masks only partly routed ones, so a one-window subject costs no
+   fancy indexing.  How the fused call looks depends on the predictor:
 
    * ``FLEET_BATCHABLE = True`` — predictions read no per-run temporal
      state and a window's prediction does not depend on its batch, so the
@@ -53,6 +56,11 @@ runs.
    one-subject-at-a-time replay feeds it.  Per-window costs come from a
    ``(hardware revision, model, target)`` lookup table filled through
    :meth:`repro.hw.platform.WearableSystem.cached_prediction_cost`.
+
+3. **Split** — every result column (window index, both difficulties,
+   model names, offload flag, true and predicted HR, costs) is built
+   once for the fleet, and each subject's :class:`RunResult` holds
+   offset views of those columns.
 
 A fleet run is therefore decision-for-decision identical to a loop of
 per-subject :meth:`~CHRISRuntime.run` calls, and a run is identical to
@@ -115,6 +123,7 @@ import numpy as np
 from repro.core.configuration import NUM_DIFFICULTY_LEVELS, ProfiledConfiguration
 from repro.core.decision_engine import Constraint, DecisionEngine
 from repro.core.zoo import ModelsZoo
+from repro.data.activities import difficulties_of
 from repro.data.dataset import WindowedSubject
 from repro.dtypes import resolve_dtype
 from repro.hw.platform import PredictionCost, WearableSystem
@@ -197,18 +206,22 @@ def _cost_values(cost: PredictionCost) -> tuple[float, ...]:
     return tuple(getattr(cost, name) for name in _COST_FIELDS)
 
 
-#: RunResult per-window fields stored as plain (non-object) arrays by the
-#: npz round-trip; ``model_names`` is object-dtyped and handled separately
-#: (stored as fixed-width unicode so the dump needs no pickled arrays).
-_NPZ_ARRAY_FIELDS = (
+#: RunResult per-window array fields, in declaration order.
+_RESULT_COLUMNS = (
     "window_index",
     "predicted_difficulty",
     "true_difficulty",
+    "model_names",
     "offloaded",
     "predicted_hr",
     "true_hr",
     *_COST_FIELDS,
 )
+
+#: RunResult per-window fields stored as plain (non-object) arrays by the
+#: npz round-trip; ``model_names`` is object-dtyped and handled separately
+#: (stored as fixed-width unicode so the dump needs no pickled arrays).
+_NPZ_ARRAY_FIELDS = tuple(name for name in _RESULT_COLUMNS if name != "model_names")
 
 
 def _check_fleet_inputs(
@@ -277,16 +290,7 @@ class RunResult:
             return False
         return all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in (
-                "window_index",
-                "predicted_difficulty",
-                "true_difficulty",
-                "model_names",
-                "offloaded",
-                "predicted_hr",
-                "true_hr",
-                *_COST_FIELDS,
-            )
+            for name in _RESULT_COLUMNS
         )
 
     # ------------------------------------------------------------ lazy view
@@ -571,20 +575,92 @@ class FleetResult:
         return "\n".join(lines)
 
 
-@dataclass
-class _ExecutionPlan:
-    """Per-window routing computed up front, before any model executes.
+def _column(arrays: Sequence[np.ndarray], dtype) -> np.ndarray:
+    """One fresh array holding ``arrays`` end to end, in ``dtype``."""
+    if not arrays:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate([np.asarray(array, dtype=dtype) for array in arrays])
 
-    Models are referenced by their index in the zoo's name order
-    (``model_codes``) so grouping and mask operations run on small
-    integers instead of string arrays.
+
+@dataclass(frozen=True)
+class _FleetPlan:
+    """Columnar routing of a fleet, computed before any model executes.
+
+    Per-window columns hold every subject's windows end to end, in fleet
+    order: ``difficulties``, ``connected`` (the connection status that
+    routed the window), ``model_codes`` (the model's index in the zoo's
+    name order, so grouping and masks run on small integers) and
+    ``offloaded``.  Subject ``i`` owns windows ``offsets[i]:offsets[i + 1]``
+    and its system's status is ``subject_status[i]``; ``configurations``
+    maps every status the plan uses to the configuration it selected.
+    ``plan[a:b]`` is the plan of subjects ``a..b-1``.
     """
 
-    configuration: ProfiledConfiguration
+    subject_ids: tuple[str, ...]
+    offsets: np.ndarray
+    subject_status: np.ndarray
     difficulties: np.ndarray
+    connected: np.ndarray
     model_codes: np.ndarray
     offloaded: np.ndarray
-    segments: list[tuple[int, ProfiledConfiguration]]
+    configurations: Mapping[bool, ProfiledConfiguration]
+
+    @property
+    def n_subjects(self) -> int:
+        return len(self.subject_ids)
+
+    @property
+    def n_windows(self) -> int:
+        return int(self.offsets[-1])
+
+    def window_subjects(self) -> np.ndarray:
+        """The subject index of every window."""
+        return np.repeat(
+            np.arange(self.n_subjects, dtype=np.intp), np.diff(self.offsets)
+        )
+
+    def segments(self) -> list[list[tuple[int, ProfiledConfiguration]]]:
+        """Every subject's ``(start window, configuration)`` segments.
+
+        A segment starts at a subject's first window and at every status
+        change inside the subject; a zero-window subject has one, under
+        its system status.
+        """
+        counts = np.diff(self.offsets)
+        is_start = np.zeros(self.n_windows, dtype=bool)
+        is_start[self.offsets[:-1][counts > 0]] = True
+        is_start[1:] |= self.connected[1:] != self.connected[:-1]
+        starts = np.flatnonzero(is_start)
+        owners = self.window_subjects()[starts]
+        by_subject: list[list[tuple[int, ProfiledConfiguration]]] = [
+            [] for _ in range(self.n_subjects)
+        ]
+        for owner, start, status in zip(
+            owners.tolist(),
+            (starts - self.offsets[owners]).tolist(),
+            self.connected[starts].tolist(),
+        ):
+            by_subject[owner].append((start, self.configurations[status]))
+        for owner in np.flatnonzero(counts == 0).tolist():
+            by_subject[owner].append((0, self.configurations[bool(self.subject_status[owner])]))
+        return by_subject
+
+    def __getitem__(self, subjects: slice) -> "_FleetPlan":
+        start, stop, step = subjects.indices(self.n_subjects)
+        if step != 1:
+            raise ValueError("a plan slices into contiguous subject ranges only")
+        stop = max(start, stop)
+        lo, hi = int(self.offsets[start]), int(self.offsets[stop])
+        return _FleetPlan(
+            subject_ids=self.subject_ids[start:stop],
+            offsets=self.offsets[start : stop + 1] - lo,
+            subject_status=self.subject_status[start:stop],
+            difficulties=self.difficulties[lo:hi],
+            connected=self.connected[lo:hi],
+            model_codes=self.model_codes[lo:hi],
+            offloaded=self.offloaded[lo:hi],
+            configurations=self.configurations,
+        )
 
 
 class CHRISRuntime:
@@ -631,32 +707,21 @@ class CHRISRuntime:
     # ------------------------------------------------------------ difficulty
     def _fleet_difficulties(
         self, subjects: Sequence[WindowedSubject], use_oracle: bool
-    ) -> list[np.ndarray]:
-        """Per-subject difficulty arrays, from one classifier call for the fleet.
+    ) -> np.ndarray:
+        """Every subject's window difficulties end to end, from one classifier call.
 
         Every non-empty subject's accelerometer windows go through one
         :meth:`~repro.ml.activity_classifier.ActivityClassifier.predict_difficulty`
-        call, and the labels are sliced back by window offsets.  Feature
-        extraction and the forest are per row, so a window's label does not
-        depend on the windows batched with it.  Oracle planning (or no
-        classifier) reads each subject's ground-truth difficulty.  The
-        result is returned, not stored: the scheduler's dispatcher plans on
-        another thread than its worker executes on.
+        call.  Feature extraction and the forest are per row, so a
+        window's label does not depend on the windows batched with it.
+        Oracle planning (or no classifier) reads the ground-truth
+        difficulty.  The result is returned, not stored: the scheduler's
+        dispatcher plans on another thread than its worker executes on.
         """
-        if use_oracle or self.activity_classifier is None:
-            return [subject.difficulty for subject in subjects]
-        predicted = [subject for subject in subjects if subject.n_windows]
-        if not predicted:
-            return [subject.difficulty for subject in subjects]
-        labels = self.activity_classifier.predict_difficulty(
-            np.concatenate([subject.accel_windows for subject in predicted])
-        )
-        offsets = np.cumsum([subject.n_windows for subject in predicted])[:-1]
-        by_subject = iter(np.split(labels, offsets))
-        return [
-            next(by_subject) if subject.n_windows else subject.difficulty
-            for subject in subjects
-        ]
+        predicted = [subject.accel_windows for subject in subjects if subject.n_windows]
+        if use_oracle or self.activity_classifier is None or not predicted:
+            return difficulties_of(_column([s.activity for s in subjects], int))
+        return self.activity_classifier.predict_difficulty(np.concatenate(predicted))
 
     # -------------------------------------------------------------- planning
     def _reset_predictors(self) -> None:
@@ -664,147 +729,93 @@ class CHRISRuntime:
         for entry in self.zoo:
             entry.predictor.reset()
 
-    def _model_code(self, name: str) -> int:
-        """Index of a model in the zoo's registration order."""
-        return self.zoo.names.index(name)
-
-    def _fleet_router(self):
-        """The routing function every plan maps its difficulties through.
-
-        Routing is a pure function of ``(configuration, connection
-        status)`` per difficulty level, so the router resolves all nine
-        levels once per key into a lookup table and maps every further
-        difficulty array through it, without re-querying the engine per
-        subject.  Phone targets degrade to the watch when the link is
-        down.
-        """
-        lut_cache: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
-
-        def route(
-            configuration: ProfiledConfiguration,
-            difficulties: np.ndarray,
-            connected: bool,
-        ) -> tuple[np.ndarray, np.ndarray]:
-            key = (id(configuration), connected)
-            lut = lut_cache.get(key)
-            if lut is None:
-                codes = np.zeros(NUM_DIFFICULTY_LEVELS + 1, dtype=np.intp)
-                offloaded = np.zeros(NUM_DIFFICULTY_LEVELS + 1, dtype=bool)
-                for level in range(1, NUM_DIFFICULTY_LEVELS + 1):
-                    name, target = self.engine.select_model(configuration, level)
-                    if target is ExecutionTarget.PHONE and not connected:
-                        target = ExecutionTarget.WATCH
-                    codes[level] = self._model_code(name)
-                    offloaded[level] = target is ExecutionTarget.PHONE
-                lut = (codes, offloaded)
-                lut_cache[key] = lut
-            codes, offloaded = lut
-            return codes[difficulties], offloaded[difficulties]
-
-        return route
-
-    def _plan_plain(
-        self,
-        configuration: ProfiledConfiguration,
-        difficulties: np.ndarray,
-        route,
-        connected: bool | None = None,
-    ) -> _ExecutionPlan:
-        """Routing plan for one recording's difficulties under a fixed configuration.
-
-        ``connected`` overrides the default system's current BLE status —
-        heterogeneous fleets route each subject against the status of its
-        own hardware.
-        """
-        if connected is None:
-            connected = self.system.connected
-        model_codes, offloaded = route(configuration, difficulties, connected=connected)
-        return _ExecutionPlan(
-            configuration=configuration,
-            difficulties=difficulties,
-            model_codes=model_codes,
-            offloaded=offloaded,
-            segments=[(0, configuration)],
-        )
-
     def _plan_configured(
         self,
         windows: WindowedSubject,
         configuration: ProfiledConfiguration,
         use_oracle_difficulty: bool,
-        connected: bool | None = None,
-    ) -> _ExecutionPlan:
-        """One recording's plan under an explicit configuration."""
-        (difficulties,) = self._fleet_difficulties([windows], use_oracle_difficulty)
-        return self._plan_plain(
-            configuration, difficulties, self._fleet_router(), connected=connected
+        system: WearableSystem | None = None,
+    ) -> _FleetPlan:
+        """One recording's plan under an explicit configuration.
+
+        ``system`` (default: the runtime's) gives the connection status
+        that routes the recording.
+        """
+        systems = {} if system is None else {windows.subject_id: system}
+        return self._plan_routes(
+            [windows], lambda status: configuration, use_oracle_difficulty, {}, systems
         )
 
-    def _plan_traced(
+    def _plan_routes(
         self,
+        subjects: Sequence[WindowedSubject],
         configuration_for: Callable[[bool], ProfiledConfiguration],
-        connected: np.ndarray,
-        difficulties: np.ndarray,
-        route,
-    ) -> _ExecutionPlan:
-        """Segment-wise routing plan for a recording with a BLE trace.
+        use_oracle_difficulty: bool,
+        traces: Mapping[str, np.ndarray],
+        systems: Mapping[str, WearableSystem],
+    ) -> _FleetPlan:
+        """The columnar plan of ``subjects`` (see :meth:`_plan_fleet`).
 
-        The engine re-selects the operating configuration at every
-        connection-status change, through the plan's per-status
-        ``configuration_for`` cache; the resulting plan carries one
-        configuration segment per change and the configuration active at
-        the *end* of the run.  ``connected`` has been validated to one
-        entry per window (``difficulties`` has one too), and the
-        recording has at least one.
+        A window's connection status is its trace entry, or else its
+        subject's system status.  ``configuration_for`` is asked once per
+        status the plan uses (:meth:`_FleetPlan.segments` derives each
+        subject's configuration segments from the statuses), and one
+        routing table indexed by ``(status, difficulty)`` gives every
+        window its model and target, with phone targets degraded to the
+        watch while disconnected.
         """
-        n = difficulties.shape[0]
-        model_codes = np.zeros(n, dtype=np.intp)
-        offloaded = np.zeros(n, dtype=bool)
-        segments: list[tuple[int, ProfiledConfiguration]] = []
+        n_subjects = len(subjects)
+        counts = np.fromiter(
+            (subject.n_windows for subject in subjects), dtype=np.intp, count=n_subjects
+        )
+        offsets = np.zeros(n_subjects + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        subject_ids = tuple(subject.subject_id for subject in subjects)
+        index = {sid: i for i, sid in enumerate(subject_ids)} if traces or systems else {}
 
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(connected)) + 1])
-        ends = np.concatenate([starts[1:], [n]])
-        for start, end in zip(starts, ends):
-            status = bool(connected[start])
-            configuration = configuration_for(status)
-            segments.append((int(start), configuration))
-            codes, off = route(configuration, difficulties[start:end], connected=status)
-            model_codes[start:end] = codes
-            offloaded[start:end] = off
+        status = np.full(n_subjects, bool(self.system.connected))
+        for sid, system in systems.items():
+            if sid in index:
+                status[index[sid]] = bool(system.connected)
+        connected = np.repeat(status, counts)
+        for sid, trace in traces.items():
+            i = index.get(sid)
+            if i is None:
+                continue
+            trace = np.asarray(trace, dtype=bool)
+            if trace.shape != (counts[i],):
+                raise ValueError(
+                    f"connected must have one entry per window "
+                    f"({counts[i]}), got shape {trace.shape}"
+                )
+            connected[offsets[i] : offsets[i + 1]] = trace
+        difficulties = self._fleet_difficulties(subjects, use_oracle_difficulty)
 
-        return _ExecutionPlan(
-            configuration=segments[-1][1],
+        used = np.concatenate([connected, status[counts == 0]])
+        configurations = {bool(s): configuration_for(bool(s)) for s in np.unique(used)}
+        code_of = {name: code for code, name in enumerate(self.zoo.names)}
+        codes = np.zeros((2, NUM_DIFFICULTY_LEVELS + 1), dtype=np.intp)
+        offload = np.zeros((2, NUM_DIFFICULTY_LEVELS + 1), dtype=bool)
+        for s, configuration in configurations.items():
+            for level in range(1, NUM_DIFFICULTY_LEVELS + 1):
+                name, target = self.engine.select_model(configuration, level)
+                codes[int(s), level] = code_of[name]
+                offload[int(s), level] = s and target is ExecutionTarget.PHONE
+        route = (connected.astype(np.intp), difficulties)
+        return _FleetPlan(
+            subject_ids=subject_ids,
+            offsets=offsets,
+            subject_status=status,
             difficulties=difficulties,
-            model_codes=model_codes,
-            offloaded=offloaded,
-            segments=segments,
+            connected=connected,
+            model_codes=codes[route],
+            offloaded=offload[route],
+            configurations=configurations,
         )
 
     # ------------------------------------------------------------- execution
-    def _run_result(
-        self,
-        subject: WindowedSubject,
-        plan: _ExecutionPlan,
-        names: np.ndarray,
-        predicted_hr: np.ndarray,
-        costs: Iterable[np.ndarray],
-    ) -> RunResult:
-        """One subject's result from its plan and its executed arrays."""
-        return RunResult(
-            configuration=plan.configuration,
-            window_index=np.arange(subject.n_windows, dtype=int),
-            predicted_difficulty=plan.difficulties.astype(int),
-            true_difficulty=subject.difficulty.astype(int),
-            model_names=names[plan.model_codes],
-            offloaded=plan.offloaded,
-            predicted_hr=predicted_hr,
-            true_hr=np.asarray(subject.hr, dtype=float).copy(),
-            configuration_segments=plan.segments,
-            **dict(zip(_COST_FIELDS, costs)),
-        )
-
     def _execute_scalar(
-        self, windows: WindowedSubject, plan: _ExecutionPlan
+        self, windows: WindowedSubject, plan: _FleetPlan
     ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Reference per-window path: one ``predict_window`` call per window."""
         n = windows.n_windows
@@ -830,7 +841,7 @@ class CHRISRuntime:
         return predicted_hr, cost_arrays
 
     def _run_scalar_oracle(
-        self, windows: WindowedSubject, plan: _ExecutionPlan
+        self, windows: WindowedSubject, plan: _FleetPlan
     ) -> RunResult:
         """Execute one planned recording window by window (the oracle).
 
@@ -839,13 +850,19 @@ class CHRISRuntime:
         window, through :meth:`_execute_scalar`.  It is not an execution
         mode of the runtime; the tests and
         :func:`repro.eval.benchmarking.benchmark_runtime` call it with a
-        plan from :meth:`_plan_fleet` (or :meth:`_plan_configured` for an
-        explicit configuration).
+        one-subject plan from :meth:`_plan_fleet` (or
+        :meth:`_plan_configured` for an explicit configuration).
         """
         self._reset_predictors()
         predicted_hr, costs = self._execute_scalar(windows, plan)
-        names = np.array(self.zoo.names, dtype=object)
-        return self._run_result(windows, plan, names, predicted_hr, costs)
+        fleet = self._fleet_result(
+            plan,
+            _column([windows.activity], int),
+            _column([windows.hr], float),
+            predicted_hr,
+            costs,
+        )
+        return fleet.results[windows.subject_id]
 
     # ----------------------------------------------------------------- run
     def run(
@@ -883,11 +900,9 @@ class CHRISRuntime:
         if windows.n_windows == 0:
             raise ValueError("the recording contains no windows")
         system = system if system is not None else self.system
-        plan = self._plan_configured(
-            windows, configuration, use_oracle_difficulty, connected=system.connected
-        )
+        plan = self._plan_configured(windows, configuration, use_oracle_difficulty, system)
         fleet = self._run_many_planned(
-            [windows], [plan], systems={windows.subject_id: system}
+            [windows], plan, systems={windows.subject_id: system}
         )
         return fleet.results[windows.subject_id]
 
@@ -945,8 +960,8 @@ class CHRISRuntime:
     ) -> FleetResult:
         """Replay a fleet of subjects under one constraint.
 
-        Every subject is planned individually, the whole population
-        executes in one fused call per model, and the fleet arrays are
+        The fleet is planned in one columnar pass, the whole population
+        executes in one fused call per model, and the result columns are
         split back into per-subject :class:`RunResult` views (see the
         module docstring).  The result is decision-for-decision identical
         to a loop of per-subject :meth:`run` calls in the given order:
@@ -974,10 +989,10 @@ class CHRISRuntime:
         _check_fleet_inputs(subjects, traces, systems)
         if not subjects:
             return FleetResult()
-        plans = self._plan_fleet(
+        plan = self._plan_fleet(
             subjects, constraint, use_oracle_difficulty, traces, systems=systems
         )
-        return self._run_many_planned(subjects, plans, systems=systems)
+        return self._run_many_planned(subjects, plan, systems=systems)
 
     # --------------------------------------------------------- fleet planning
     def _plan_fleet(
@@ -987,91 +1002,60 @@ class CHRISRuntime:
         use_oracle_difficulty: bool,
         traces: Mapping[str, np.ndarray],
         systems: Mapping[str, WearableSystem] | None = None,
-    ) -> list[_ExecutionPlan]:
-        """One execution plan per subject, in fleet order.
+    ) -> _FleetPlan:
+        """The columnar execution plan of a fleet, in fleet order.
 
-        Subjects and trace segments on the same connection status share
+        Windows and trace segments on the same connection status share
         one configuration: selection is a deterministic function of
         ``(constraint, connection status)``, so selecting once per status
-        is decision-identical to selecting per subject or per segment.  With per-subject
-        ``systems`` the status is each subject's own hardware's.  A
-        zero-window subject plans to nothing, under the configuration its
-        current status selects.  Difficulty comes from one detector pass
-        over the whole fleet (:meth:`_fleet_difficulties`).  Planning never
-        touches predictor state.
+        is decision-identical to selecting per subject or per segment.
+        With per-subject ``systems`` the status is each subject's own
+        hardware's.  A zero-window subject plans to nothing, under the
+        configuration its current status selects.  Difficulty comes from
+        one detector pass over the whole fleet
+        (:meth:`_fleet_difficulties`).  Planning never touches predictor
+        state.
         """
-        systems = systems or {}
-        route = self._fleet_router()
-        configuration_by_status: dict[bool, ProfiledConfiguration] = {}
+        return self._plan_routes(
+            subjects,
+            lambda status: self.engine.select_or_closest(constraint, connected=status),
+            use_oracle_difficulty,
+            traces,
+            systems or {},
+        )
 
-        def configuration_for(status: bool) -> ProfiledConfiguration:
-            if status not in configuration_by_status:
-                configuration_by_status[status] = self.engine.select_or_closest(
-                    constraint, connected=status
-                )
-            return configuration_by_status[status]
+    def model_window_counts(self, plan: _FleetPlan) -> np.ndarray:
+        """Planned window count of every zoo model, one row per subject.
 
-        difficulties = self._fleet_difficulties(subjects, use_oracle_difficulty)
-        plans = []
-        for subject, subject_difficulties in zip(subjects, difficulties):
-            trace = traces.get(subject.subject_id)
-            if trace is not None:
-                trace = np.asarray(trace, dtype=bool)
-                if trace.shape != (subject.n_windows,):
-                    raise ValueError(
-                        f"connected must have one entry per window "
-                        f"({subject.n_windows}), got shape {trace.shape}"
-                    )
-            if trace is not None and subject.n_windows:
-                plans.append(
-                    self._plan_traced(configuration_for, trace, subject_difficulties, route)
-                )
-            else:
-                status = bool(
-                    systems.get(subject.subject_id, self.system).connected
-                )
-                plans.append(
-                    self._plan_plain(
-                        configuration_for(status),
-                        subject_difficulties,
-                        route,
-                        connected=status,
-                    )
-                )
-        return plans
-
-    def model_window_counts(self, plans: "Sequence[_ExecutionPlan]") -> list[dict[str, int]]:
-        """Planned window count of every zoo model, one dict per plan.
-
-        Cross-run predictor state advances per routed window, so these
-        counts are what :meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state`
+        Columns follow the zoo's name order.  Cross-run predictor state
+        advances per routed window, so these counts are what
+        :meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state`
         consumes — the fleet executor accumulates them to fast-forward
-        shard-local predictor copies.
+        shard-local predictor copies, and the scheduler to track its
+        stream position.
         """
-        return [
-            {
-                name: int(np.count_nonzero(plan.model_codes == code))
-                for code, name in enumerate(self.zoo.names)
-            }
-            for plan in plans
-        ]
+        n_models = len(self.zoo.names)
+        keys = plan.window_subjects() * n_models + plan.model_codes
+        counts = np.bincount(keys, minlength=plan.n_subjects * n_models)
+        return counts.reshape(plan.n_subjects, n_models)
 
     # ------------------------------------------------------- fleet execution
     def _run_many_planned(
         self,
         subjects: Sequence[WindowedSubject],
-        plans: Sequence[_ExecutionPlan],
+        plan: _FleetPlan,
         systems: Mapping[str, WearableSystem] | None = None,
         fleet_states: Mapping[str, "FleetState"] | None = None,
     ) -> FleetResult:
-        """Execute precomputed fleet plans.
+        """Execute a precomputed fleet plan over its ``subjects``' windows.
 
-        Executes the whole population in per-model groups, then splits the
-        fleet arrays back into per-subject :class:`RunResult` views (NumPy
-        slices of the shared arrays, so the split allocates nothing per
-        subject).  Split from planning so fleet-executor workers replay a
-        shard from plans computed once in the parent, and the scheduler
-        executes batches it planned on its dispatcher thread.
+        The whole population executes in per-model groups
+        (:meth:`_execute_fleet`), then every result column is built once
+        and each subject's :class:`RunResult` is offset views of those
+        columns.  Only the subjects' window arrays are read: the plan
+        carries the ids.  Split from planning so fleet-executor workers
+        replay a shard from a plan sliced in the parent, and the
+        scheduler executes batches it planned on its dispatcher thread.
 
         ``fleet_states`` gives every stateful model a batch-positional
         :class:`~repro.models.base.FleetState` (slot ``i`` continues
@@ -1080,64 +1064,104 @@ class CHRISRuntime:
         streams' long-lived slots into these
         (:class:`repro.core.scheduler.FleetScheduler`).
         """
-        self._reset_predictors()
-        predicted_hr, cost_arrays = self._execute_fleet(
-            subjects,
-            plans,
-            systems=systems,
-            fleet_states=fleet_states,
-        )
-
-        fleet = FleetResult()
-        names = np.array(self.zoo.names, dtype=object)
-        start = 0
-        for subject, plan in zip(subjects, plans):
-            end = start + subject.n_windows
-            fleet.add(
-                subject.subject_id,
-                self._run_result(
-                    subject,
-                    plan,
-                    names,
-                    predicted_hr[start:end],
-                    (array[start:end] for array in cost_arrays),
-                ),
+        counts = [subject.n_windows for subject in subjects]
+        if counts != np.diff(plan.offsets).tolist():
+            raise ValueError(
+                f"the plan routes {plan.n_windows} windows of {plan.n_subjects} subjects, "
+                f"got {sum(counts)} windows of {len(counts)}"
             )
-            start = end
+        self._reset_predictors()
+        activity = _column([subject.activity for subject in subjects], int)
+        true_hr = _column([subject.hr for subject in subjects], float)
+        predicted_hr, costs = self._execute_fleet(
+            subjects, plan, activity, true_hr, systems=systems, fleet_states=fleet_states
+        )
+        return self._fleet_result(plan, activity, true_hr, predicted_hr, costs)
+
+    def _fleet_result(
+        self,
+        plan: _FleetPlan,
+        activity: np.ndarray,
+        true_hr: np.ndarray,
+        predicted_hr: np.ndarray,
+        costs: Sequence[np.ndarray],
+    ) -> FleetResult:
+        """Per-subject results as offset views of one set of result columns."""
+        names = np.array(self.zoo.names, dtype=object)
+        columns = (
+            np.arange(plan.n_windows, dtype=int) - plan.offsets[plan.window_subjects()],
+            plan.difficulties.astype(int),
+            difficulties_of(activity).astype(int),
+            names[plan.model_codes],
+            plan.offloaded,
+            predicted_hr,
+            true_hr,
+            *costs,
+        )
+        bounds = plan.offsets.tolist()
+        views = [
+            [column[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
+            for column in columns
+        ]
+        fleet = FleetResult()
+        for sid, segments, *arrays in zip(plan.subject_ids, plan.segments(), *views):
+            # Positional: the configuration, then _RESULT_COLUMNS in
+            # declaration order, then the segments.
+            fleet.add(sid, RunResult(segments[-1][1], *arrays, segments))
         return fleet
 
     def _execute_fleet(
         self,
         subjects: Sequence[WindowedSubject],
-        plans: Sequence[_ExecutionPlan],
+        plan: _FleetPlan,
+        activity: np.ndarray,
+        hr: np.ndarray,
         systems: Mapping[str, WearableSystem] | None = None,
         fleet_states: Mapping[str, FleetState] | None = None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Execute all subjects' plans in per-model fleet-wide groups.
+        """Execute a fleet plan in per-model fleet-wide groups.
 
         Window order within each group is subject-major with recording
         order inside every subject — exactly the order in which
         one-subject-at-a-time replay feeds each predictor, which is what
-        makes the fused calls bit-identical.  Stateless, row-bit-stable
-        predictors (``FLEET_BATCHABLE = True``: the calibrated models and
-        the TimePPG TCNs) fuse into one batch ``predict`` per model;
-        stateful predictors fuse into one ``predict_fleet`` per model
-        with a subject-index vector and a fresh
-        :class:`~repro.models.base.FleetState` (or ``fleet_states[name]``)
-        whose slots re-enact the per-subject ``reset()`` boundaries.
+        makes the fused calls bit-identical.  A model's signals are
+        gathered in one concatenation: a subject routed to it entirely
+        contributes its arrays as they are, a partly routed one through
+        its slice of the model's mask, an unrouted one nothing.
+        Stateless, row-bit-stable predictors (``FLEET_BATCHABLE = True``:
+        the calibrated models and the TimePPG TCNs) fuse into one batch
+        ``predict`` per model; stateful predictors fuse into one
+        ``predict_fleet`` per model with a subject-index vector and a
+        fresh :class:`~repro.models.base.FleetState` (or
+        ``fleet_states[name]``) whose slots re-enact the per-subject
+        ``reset()`` boundaries.
 
         Costs are gathered from a ``(hardware revision, model, target)``
-        value table: each combination the plans route is looked up once
+        value table: each combination the plan routes is looked up once
         for the whole fleet, whatever the mix of ``systems``.
         """
-        counts = [s.n_windows for s in subjects]
-        n_total = int(sum(counts))
-        window_slots = np.repeat(np.arange(len(subjects), dtype=np.intp), counts)
-        model_codes = np.concatenate([p.model_codes for p in plans])
-        offloaded = np.concatenate([p.offloaded for p in plans])
-        hr = np.concatenate([np.asarray(s.hr, dtype=float) for s in subjects])
-        activity = np.concatenate([np.asarray(s.activity, dtype=int) for s in subjects])
-        predicted_hr = np.empty(n_total, dtype=self.dtype)
+        model_codes = plan.model_codes
+        window_subjects = plan.window_subjects()
+        bounds = plan.offsets.tolist()
+        counts = np.diff(plan.offsets).tolist()
+        predicted_hr = np.empty(plan.n_windows, dtype=self.dtype)
+
+        def gather(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            hits = np.bincount(window_subjects[mask], minlength=plan.n_subjects).tolist()
+            picks = [
+                (subjects[i], None if hit == counts[i] else mask[bounds[i] : bounds[i + 1]])
+                for i, hit in enumerate(hits)
+                if hit
+            ]
+            return tuple(
+                np.concatenate(
+                    [
+                        getattr(s, field) if rows is None else getattr(s, field)[rows]
+                        for s, rows in picks
+                    ]
+                )
+                for field in ("ppg_windows", "accel_windows")
+            )
 
         for code, name in enumerate(self.zoo.names):
             predictor = self.zoo.entry(name).predictor
@@ -1145,16 +1169,12 @@ class CHRISRuntime:
                 # Per-run instance state is reset once; the per-subject
                 # boundaries live in the state slots.
                 predictor.reset()
-            idx = np.flatnonzero(model_codes == code)
+            mask = model_codes == code
+            idx = np.flatnonzero(mask)
             if idx.size == 0:
                 continue
             if predictor.REQUIRES_SIGNALS:
-                ppg = np.concatenate(
-                    [s.ppg_windows[p.model_codes == code] for s, p in zip(subjects, plans)]
-                )
-                accel = np.concatenate(
-                    [s.accel_windows[p.model_codes == code] for s, p in zip(subjects, plans)]
-                )
+                ppg, accel = gather(mask)
             else:
                 # Signal-free predictors only need the batch length: one
                 # window of any non-empty subject, broadcast over the group.
@@ -1169,35 +1189,39 @@ class CHRISRuntime:
                 state = (
                     fleet_states[name]
                     if fleet_states is not None
-                    else predictor.make_fleet_state(len(subjects))
+                    else predictor.make_fleet_state(plan.n_subjects)
                 )
                 predictions = predictor.predict_fleet(
                     ppg,
                     accel,
-                    subject_index=window_slots[idx],
+                    subject_index=window_subjects[idx],
                     state=state,
                     true_hr=hr[idx],
                     activity=activity[idx],
                 )
             predicted_hr[idx] = np.asarray(predictions, dtype=self.dtype)
 
-        # Hardware revisions in first-seen order; a homogeneous fleet has
-        # one, and its windows all index revision 0 of the table.
-        systems = systems or {}
-        revision_systems: list[WearableSystem] = []
-        revision_index: dict[tuple, int] = {}
-        subject_revisions = np.empty(len(subjects), dtype=np.intp)
-        for i, subject in enumerate(subjects):
-            system = systems.get(subject.subject_id, self.system)
-            rid = revision_index.setdefault(system.hardware_revision(), len(revision_systems))
-            if rid == len(revision_systems):
-                revision_systems.append(system)
-            subject_revisions[i] = rid
+        # Hardware revisions: the default system's is revision 0, and every
+        # distinct revision among ``systems`` gets the next index.  Equal
+        # revisions produce identical costs, so any system of a revision
+        # can fill its part of the table.
+        revision_systems = [self.system]
+        revision_index = {self.system.hardware_revision(): 0}
+        subject_revisions = np.zeros(plan.n_subjects, dtype=np.intp)
+        if systems:
+            position = {sid: i for i, sid in enumerate(plan.subject_ids)}
+            for sid, system in systems.items():
+                if sid not in position:
+                    continue
+                rid = revision_index.setdefault(system.hardware_revision(), len(revision_systems))
+                if rid == len(revision_systems):
+                    revision_systems.append(system)
+                subject_revisions[position[sid]] = rid
         n_models = len(self.zoo.names)
-        packed = model_codes * 2 + offloaded
+        packed = model_codes * 2 + plan.offloaded
         if len(revision_systems) > 1:
-            packed = packed + np.repeat(subject_revisions, counts) * (2 * n_models)
-        # Only combinations the plans actually route are looked up.
+            packed = packed + subject_revisions[window_subjects] * (2 * n_models)
+        # Only combinations the plan actually routes are looked up.
         lut = np.zeros((len(revision_systems) * 2 * n_models, len(_COST_FIELDS)))
         for key in np.flatnonzero(np.bincount(packed, minlength=lut.shape[0])):
             rid, rest = divmod(int(key), 2 * n_models)

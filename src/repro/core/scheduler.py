@@ -25,11 +25,13 @@ resolved.
 
 A dispatcher thread drains the arrival queue into *batches*: every
 session waiting when the dispatcher wakes (bounded by
-``max_batch_size``) is planned on the dispatcher
+``max_batch_size``) is planned on the dispatcher as one columnar plan
 (:meth:`~repro.core.runtime.CHRISRuntime._plan_fleet`) and handed to
 one worker thread that executes it as one cross-subject mega-batch
 (:meth:`~repro.core.runtime.CHRISRuntime._run_many_planned`), so the
-next batch is planned while the current one executes.  Process
+next batch is planned while the current one executes.  The stream
+position advances by the plan's per-model window counts
+(:meth:`~repro.core.runtime.CHRISRuntime.model_window_counts`).  Process
 parallelism belongs to :class:`~repro.core.fleet.FleetExecutor`; the
 scheduler executes its batches one at a time, in dispatch order.  Only
 the scheduler knows the slot layout: each attempt gathers the batch's
@@ -70,7 +72,10 @@ replays a whole session.  Pushes that are still queued coalesce in
 place (one growing window batch per stream), which keeps at most one
 queued session per stream — so a batch never holds one slot twice —
 and lets the deadline policy fuse an entire SLO window's worth of
-arrivals into one mega-batch.
+arrivals into one mega-batch.  A coalesced push appends one row to the
+stream's buffer, which doubles its capacity when full, and the
+session's recording views the rows it holds, so ``k`` pushes cost
+O(k), not the O(k²) of re-concatenating the queued session.
 
 Admission
 ---------
@@ -134,7 +139,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
-import queue
 import threading
 import time
 from collections import deque
@@ -206,6 +210,13 @@ class FleetSession:
         return self.state in (SessionState.DONE, SessionState.FAILED, SessionState.RETIRED)
 
 
+def _grown(rows: np.ndarray, capacity: int) -> np.ndarray:
+    """``rows`` copied into a fresh array of ``capacity`` rows."""
+    grown = np.empty((capacity,) + rows.shape[1:], dtype=rows.dtype)
+    grown[: rows.shape[0]] = rows
+    return grown
+
+
 class VirtualClock:
     """Deterministic manual time source for latency tests and benchmarks.
 
@@ -266,6 +277,10 @@ class StreamSession:
         self._open = True
         #: The stream's queued (still coalescible) session, if any.
         self._live: FleetSession | None = None
+        #: ``(ppg, accel, activity, hr)`` rows the live session's recording
+        #: views the first rows of; coalesced pushes append here and double
+        #: the capacity when it is full.
+        self._buffer: tuple[np.ndarray, ...] = ()
         #: Sessions pushed but not yet resolved (slot recycling gate).
         self._unresolved = 0
         self._pushes = itertools.count()
@@ -444,7 +459,8 @@ class FleetScheduler:
         self._complete_latencies: list[float] = []  # guarded-by: _lock, _arrivals, _resolved
         self._deadline_misses = 0  # guarded-by: _lock, _arrivals, _resolved
         self._batch_windows: list[int] = []  # guarded-by: _lock, _arrivals, _resolved
-        self._done_q: "queue.Queue[FleetSession]" = queue.Queue()
+        #: Resolved sessions not yet taken by next_done()/as_completed().
+        self._done: deque[FleetSession] = deque()  # guarded-by: _lock, _arrivals, _resolved
         #: The one worker thread executing dispatched batches in order.
         self._pool = ThreadPoolExecutor(  # lifecycle-ok: owned by the scheduler, shut down in close()
             1, thread_name_prefix="fleet-worker"
@@ -522,6 +538,7 @@ class FleetScheduler:
             self._pending.remove(session)
             session.state = SessionState.RETIRED
             self._resolve_locked(session, deliver=False)
+            self._resolved.notify_all()
         return True
 
     # -------------------------------------------------------------- streaming
@@ -597,26 +614,31 @@ class FleetScheduler:
                 raise RuntimeError(f"stream {stream.stream_id!r} is closed")
             self._admit_locked(ppg.shape[1:], accel.shape[1:])
             live = stream._live
-            if (
-                live is not None
-                and live.state is SessionState.QUEUED
-                and live in self._pending
-            ):
+            if live is not None and live.state is SessionState.QUEUED:
                 # Coalesce: the stream's queued window batch grows in
                 # place, so a stream has at most one queued session —
                 # which is what lets the deadline policy fuse a whole SLO
-                # window's worth of arrivals into one dispatch.
-                rec = live.recording
+                # window's worth of arrivals into one dispatch.  Only a
+                # queued session's rows are written, and its recording
+                # views only the rows it holds.
+                n = live.recording.n_windows
+                if n == stream._buffer[0].shape[0]:
+                    stream._buffer = tuple(_grown(array, 2 * n) for array in stream._buffer)
+                ppg_rows, accel_rows, activity_rows, hr_rows = stream._buffer
+                ppg_rows[n], accel_rows[n], activity_rows[n], hr_rows[n] = (
+                    ppg[0], accel[0], activity, hr
+                )
                 live.recording = dataclasses.replace(
-                    rec,
-                    ppg_windows=np.concatenate([rec.ppg_windows, ppg]),
-                    accel_windows=np.concatenate([rec.accel_windows, accel]),
-                    activity=np.concatenate([rec.activity, activity_arr]),
-                    hr=np.concatenate([rec.hr, hr_arr]),
+                    live.recording,
+                    ppg_windows=ppg_rows[: n + 1],
+                    accel_windows=accel_rows[: n + 1],
+                    activity=activity_rows[: n + 1],
+                    hr=hr_rows[: n + 1],
                 )
                 live.arrivals_s.append(self._clock())
                 return live
             subject_id = f"{stream.stream_id}#{next(stream._pushes)}"
+            stream._buffer = (ppg, accel, activity_arr, hr_arr)
             return self._enqueue_locked(
                 stream,
                 subject_id,
@@ -630,7 +652,7 @@ class FleetScheduler:
                 ),
             )
 
-    def _enqueue_locked(  # unguarded-ok: _active_ids, _pending, _unresolved
+    def _enqueue_locked(  # unguarded-ok: _active_ids, _pending, _unresolved, _paused
         self,
         stream: StreamSession,
         subject_id: str,
@@ -651,7 +673,9 @@ class FleetScheduler:
         self._active_ids.add(subject_id)
         self._pending.append(session)
         self._unresolved += 1
-        self._arrivals.notify_all()
+        if not self._paused:
+            # A paused dispatcher releases nothing; resume() wakes it.
+            self._arrivals.notify_all()
         return session
 
     def _take_slot_locked(self) -> int:  # unguarded-ok: _free_slots, _fleet_states
@@ -778,12 +802,12 @@ class FleetScheduler:
                 )
                 continue
             try:
-                plans, systems, prior, post, slots = self._prepare_batch(batch)
+                plan, systems, prior, post, slots = self._prepare_batch(batch)
             except BaseException as exc:  # noqa: BLE001 - reported per session
                 self._fail_batch(batch, exc)
                 continue
             try:
-                self._pool.submit(self._execute_batch, batch, plans, systems, prior, post, slots)
+                self._pool.submit(self._execute_batch, batch, plan, systems, prior, post, slots)
             except BaseException as exc:  # noqa: BLE001 - pool shut down mid-flight
                 # The stream runtime only advances by *executing*; with the
                 # batch never executing, roll the as-if-planned accounting
@@ -793,24 +817,25 @@ class FleetScheduler:
 
     def _prepare_batch(
         self, batch: list[FleetSession]
-    ) -> tuple[list, dict[str, WearableSystem], dict[str, int], dict[str, int], np.ndarray]:
+    ) -> tuple:
         """Plan a batch on the stream runtime (dispatcher side).
 
         Planning is side-effect free on predictor state.  Returns
-        ``(plans, systems, prior_totals, post_totals, slots)`` — the
-        cumulative per-model window totals before and after this batch,
-        which retries and the failure restore use to rebuild stream
-        positions, and the state slot of each session's stream.
+        ``(plan, systems, prior_totals, post_totals, slots)``: the batch's
+        columnar plan, the cumulative per-model window totals before and
+        after this batch, which retries and the failure restore use to
+        rebuild stream positions, and the state slot of each session's
+        stream.
         """
         subjects = [s.recording for s in batch]
-        slots = np.array([s.stream.slot for s in batch], dtype=np.intp)
+        slots = np.fromiter((s.stream.slot for s in batch), dtype=np.intp, count=len(batch))
         traces = {
             s.subject_id: s.connected_trace
             for s in batch
             if s.connected_trace is not None
         }
         systems = {s.subject_id: s.stream.system for s in batch if s.stream.system is not None}
-        plans = self._runtime._plan_fleet(
+        plan = self._runtime._plan_fleet(
             subjects, self.constraint, self.use_oracle_difficulty, traces, systems=systems
         )
         self._profile_cost_tables(systems.values())
@@ -818,11 +843,11 @@ class FleetScheduler:
         # batch now, whether or not execution ultimately succeeds — a
         # quarantined batch must not invalidate its successors.
         prior = dict(self._stream_totals)
-        for counts in self._runtime.model_window_counts(plans):
-            for name, count in counts.items():
-                self._stream_totals[name] = self._stream_totals.get(name, 0) + count
+        totals = self._runtime.model_window_counts(plan).sum(axis=0).tolist()
+        for name, count in zip(self._runtime.zoo.names, totals):
+            self._stream_totals[name] = self._stream_totals.get(name, 0) + count
         post = dict(self._stream_totals)
-        return plans, systems, prior, post, slots
+        return plan, systems, prior, post, slots
 
     def _rebuild_zoo(self, totals: Mapping[str, int]):
         """A stream zoo positioned at cumulative stream position ``totals``.
@@ -856,7 +881,7 @@ class FleetScheduler:
     def _execute_batch(
         self,
         batch: list[FleetSession],
-        plans: list,
+        plan,
         systems: dict[str, WearableSystem],
         prior_totals: dict[str, int],
         post_totals: dict[str, int],
@@ -887,7 +912,7 @@ class FleetScheduler:
                         for name, state in self._fleet_states.items()
                     }
                 fleet = self._runtime._run_many_planned(
-                    subjects, plans, systems=systems, fleet_states=states
+                    subjects, plan, systems=systems, fleet_states=states
                 )
                 results = [fleet.results[s.subject_id] for s in batch]
                 break
@@ -917,12 +942,13 @@ class FleetScheduler:
                 session.complete_s = now
                 self._record_latency_locked(session, now)
                 self._resolve_locked(session, deliver=True)
+            self._resolved.notify_all()
 
     def _fail_batch(self, batch: list[FleetSession], exc: BaseException) -> None:
         """Mark every *unresolved* session of a batch failed with the error.
 
         Batches fail as a unit: by the time planning or execution raises,
-        the batch's sessions are entangled (shared plans, shared predictor
+        the batch's sessions are entangled (one shared plan, shared predictor
         stream), so the error is reported on each of them.  Per-session
         input problems — empty recordings, trace shape, window geometry
         (see :meth:`_admit_locked`) — raise at :meth:`submit` /
@@ -940,6 +966,7 @@ class FleetScheduler:
                 session.error = exc
                 session.state = SessionState.FAILED
                 self._resolve_locked(session, deliver=True)
+            self._resolved.notify_all()
 
     def _record_latency_locked(
         self, session: FleetSession, now: float
@@ -950,12 +977,13 @@ class FleetScheduler:
         self._complete_latencies.extend(waits)
         self._deadline_misses += sum(1 for w in waits if w > budget)
 
-    def _resolve_locked(self, session: FleetSession, deliver: bool) -> None:  # unguarded-ok: _active_ids, _unresolved, _fleet_states, _free_slots
+    def _resolve_locked(self, session: FleetSession, deliver: bool) -> None:  # unguarded-ok: _active_ids, _unresolved, _fleet_states, _free_slots, _done
         """Bookkeeping for a session reaching a terminal state (lock held).
 
         Every caller (``retire``, ``_fail_batch``, ``_execute_batch``)
         already holds ``_lock`` — the ``_locked`` suffix is the contract,
-        hence the attribute-scoped ``unguarded-ok`` pragma above.
+        hence the attribute-scoped ``unguarded-ok`` pragma above — and
+        wakes the ``_resolved`` waiters once, after its last resolution.
         """
         self._active_ids.discard(session.subject_id)
         stream = session.stream
@@ -965,9 +993,8 @@ class FleetScheduler:
         if not stream._open and stream._unresolved == 0:
             self._release_slot_locked(stream)
         if deliver:
-            self._done_q.put(session)
+            self._done.append(session)
         self._unresolved -= 1
-        self._resolved.notify_all()
 
     def _release_slot_locked(self, stream: StreamSession) -> None:  # unguarded-ok: _fleet_states, _free_slots
         """Recycle a closed stream's state slot (lock held, stream drained).
@@ -1027,10 +1054,10 @@ class FleetScheduler:
         :meth:`as_completed` takes it: a server that never consumes
         results grows that queue by one handle per session.
         """
-        try:
-            return self._done_q.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        with self._resolved:
+            if not self._resolved.wait_for(lambda: self._done, timeout):
+                return None
+            return self._done.popleft()
 
     def as_completed(self) -> Iterator[FleetSession]:
         """Yield sessions as they complete, until no work is outstanding.
@@ -1043,35 +1070,15 @@ class FleetScheduler:
         :meth:`next_done` describes.
         """
         while True:
-            try:
-                yield self._done_q.get_nowait()
-                continue
-            except queue.Empty:
-                pass
-            with self._lock:
-                outstanding = self._unresolved
-            if outstanding == 0:
-                # Every resolution enqueues its session *before*
-                # decrementing _unresolved (both under the lock), so
-                # having observed zero, anything resolved so far is
-                # already in the queue: one final drain cannot strand a
-                # delivery.  A submission arriving after the drain below
-                # belongs to the next as_completed() call.
-                try:
-                    yield self._done_q.get_nowait()
-                    continue
-                except queue.Empty:
-                    with self._lock:
-                        if self._unresolved:
-                            continue
-                    try:
-                        yield self._done_q.get_nowait()
-                        continue
-                    except queue.Empty:
-                        return
-            session = self.next_done(timeout=0.05)
-            if session is not None:
-                yield session
+            with self._resolved:
+                # A resolution delivers its session and decrements
+                # _unresolved under the lock, then notifies: waking on
+                # an empty queue with nothing outstanding means done.
+                self._resolved.wait_for(lambda: self._done or not self._unresolved)
+                if not self._done:
+                    return
+                session = self._done.popleft()
+            yield session
 
     def __iter__(self) -> Iterator[FleetSession]:
         return self.as_completed()

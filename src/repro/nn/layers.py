@@ -209,7 +209,11 @@ class Conv1d(Layer):
                 f"input length {length} too short for kernel span {self.effective_kernel}"
             )
         if pad_left or pad_right:
-            x = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)))
+            padded = np.empty(x.shape[:2] + (pad_left + length + pad_right,), dtype=x.dtype)
+            padded[:, :, :pad_left] = 0
+            padded[:, :, pad_left : pad_left + length] = x
+            padded[:, :, pad_left + length :] = 0
+            x = padded
         return x, pad_left, l_out
 
     def im2col(self, x: np.ndarray) -> np.ndarray:  # hot-path
@@ -487,12 +491,19 @@ class AvgPool1d(Layer):
         x = as_floating(x)
         if x.ndim != 3:
             raise ValueError(f"AvgPool1d expects (batch, channels, length), got {x.shape}")
-        batch, channels, length = x.shape
+        length = x.shape[2]
         l_out = length // self.pool_size
         if l_out == 0:
             raise ValueError(f"input length {length} shorter than pool size {self.pool_size}")
-        trimmed = x[:, :, : l_out * self.pool_size]
-        out = trimmed.reshape(batch, channels, l_out, self.pool_size).mean(axis=3)
+        # Sum the taps in order from +0.0, then divide: the bits of
+        # numpy's mean over the pool (which sums sequentially from +0.0
+        # below 8 elements and pairwise from 8), signed zeros included,
+        # without the copy a reshape of the trimmed input makes.
+        end = l_out * self.pool_size
+        out = x[:, :, 0 : end : self.pool_size] + 0.0
+        for tap in range(1, self.pool_size):  # loop-ok: per pool tap, not per element
+            out += x[:, :, tap : end : self.pool_size]
+        out /= self.pool_size
         if training:
             self._cache = (x.shape, l_out)
         return out

@@ -1,7 +1,7 @@
-"""REP006 fixture (dirty twin): lock-order violations the call-graph pass
-must catch — a declaration cycle, an unregistered mutex, direct and
-helper-call order reversals, undeclared nesting, and re-entry on a
-non-reentrant lock.  This module is only ever *parsed* by the lint
+"""REP006 fixture (dirty twin): lock-order violations the per-module
+held-lock walker must catch — a declaration cycle, an unregistered mutex,
+direct and helper-call order reversals, undeclared nesting, and re-entry
+on a non-reentrant lock.  This module is only ever *parsed* by the lint
 engine, never imported.
 """
 

@@ -183,6 +183,8 @@ def test_real_scheduler_and_registry_declarations_present():
         # Continuation state: one slot per stream, gathered and scattered
         # by the worker under the lock.
         "_fleet_states",
+        # Delivery queue of resolved sessions, drained by next_done().
+        "_done",
     }
     assert all(locks == frozenset({"_lock", "_arrivals", "_resolved"}) for locks in guarded.values())
 

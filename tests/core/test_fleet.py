@@ -154,7 +154,8 @@ class TestMegaBatchedEquivalence:
                 list(small_dataset.subjects), CONSTRAINT, use_oracle_difficulty=True, traces={}
             )
         )
-        for subject, planned in zip(small_dataset.subjects, counts):
+        for subject, row in zip(small_dataset.subjects, counts):
+            planned = dict(zip(runtime.zoo.names, row.tolist()))
             executed = sequential_fleet.results[subject.subject_id].per_model_counts()
             assert {k: v for k, v in planned.items() if v} == executed
 

@@ -49,7 +49,7 @@ def oracle_run(
     executes window by window.
     """
     traces = {} if connected is None else {subject.subject_id: connected}
-    plan = runtime._plan_fleet([subject], constraint, use_oracle_difficulty, traces)[0]
+    plan = runtime._plan_fleet([subject], constraint, use_oracle_difficulty, traces)
     return runtime._run_scalar_oracle(subject, plan)
 
 
@@ -162,27 +162,28 @@ class TestFusedDifficultyPlanning:
             + subjects[2:]
         )
         traces = {s.subject_id: dropout_trace(s.n_windows) for s in subjects[::2]}
-        plans = runtime._plan_fleet(fleet, CONSTRAINT, False, traces)
+        fleet_plan = runtime._plan_fleet(fleet, CONSTRAINT, False, traces)
         assert calls == [sum(s.n_windows for s in subjects)]
 
-        for subject, plan in zip(fleet, plans):
+        for i, subject in enumerate(fleet):
+            plan = fleet_plan[i : i + 1]
             calls.clear()
             sid = subject.subject_id
             trace = {sid: traces[sid]} if sid in traces else {}
-            (alone,) = runtime._plan_fleet([subject], CONSTRAINT, False, trace)
+            alone = runtime._plan_fleet([subject], CONSTRAINT, False, trace)
             assert calls == ([subject.n_windows] if subject.n_windows else [])
             np.testing.assert_array_equal(plan.difficulties, alone.difficulties)
             np.testing.assert_array_equal(plan.model_codes, alone.model_codes)
             np.testing.assert_array_equal(plan.offloaded, alone.offloaded)
-            assert [(i, c.label()) for i, c in plan.segments] == [
-                (i, c.label()) for i, c in alone.segments
+            assert [(i, c.label()) for i, c in plan.segments()[0]] == [
+                (i, c.label()) for i, c in alone.segments()[0]
             ]
             assert plan.difficulties.shape == (subject.n_windows,)
 
     def test_no_call_for_oracle_or_windowless_plans(self, spied_runtime, small_dataset):
         runtime, calls = spied_runtime
         subject = small_dataset.subjects[0]
-        (plan,) = runtime._plan_fleet([subject], CONSTRAINT, True, {})
+        plan = runtime._plan_fleet([subject], CONSTRAINT, True, {})
         np.testing.assert_array_equal(plan.difficulties, subject.difficulty)
         runtime._plan_fleet([self.empty_subject(subject, "empty")], CONSTRAINT, False, {})
         assert calls == []

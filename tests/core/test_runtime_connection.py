@@ -92,7 +92,7 @@ def trace_run(runtime, subject, constraint, connected, scalar: bool):
             subject, constraint, connected, use_oracle_difficulty=True
         )
     traces = {subject.subject_id: connected}
-    plan = runtime._plan_fleet([subject], constraint, True, traces)[0]
+    plan = runtime._plan_fleet([subject], constraint, True, traces)
     return runtime._run_scalar_oracle(subject, plan)
 
 

@@ -855,6 +855,36 @@ class TestStreamingBitIdentity:
         predicted = np.concatenate([s.result.predicted_hr for s in ordered])
         np.testing.assert_array_equal(predicted, reference.predicted_hr)
 
+    @pytest.mark.parametrize("n_pushes", [1, 2, 17, 500])
+    def test_paused_pushes_grow_one_session(self, calibrated_experiment, n_pushes):
+        # Coalesced pushes append into the stream's doubling buffer; the
+        # session's recording views its first rows and must replay like
+        # the whole recording, field for field.
+        subject = make_subject("w0", n_windows=n_pushes, seed=n_pushes)
+        reference = (
+            make_stateful_runtime(calibrated_experiment)
+            .run_many([subject], CONSTRAINT, use_oracle_difficulty=True)
+            .results["w0"]
+        )
+        scheduler = FleetScheduler(
+            make_stateful_runtime(calibrated_experiment),
+            CONSTRAINT,
+            use_oracle_difficulty=True,
+        )
+        stream = scheduler.open_stream("w0")
+        scheduler.pause()
+        sessions = {push_window(stream, subject, w) for w in range(n_pushes)}
+        assert len(sessions) == 1
+        (session,) = sessions
+        for name in ("ppg_windows", "accel_windows", "activity", "hr"):
+            got, want = getattr(session.recording, name), getattr(subject, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        scheduler.resume()
+        scheduler.close(wait=True)
+        assert session.state is SessionState.DONE
+        assert len(session.arrivals_s) == n_pushes
+        assert_results_identical(session.result, reference)
+
     def test_multi_stream_round_robin_matches_replay(self, calibrated_experiment):
         subjects = [make_subject(f"w{i}", n_windows=8, seed=10 + i) for i in range(3)]
         reference = make_stateful_runtime(calibrated_experiment).run_many(
