@@ -1,19 +1,20 @@
-"""Runtime throughput benchmarking utilities.
+"""Throughput benchmarks of the CHRIS engine.
 
-Shared by the checked-in throughput benchmark
-(``benchmarks/test_runtime_throughput.py``) and the perf-trajectory
+Shared by the floor tests in this directory and the perf-trajectory
 summary script (``benchmarks/summarize_runtime.py``): both measure the
-same fixed synthetic workload, so the numbers are comparable across PRs.
+same fixed synthetic workloads (:mod:`repro.eval.workloads`), so the
+numbers are comparable across changes.
 
-The workload is a large windowed pseudo-recording built directly from
-arrays (no signal synthesis), replayed once through the per-window
-oracle (:meth:`~repro.core.runtime.CHRISRuntime._run_scalar_oracle`) and
-once through :class:`~repro.core.runtime.CHRISRuntime`'s fleet path.
-Besides the two throughputs (windows/second) the measurement records the
-fleet run's accuracy and offload statistics and verifies that the two
-paths routed every window identically.  The multi-subject benchmarks
-compare against :func:`sequential_replay`, a loop of per-subject
-:meth:`~repro.core.runtime.CHRISRuntime.run` calls.
+Every block is timed by :func:`time_sides`: named sides in interleaved
+rounds, each round led by the next side, with untimed per-side set-up
+and a full garbage collection before each timed call.  Each block keeps
+its statistic: best-of-N blocks report the minimum of their samples,
+paired blocks the median of per-round ratios.  The fast paths are
+compared against the per-window oracle
+(``tests/core/scalar_oracle.py``) or against
+:func:`~repro.eval.workloads.sequential_replay`, a loop of per-subject
+:meth:`~repro.core.runtime.CHRISRuntime.run` calls, and each block
+checks that both sides decided every window alike.
 """
 
 from __future__ import annotations
@@ -21,67 +22,128 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import gc
+import itertools
 import os
 import tempfile
 import time
+from dataclasses import dataclass
+from time import perf_counter
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from repro.core.decision_engine import Constraint
 from repro.core.fleet import FleetExecutor
 from repro.core.profiling import ConfigurationProfiler, ProfilingData
-from repro.core.runtime import (
-    CHRISRuntime,
-    EQUIVALENCE_ATOL,
-    EQUIVALENCE_RTOL,
-    EQUIVALENCE_TOLERANCES,
-    FleetResult,
-)
+from repro.core.runtime import EQUIVALENCE_TOLERANCES, CHRISRuntime
 from repro.core.scheduler import FleetScheduler, SessionState
 from repro.core.zoo import ModelsZoo, ZooEntry
 from repro.data.activities import ACTIVITIES
 from repro.data.dataset import WindowedDataset, WindowedSubject
 from repro.data.synthetic import SyntheticDaliaGenerator, SyntheticDatasetConfig
+from repro.eval.experiment import build_calibrated_zoo
+from repro.eval.workloads import (
+    sequential_replay,
+    stateful_zoo,
+    synthetic_fleet,
+    synthetic_workload,
+)
 from repro.hw.platform import WearableSystem
 from repro.ml.activity_classifier import ActivityClassifier
 from repro.ml.random_forest import RandomForestClassifier
 from repro.models.adaptive_threshold import AdaptiveThresholdPredictor
-from repro.models.error_model import SmoothedCalibratedHRModel
-from repro.models.spectral_tracker import SpectralHRPredictor
 from repro.models.timeppg import (
     TIMEPPG_BIG_CONFIG,
     TIMEPPG_SMALL_CONFIG,
     TimePPGConfig,
     TimePPGPredictor,
 )
-from repro.signal.windowing import DEFAULT_WINDOW_SPEC
+from tests.core.scalar_oracle import run_scalar_oracle
 
 
-def synthetic_workload(
-    n_windows: int = 10_000,
-    window_length: int = 256,
-    seed: int = 0,
-) -> WindowedSubject:
-    """A large windowed pseudo-recording for throughput measurements.
+@dataclass(frozen=True)
+class Side:
+    """One timed side: ``run(setup())`` is timed, ``setup`` and ``teardown`` are not."""
 
-    Activities cycle through all nine difficulty levels in contiguous
-    blocks (so every model of a hybrid configuration receives work), the
-    HR follows a slow sinusoid, and the raw signals are white noise — the
-    calibrated zoo never reads them, and the workload builds in
-    milliseconds instead of synthesizing hours of PPG.
+    run: Callable[[Any], Any]
+    setup: Callable[[], Any] = lambda: None
+    teardown: Callable[[Any], None] = lambda state: None
+
+
+@dataclass
+class Timing:
+    """A side's wall times, one per round, and its last round's result."""
+
+    samples: list[float]
+    result: Any = None
+
+
+def time_sides(sides: Mapping[str, Side], rounds: int) -> dict[str, Timing]:
+    """Time named sides in ``rounds`` interleaved rounds.
+
+    Round ``r`` runs the sides in mapping order rotated left by ``r``, so
+    every side leads in turn and host drift falls on all of them alike.
+    Before each timed call the side's ``setup`` runs, then a full
+    ``gc.collect()``, so every side starts from the same collector state
+    and no collection owed to earlier garbage lands in its timing.
+    ``teardown`` runs after the timed call, also untimed.
+
+    The objects that exist when the outermost call starts (the caller's
+    heap: in a test run, every earlier test's survivors) are frozen out
+    of the collector until it returns.  Collections then traverse only
+    what the sides allocate, so they cost the same whatever ran before,
+    and the per-call ``gc.collect()`` takes milliseconds, not the
+    ~0.2 s a full pass over a test process's heap takes.
     """
-    if n_windows <= 0:
-        raise ValueError(f"n_windows must be positive, got {n_windows}")
-    rng = np.random.default_rng(seed)
-    activity = np.arange(n_windows, dtype=int) // max(1, n_windows // 90) % 9
-    hr = 70.0 + 30.0 * np.sin(np.linspace(0.0, 20.0 * np.pi, n_windows))
-    return WindowedSubject(
-        subject_id=f"synthetic-{n_windows}w",
-        ppg_windows=rng.standard_normal((n_windows, window_length)),
-        accel_windows=rng.standard_normal((n_windows, window_length, 3)),
-        activity=activity,
-        hr=hr,
-        spec=DEFAULT_WINDOW_SPEC,
+    if rounds <= 0:
+        raise ValueError(f"rounds must be positive, got {rounds}")
+    names = list(sides)
+    timings = {name: Timing([]) for name in names}
+    outermost = gc.get_freeze_count() == 0
+    if outermost:
+        gc.collect()
+        gc.freeze()
+    try:
+        for round_ in range(rounds):
+            lead = round_ % len(names)
+            for name in names[lead:] + names[:lead]:
+                side = sides[name]
+                state = side.setup()
+                try:
+                    gc.collect()
+                    start = perf_counter()
+                    result = side.run(state)
+                    timings[name].samples.append(perf_counter() - start)
+                finally:
+                    side.teardown(state)
+                timings[name].result = result
+    finally:
+        if outermost:
+            gc.unfreeze()
+    return timings
+
+
+def host_fingerprint() -> dict:
+    """Cores, numpy version and BLAS of the measuring host."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+    }
+
+
+def _spread(values) -> dict:
+    """Median and interquartile range of a list of measurements."""
+    q25, median, q75 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q25": float(q25), "q75": float(q75)}
+
+
+def _fleets_identical(fleet, reference) -> bool:
+    """Whether ``fleet`` holds the same subjects and results as ``reference``."""
+    return fleet.subject_ids == reference.subject_ids and all(
+        fleet.results[sid] == reference.results[sid] for sid in fleet.subject_ids
     )
 
 
@@ -94,22 +156,12 @@ def benchmark_runtime(
 ) -> dict:
     """Measure per-window oracle vs. runtime throughput on one workload.
 
-    Parameters
-    ----------
-    experiment:
-        A :class:`~repro.eval.experiment.CalibratedExperiment` (its zoo,
-        engine and system are replayed).
-    n_windows:
-        Workload size (10k windows ≈ 5.5 h of recording at the paper's
-        2-second stride).
-    constraint:
-        Operating constraint; the paper's headline MAE ≤ 5.60 BPM bound
-        when omitted.
-    seed:
-        Workload generator seed.
-    repeats:
-        Timed repetitions per path; the best (minimum) time is reported,
-        which filters out scheduler and allocator noise.
+    ``experiment`` is a :class:`~repro.eval.experiment.CalibratedExperiment`
+    whose zoo, engine and system are replayed on a ``n_windows``
+    :func:`~repro.eval.workloads.synthetic_workload` (10k windows ≈ 5.5 h
+    of recording at the paper's 2-second stride) under ``constraint``
+    (the paper's headline MAE ≤ 5.60 BPM bound when omitted).  Each path
+    reports the best of ``repeats`` wall times.
 
     Returns a JSON-serializable dict with both throughputs (``batched_*``
     is :meth:`~repro.core.runtime.CHRISRuntime.run_with_configuration`),
@@ -117,32 +169,28 @@ def benchmark_runtime(
     ``routing_identical`` flag confirming both paths made the same
     per-window decisions.
     """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
     constraint = constraint or Constraint.max_mae(5.60)
     workload = synthetic_workload(n_windows=n_windows, seed=seed)
     runtime = experiment.runtime()
     configuration = experiment.engine.select_or_closest(constraint, connected=True)
 
-    def timed(run):
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = run()
-            best = min(best, time.perf_counter() - start)
-        return result, best
-
-    def oracle():
+    def oracle(_):
         plan = runtime._plan_configured(workload, configuration, True)
-        return runtime._run_scalar_oracle(workload, plan)
+        return run_scalar_oracle(runtime, workload, plan)
 
-    scalar, scalar_s = timed(oracle)
-    batched, batched_s = timed(
-        lambda: runtime.run_with_configuration(
-            workload, configuration, use_oracle_difficulty=True
-        )
+    timings = time_sides(
+        {
+            "scalar": Side(oracle),
+            "batched": Side(
+                lambda _: runtime.run_with_configuration(
+                    workload, configuration, use_oracle_difficulty=True
+                )
+            ),
+        },
+        repeats,
     )
+    scalar, batched = timings["scalar"].result, timings["batched"].result
+    scalar_s, batched_s = min(timings["scalar"].samples), min(timings["batched"].samples)
 
     routing_identical = bool(
         np.array_equal(scalar.model_names.astype(str), batched.model_names.astype(str))
@@ -164,65 +212,6 @@ def benchmark_runtime(
     }
 
 
-def synthetic_fleet(
-    n_subjects: int = 50,
-    n_windows_per_subject: int = 2_000,
-    window_length: int = 16,
-    seed: int = 0,
-) -> list[WindowedSubject]:
-    """A fleet of windowed pseudo-recordings for fleet-throughput runs.
-
-    One :func:`synthetic_workload` per subject with a distinct seed and
-    id.  The window length is kept short because the calibrated zoo never
-    reads the signal arrays; 50 subjects x 2k windows fit in ~40 MB
-    instead of the ~1 GB full-length windows would take.
-    """
-    if n_subjects <= 0:
-        raise ValueError(f"n_subjects must be positive, got {n_subjects}")
-    fleet = []
-    for i in range(n_subjects):
-        subject = synthetic_workload(
-            n_windows=n_windows_per_subject, window_length=window_length, seed=seed + i
-        )
-        subject.subject_id = f"fleet-{i:03d}"
-        fleet.append(subject)
-    return fleet
-
-
-def sequential_replay(
-    runtime: CHRISRuntime,
-    subjects,
-    constraint: Constraint,
-    use_oracle_difficulty: bool = False,
-    connected_traces=None,
-    systems=None,
-) -> FleetResult:
-    """Replay a fleet one subject at a time: a loop of per-subject runs.
-
-    The baseline every multi-subject path is pinned against, bit for bit
-    and in throughput: one
-    :meth:`~repro.core.runtime.CHRISRuntime.run` per subject, or
-    :meth:`~repro.core.runtime.CHRISRuntime.run_with_connection_trace`
-    for subjects with a trace in ``connected_traces``, on the hardware
-    ``systems`` maps them to.
-    """
-    traces = connected_traces or {}
-    systems = systems or {}
-    fleet = FleetResult()
-    for subject in subjects:
-        sid = subject.subject_id
-        if sid in traces:
-            result = runtime.run_with_connection_trace(
-                subject, constraint, traces[sid], use_oracle_difficulty, system=systems.get(sid)
-            )
-        else:
-            result = runtime.run(
-                subject, constraint, use_oracle_difficulty, system=systems.get(sid)
-            )
-        fleet.add(sid, result)
-    return fleet
-
-
 def benchmark_fleet(
     experiment,
     n_subjects: int = 50,
@@ -237,7 +226,8 @@ def benchmark_fleet(
     Three paths replay the same ``n_subjects`` x ``n_windows_per_subject``
     fleet:
 
-    * **sequential** — :func:`sequential_replay`, one ``run`` per subject;
+    * **sequential** — :func:`~repro.eval.workloads.sequential_replay`,
+      one ``run`` per subject;
     * **mega** — cross-subject mega-batching: one ``predict`` call per
       model for the entire population, in-process;
     * **pool** — :class:`~repro.core.fleet.FleetExecutor` sharding across
@@ -249,8 +239,6 @@ def benchmark_fleet(
     confirming the fast paths replayed every window exactly like the
     sequential reference.
     """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
     constraint = constraint or Constraint.max_mae(5.60)
     subjects = synthetic_fleet(
         n_subjects=n_subjects, n_windows_per_subject=n_windows_per_subject, seed=seed
@@ -259,32 +247,32 @@ def benchmark_fleet(
     workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
     configuration = experiment.engine.select_or_closest(constraint, connected=True)
 
-    def timed(run):
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            runtime = copy.deepcopy(experiment.runtime())
-            start = time.perf_counter()
-            result = run(runtime)
-            best = min(best, time.perf_counter() - start)
-        return result, best
+    def fresh_runtime() -> CHRISRuntime:
+        return copy.deepcopy(experiment.runtime())
 
-    sequential, sequential_s = timed(
-        lambda rt: sequential_replay(rt, subjects, constraint, use_oracle_difficulty=True)
+    timings = time_sides(
+        {
+            "sequential": Side(
+                lambda rt: sequential_replay(rt, subjects, constraint, use_oracle_difficulty=True),
+                fresh_runtime,
+            ),
+            "mega": Side(
+                lambda rt: rt.run_many(subjects, constraint, use_oracle_difficulty=True),
+                fresh_runtime,
+            ),
+            "pool": Side(
+                lambda rt: FleetExecutor(rt, max_workers=workers).run_fleet(
+                    subjects, constraint, use_oracle_difficulty=True
+                ),
+                fresh_runtime,
+            ),
+        },
+        repeats,
     )
-    mega, mega_s = timed(
-        lambda rt: rt.run_many(subjects, constraint, use_oracle_difficulty=True)
+    sequential_s, mega_s, pool_s = (
+        min(timings[name].samples) for name in ("sequential", "mega", "pool")
     )
-    pool, pool_s = timed(
-        lambda rt: FleetExecutor(rt, max_workers=workers).run_fleet(
-            subjects, constraint, use_oracle_difficulty=True
-        )
-    )
-
-    def identical(fleet) -> bool:
-        return fleet.subject_ids == sequential.subject_ids and all(
-            fleet.results[sid] == sequential.results[sid] for sid in fleet.subject_ids
-        )
+    sequential, mega = timings["sequential"].result, timings["mega"].result
 
     return {
         "n_subjects": int(n_subjects),
@@ -305,35 +293,11 @@ def benchmark_fleet(
         "pool_speedup": sequential_s / pool_s,
         "mae_bpm": mega.mae_bpm,
         "offload_fraction": mega.offload_fraction,
-        "decisions_identical": bool(identical(mega) and identical(pool)),
+        "decisions_identical": bool(
+            _fleets_identical(mega, sequential)
+            and _fleets_identical(timings["pool"].result, sequential)
+        ),
     }
-
-
-def stateful_zoo(
-    zoo: ModelsZoo, smoothing: float = 0.5, spectral: str | None = "AT"
-) -> ModelsZoo:
-    """A stateful-heavy twin of a calibrated zoo.
-
-    Every predictor becomes a stateful tracker (``FLEET_BATCHABLE =
-    False``): the ``spectral`` deployment gets a real
-    :class:`~repro.models.spectral_tracker.SpectralHRPredictor` (a
-    signal-reading tracker whose tracking recurrence runs window by
-    window within a subject), the others become
-    :class:`~repro.models.error_model.SmoothedCalibratedHRModel` twins
-    continuing the original's exact random stream.  Deployments are
-    untouched, so engine configurations stay valid.  This is the zoo the
-    stacked-state fleet benchmark and equivalence tests replay.
-    """
-    twin = ModelsZoo()
-    for entry in zoo:
-        if entry.name == spectral:
-            predictor: object = SpectralHRPredictor()
-        else:
-            predictor = SmoothedCalibratedHRModel.from_calibrated(
-                entry.predictor, smoothing=smoothing
-            )
-        twin.add(ZooEntry(predictor=predictor, deployment=entry.deployment))
-    return twin
 
 
 def benchmark_stateful_fleet(
@@ -347,13 +311,14 @@ def benchmark_stateful_fleet(
 ) -> dict:
     """Measure stacked-state fleet dispatch against per-subject replay.
 
-    The whole zoo is made stateful (:func:`stateful_zoo`: a spectral
-    tracker plus smoothed calibrated trackers, all ``FLEET_BATCHABLE =
-    False``), so *every* window rides the stateful dispatch.  Two paths
-    replay the same fleet from identical predictor state:
+    The whole zoo is made stateful
+    (:func:`~repro.eval.workloads.stateful_zoo`: a spectral tracker plus
+    smoothed calibrated trackers, all ``FLEET_BATCHABLE = False``), so
+    *every* window rides the stateful dispatch.  Two paths replay the
+    same fleet from identical predictor state:
 
-    * **sequential** — :func:`sequential_replay`, one ``run`` (one
-      one-slot ``predict_fleet`` per model) per subject;
+    * **sequential** — :func:`~repro.eval.workloads.sequential_replay`,
+      one ``run`` (one one-slot ``predict_fleet`` per model) per subject;
     * **stacked** — ``run_many``: one fused ``predict_fleet`` call per
       model — state-free work (spectra, error draws) vectorized over the
       whole stack, the tracking recurrences advancing all subjects in
@@ -363,8 +328,6 @@ def benchmark_stateful_fleet(
     ``decisions_identical`` flag confirms the two replayed every window
     bit-identically.
     """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
     constraint = constraint or Constraint.max_mae(5.60)
     subjects = synthetic_fleet(
         n_subjects=n_subjects, n_windows_per_subject=n_windows_per_subject, seed=seed
@@ -373,29 +336,27 @@ def benchmark_stateful_fleet(
     configuration = experiment.engine.select_or_closest(constraint, connected=True)
     zoo = stateful_zoo(experiment.zoo, smoothing=smoothing)
 
-    def timed(run):
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            runtime = CHRISRuntime(
-                zoo=copy.deepcopy(zoo), engine=experiment.engine, system=experiment.system
-            )
-            start = time.perf_counter()
-            result = run(runtime)
-            best = min(best, time.perf_counter() - start)
-        return result, best
+    def fresh_runtime() -> CHRISRuntime:
+        return CHRISRuntime(
+            zoo=copy.deepcopy(zoo), engine=experiment.engine, system=experiment.system
+        )
 
-    sequential, sequential_s = timed(
-        lambda rt: sequential_replay(rt, subjects, constraint, use_oracle_difficulty=True)
+    timings = time_sides(
+        {
+            "sequential": Side(
+                lambda rt: sequential_replay(rt, subjects, constraint, use_oracle_difficulty=True),
+                fresh_runtime,
+            ),
+            "stacked": Side(
+                lambda rt: rt.run_many(subjects, constraint, use_oracle_difficulty=True),
+                fresh_runtime,
+            ),
+        },
+        repeats,
     )
-    stacked, stacked_s = timed(
-        lambda rt: rt.run_many(subjects, constraint, use_oracle_difficulty=True)
-    )
-
-    decisions_identical = sequential.subject_ids == stacked.subject_ids and all(
-        sequential.results[sid] == stacked.results[sid]
-        for sid in sequential.subject_ids
-    )
+    sequential_s = min(timings["sequential"].samples)
+    stacked_s = min(timings["stacked"].samples)
+    stacked = timings["stacked"].result
     return {
         "n_subjects": int(n_subjects),
         "n_windows_per_subject": int(n_windows_per_subject),
@@ -412,7 +373,9 @@ def benchmark_stateful_fleet(
         "stacked_speedup": sequential_s / stacked_s,
         "mae_bpm": stacked.mae_bpm,
         "offload_fraction": stacked.offload_fraction,
-        "decisions_identical": bool(decisions_identical),
+        "decisions_identical": bool(
+            _fleets_identical(stacked, timings["sequential"].result)
+        ),
     }
 
 
@@ -476,35 +439,31 @@ def benchmark_inference(
       training mode normalizes with batch statistics by design, so the
       deployed semantics — what folding must preserve — are the
       evaluation forward's.
-    * **Fused fleet** — a fleet whose TimePPG-Big is a real TCN,
-      replayed by ``run_many`` (one fused cross-subject forward per
-      model) against :func:`sequential_replay` (one ``run`` per subject),
-      with a ``decisions_identical`` flag: the two must be bit-identical.
-      The two are timed in ``repeats`` interleaved pairs and ``speedup``
-      is the median of the per-pair ratios.
+    * **Fused fleet** — a fleet whose TimePPG-Big is a real TCN
+      (:func:`timeppg_zoo`), replayed by ``run_many`` (one fused
+      cross-subject forward per model) against
+      :func:`~repro.eval.workloads.sequential_replay` (one ``run`` per
+      subject), with a ``decisions_identical`` flag: the two must be
+      bit-identical.  The two are timed in ``repeats`` interleaved pairs
+      and ``speedup`` is the median of the per-pair ratios.
 
     The AT and TimePPG paths report the best of ``repeats``; the scalar
     AT reference is timed once (a multi-second measurement).
     """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
     rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------- AT batched
     at_windows = rng.standard_normal((n_windows, window_length))
     at = AdaptiveThresholdPredictor()
-    at.reset()
-    start = time.perf_counter()
-    at_scalar = np.array([at.predict_window(w) for w in at_windows])
-    at_scalar_s = time.perf_counter() - start
-    at_batched_s = float("inf")
-    at_batched = None
-    for _ in range(repeats):
-        at.reset()
-        start = time.perf_counter()
-        at_batched = at.predict(at_windows)
-        at_batched_s = min(at_batched_s, time.perf_counter() - start)
-    at_bit_identical = bool(np.array_equal(at_scalar, at_batched))
+    at_scalar = time_sides(
+        {"scalar": Side(lambda _: np.array([at.predict_window(w) for w in at_windows]), at.reset)},
+        1,
+    )["scalar"]
+    at_batched = time_sides(
+        {"batched": Side(lambda _: at.predict(at_windows), at.reset)}, repeats
+    )["batched"]
+    at_scalar_s, at_batched_s = at_scalar.samples[0], min(at_batched.samples)
+    at_bit_identical = bool(np.array_equal(at_scalar.result, at_batched.result))
 
     # ------------------------------------------------- TimePPG inference mode
     n_nn_windows = 2_048
@@ -521,29 +480,23 @@ def benchmark_inference(
         [predictor.network.forward(c, training=False) for c in chunks]
     )
     frozen = predictor.freeze()._frozen
-
-    def run_training() -> np.ndarray:
-        return np.concatenate(
-            [predictor.network.forward(c, training=True) for c in chunks]
-        )
-
-    def run_inference() -> np.ndarray:
-        return np.concatenate([frozen.forward(c, training=False) for c in chunks])
-
-    def timed(run):
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = run()
-            best = min(best, time.perf_counter() - start)
-        return result, best
-
-    _, nn_training_s = timed(run_training)
-    infer_out, nn_inference_s = timed(run_inference)
-    outputs_equal = bool(
-        np.allclose(infer_out, eval_out, atol=EQUIVALENCE_ATOL, rtol=EQUIVALENCE_RTOL)
+    nn = time_sides(
+        {
+            "training": Side(
+                lambda _: np.concatenate(
+                    [predictor.network.forward(c, training=True) for c in chunks]
+                )
+            ),
+            "inference": Side(
+                lambda _: np.concatenate([frozen.forward(c, training=False) for c in chunks])
+            ),
+        },
+        repeats,
     )
+    nn_training_s = min(nn["training"].samples)
+    nn_inference_s = min(nn["inference"].samples)
+    atol, rtol = EQUIVALENCE_TOLERANCES["float64"]
+    outputs_equal = bool(np.allclose(nn["inference"].result, eval_out, atol=atol, rtol=rtol))
 
     # ------------------------------------------------------------ fused fleet
     constraint = Constraint.max_mae(5.60)
@@ -558,25 +511,20 @@ def benchmark_inference(
             zoo=copy.deepcopy(zoo), engine=experiment.engine, system=experiment.system
         )
 
-    fused_s, sequential_s = [], []
-    for _ in range(repeats):
-        runtime = fleet_runtime()
-        start = time.perf_counter()
-        fused = runtime.run_many(subjects, constraint, use_oracle_difficulty=True)
-        fused_s.append(time.perf_counter() - start)
-        runtime = fleet_runtime()
-        start = time.perf_counter()
-        sequential = sequential_replay(
-            runtime, subjects, constraint, use_oracle_difficulty=True
-        )
-        sequential_s.append(time.perf_counter() - start)
-    fleet_identical = bool(
-        fused.subject_ids == sequential.subject_ids
-        and all(
-            sequential.results[sid] == fused.results[sid]
-            for sid in sequential.subject_ids
-        )
+    fleet = time_sides(
+        {
+            "fused": Side(
+                lambda rt: rt.run_many(subjects, constraint, use_oracle_difficulty=True),
+                fleet_runtime,
+            ),
+            "sequential": Side(
+                lambda rt: sequential_replay(rt, subjects, constraint, use_oracle_difficulty=True),
+                fleet_runtime,
+            ),
+        },
+        repeats,
     )
+    fused_s, sequential_s = fleet["fused"].samples, fleet["sequential"].samples
     fused_median = float(np.median(fused_s))
     sequential_median = float(np.median(sequential_s))
 
@@ -613,7 +561,9 @@ def benchmark_inference(
             "speedup": float(
                 np.median(np.asarray(sequential_s) / np.asarray(fused_s))
             ),
-            "decisions_identical": fleet_identical,
+            "decisions_identical": bool(
+                _fleets_identical(fleet["fused"].result, fleet["sequential"].result)
+            ),
         },
     }
 
@@ -641,25 +591,15 @@ def benchmark_dtype_inference(
       same weights frozen at float64 (``freeze()``) and at float32
       (``freeze(dtype="float32")``) on identical prepared batches, with
       a ``within_tolerance`` flag checked against the documented float32
-      equivalence bound (:data:`EQUIVALENCE_TOLERANCES`).  The frozen
-      GEMMs dominate, so this isolates the BLAS single-precision win.
+      equivalence bound (:data:`~repro.core.runtime.EQUIVALENCE_TOLERANCES`).
+      The frozen GEMMs dominate, so this isolates the BLAS
+      single-precision win.
 
     Every timed path reports the best of ``repeats``.  The checked-in
     floors live in ``benchmarks/test_dtype_throughput.py``.
     """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
     rng = np.random.default_rng(seed)
     atol32, rtol32 = EQUIVALENCE_TOLERANCES["float32"]
-
-    def timed(run):
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = run()
-            best = min(best, time.perf_counter() - start)
-        return result, best
 
     # ------------------------------------------------------ AT per dtype
     # Noisy sinusoids (not white noise): the detector should find real
@@ -670,20 +610,19 @@ def benchmark_dtype_inference(
     windows64 += 0.3 * rng.standard_normal((n_windows, window_length))
     windows32 = windows64.astype(np.float32)
 
-    def run_at(windows, dtype):
+    def at_side(windows, dtype) -> Side:
         # Pin the detector to the benchmark dtype the way the runtime
         # does (set_inference_dtype) — otherwise ``predict``'s boundary
         # coercion would silently cast the batch back to float64.
         at = AdaptiveThresholdPredictor().set_inference_dtype(dtype)
+        return Side(lambda _: at.predict(windows), at.reset)
 
-        def run():
-            at.reset()
-            return at.predict(windows)
-
-        return run
-
-    bpm64, at64_s = timed(run_at(windows64, "float64"))
-    bpm32, at32_s = timed(run_at(windows32, "float32"))
+    at = time_sides(
+        {"float64": at_side(windows64, "float64"), "float32": at_side(windows32, "float32")},
+        repeats,
+    )
+    bpm64, bpm32 = at["float64"].result, at["float32"].result
+    at64_s, at32_s = min(at["float64"].samples), min(at["float32"].samples)
     both = ~(np.isnan(bpm64) | np.isnan(bpm32))
     bpm_identical = bool(
         np.array_equal(np.isnan(bpm64), np.isnan(bpm32))
@@ -695,21 +634,20 @@ def benchmark_dtype_inference(
     accel = rng.standard_normal((n_nn_windows, TIMEPPG_SMALL_CONFIG.input_length, 3))
     p64 = TimePPGPredictor(TIMEPPG_SMALL_CONFIG, seed=seed).freeze()
     p32 = TimePPGPredictor(TIMEPPG_SMALL_CONFIG, seed=seed).freeze(dtype="float32")
-    batch64 = p64.prepare_input(ppg, accel)
-    batch32 = p32.prepare_input(ppg, accel)
-    # Mega-batch-scale chunks: small chunks are im2col-overhead bound,
-    # which buries the single-precision GEMM win this path measures.
-    chunks64 = [batch64[i : i + nn_chunk] for i in range(0, n_nn_windows, nn_chunk)]
-    chunks32 = [batch32[i : i + nn_chunk] for i in range(0, n_nn_windows, nn_chunk)]
 
-    def run_nn(frozen, chunks):
-        def run():
-            return np.concatenate([frozen.forward(c, training=False) for c in chunks])
+    def nn_side(predictor) -> Side:
+        batch = predictor.prepare_input(ppg, accel)
+        # Mega-batch-scale chunks: small chunks are im2col-overhead bound,
+        # which buries the single-precision GEMM win this path measures.
+        chunks = [batch[i : i + nn_chunk] for i in range(0, n_nn_windows, nn_chunk)]
+        frozen = predictor._frozen
+        return Side(
+            lambda _: np.concatenate([frozen.forward(c, training=False) for c in chunks])
+        )
 
-        return run
-
-    out64, nn64_s = timed(run_nn(p64._frozen, chunks64))
-    out32, nn32_s = timed(run_nn(p32._frozen, chunks32))
+    nn = time_sides({"float64": nn_side(p64), "float32": nn_side(p32)}, repeats)
+    out64, out32 = nn["float64"].result, nn["float32"].result
+    nn64_s, nn32_s = min(nn["float64"].samples), min(nn["float32"].samples)
     within_tolerance = bool(
         np.allclose(out32.astype(np.float64), out64, atol=atol32, rtol=rtol32)
     )
@@ -753,20 +691,20 @@ def benchmark_scheduler(
     The same ``n_subjects`` x ``n_windows_per_subject`` fleet is replayed
     twice:
 
-    * **sequential** — :func:`sequential_replay` (the same baseline
-      :func:`benchmark_fleet` pins the mega path against);
+    * **sequential** — :func:`~repro.eval.workloads.sequential_replay`
+      (the same baseline :func:`benchmark_fleet` pins the mega path
+      against);
     * **scheduler** — every subject submitted as a dynamic session to a
       :class:`~repro.core.scheduler.FleetScheduler`; the timing covers
       submission, batch dispatch and completion of the whole population
       (arrivals coalesce into mega-batches while the worker is busy,
       which is where the speedup comes from — not parallelism).
 
-    Both paths start from deep-copied predictor state, and a
+    Both paths start from deep-copied predictor state (the scheduler
+    copies its runtime itself), built outside the timed window, and a
     ``decisions_identical`` flag confirms the scheduler reproduced the
     sequential decisions bit-exactly.
     """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
     constraint = constraint or Constraint.max_mae(5.60)
     subjects = synthetic_fleet(
         n_subjects=n_subjects, n_windows_per_subject=n_windows_per_subject, seed=seed
@@ -774,42 +712,35 @@ def benchmark_scheduler(
     n_windows_total = sum(s.n_windows for s in subjects)
     configuration = experiment.engine.select_or_closest(constraint, connected=True)
 
-    def timed(run):
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            runtime = copy.deepcopy(experiment.runtime())
-            start = time.perf_counter()
-            result = run(runtime)
-            best = min(best, time.perf_counter() - start)
-        return result, best
+    def submit_all(scheduler: FleetScheduler) -> list:
+        sessions = [scheduler.submit(s.subject_id, s) for s in subjects]
+        scheduler.join()
+        return sessions
 
-    sequential, sequential_s = timed(
-        lambda rt: sequential_replay(rt, subjects, constraint, use_oracle_difficulty=True)
+    timings = time_sides(
+        {
+            "sequential": Side(
+                lambda rt: sequential_replay(rt, subjects, constraint, use_oracle_difficulty=True),
+                lambda: copy.deepcopy(experiment.runtime()),
+            ),
+            "scheduler": Side(
+                submit_all,
+                lambda: FleetScheduler(
+                    experiment.runtime(), constraint, use_oracle_difficulty=True
+                ),
+                FleetScheduler.close,
+            ),
+        },
+        repeats,
     )
-
-    # Construction (the scheduler's private runtime copy) happens outside
-    # the timed window, mirroring the sequential path whose deep copy is
-    # also untimed; the measurement covers submission through completion.
-    scheduler_s = float("inf")
-    sessions = None
-    for _ in range(repeats):
-        # FleetScheduler deep-copies the runtime itself; no outer copy.
-        scheduler = FleetScheduler(
-            experiment.runtime(), constraint, use_oracle_difficulty=True
-        )
-        try:
-            start = time.perf_counter()
-            sessions = [scheduler.submit(s.subject_id, s) for s in subjects]
-            scheduler.join()
-            scheduler_s = min(scheduler_s, time.perf_counter() - start)
-        finally:
-            scheduler.close()
+    sequential_s = min(timings["sequential"].samples)
+    scheduler_s = min(timings["scheduler"].samples)
+    sequential = timings["sequential"].result
 
     decisions_identical = all(
         session.state is SessionState.DONE
         and session.result == sequential.results[session.subject_id]
-        for session in sessions
+        for session in timings["scheduler"].result
     )
     return {
         "n_subjects": int(n_subjects),
@@ -840,16 +771,20 @@ def benchmark_checkpoint(
 ) -> dict:
     """Measure the durability tax of checkpointed fleet execution.
 
-    The fleet replays on the stateful zoo (:func:`stateful_zoo`), whose
-    per-window tracker work is the compute the ~125 staged bytes per
-    window are weighed against, as on device, through a pooled
+    The fleet replays on the stateful zoo
+    (:func:`~repro.eval.workloads.stateful_zoo`), whose per-window
+    tracker work is the compute the ~125 staged bytes per window are
+    weighed against, as on device, through a pooled
     :class:`~repro.core.fleet.FleetExecutor`:
 
     * **unstaged** — the executor without a ``checkpoint_dir``;
     * **checkpointed** — the same executor with a fresh ``checkpoint_dir``
       per run, paying journal writes and atomic shard staging;
-    * **resume** — a run over a *completed* checkpoint directory: every
-      shard loads from verified staged bytes, nothing executes.
+    * **resume** — a run over the *completed* checkpoint directory the
+      checkpointed run just left: every shard loads from verified staged
+      bytes, nothing executes.  It is timed once per pair, in the
+      checkpointed side's teardown, because it needs that side's
+      directory.
 
     Unstaged and checkpointed runs alternate in ``pairs`` interleaved
     pairs, so each pair shares machine state (caches, frequency phase);
@@ -861,8 +796,6 @@ def benchmark_checkpoint(
     confirming the checkpointed run and the resumed replay reproduced
     the unstaged results exactly.
     """
-    if pairs <= 0:
-        raise ValueError(f"pairs must be positive, got {pairs}")
     constraint = constraint or Constraint.max_mae(5.60)
     subjects = synthetic_fleet(
         n_subjects=n_subjects, n_windows_per_subject=n_windows_per_subject, seed=seed
@@ -881,32 +814,35 @@ def benchmark_checkpoint(
     )
 
     def run(checkpoint_dir):
-        executor = FleetExecutor(
-            runtime, max_workers=workers, checkpoint_dir=checkpoint_dir
-        )
-        start = time.perf_counter()
-        fleet = executor.run_fleet(subjects, constraint, use_oracle_difficulty=True)
-        return fleet, time.perf_counter() - start
+        executor = FleetExecutor(runtime, max_workers=workers, checkpoint_dir=checkpoint_dir)
+        return executor.run_fleet(subjects, constraint, use_oracle_difficulty=True)
 
-    unstaged_times, checkpointed_times, resume_times = [], [], []
-    unstaged = checkpointed = resumed = None
-    for _ in range(pairs):
-        unstaged, elapsed = run(None)
-        unstaged_times.append(elapsed)
-        with tempfile.TemporaryDirectory() as directory:
-            checkpointed, elapsed = run(directory)
-            checkpointed_times.append(elapsed)
-            resumed, elapsed = run(directory)
-            resume_times.append(elapsed)
+    resumes: list[Timing] = []
+
+    def resume_then_remove(directory: tempfile.TemporaryDirectory) -> None:
+        try:
+            resumes.append(time_sides({"resume": Side(lambda _: run(directory.name))}, 1)["resume"])
+        finally:
+            directory.cleanup()
+
+    timings = time_sides(
+        {
+            "unstaged": Side(lambda _: run(None)),
+            "checkpointed": Side(
+                lambda directory: run(directory.name),
+                tempfile.TemporaryDirectory,
+                resume_then_remove,
+            ),
+        },
+        pairs,
+    )
+    unstaged_times = timings["unstaged"].samples
+    checkpointed_times = timings["checkpointed"].samples
     ratios = np.asarray(unstaged_times) / np.asarray(checkpointed_times)
     unstaged_s = float(np.median(unstaged_times))
     checkpointed_s = float(np.median(checkpointed_times))
-    resume_s = float(np.median(resume_times))
-
-    def identical(fleet) -> bool:
-        return fleet.subject_ids == unstaged.subject_ids and all(
-            fleet.results[sid] == unstaged.results[sid] for sid in fleet.subject_ids
-        )
+    resume_s = float(np.median([resume.samples[0] for resume in resumes]))
+    unstaged = timings["unstaged"].result
 
     return {
         "n_subjects": int(n_subjects),
@@ -924,7 +860,10 @@ def benchmark_checkpoint(
         "checkpoint_relative_throughput_min": float(ratios.min()),
         "checkpoint_relative_throughput_max": float(ratios.max()),
         "resume_speedup": checkpointed_s / resume_s,
-        "decisions_identical": bool(identical(checkpointed) and identical(resumed)),
+        "decisions_identical": bool(
+            _fleets_identical(timings["checkpointed"].result, unstaged)
+            and _fleets_identical(resumes[-1].result, unstaged)
+        ),
     }
 
 
@@ -957,6 +896,8 @@ def benchmark_latency(
       fraction.  The serving contract under test: with the dispatcher
       releasing ``deadline_slack_s`` before the oldest deadline, p95
       completion latency stays under ``slo_s`` at the benchmark rate.
+      This phase is not a :func:`time_sides` side: its stamps come from
+      the scheduler on ``clock``, which may be virtual.
     * **saturated** — a larger workload (``saturated_windows_per_stream``
       windows per stream) is chunked into many short sessions and
       prefilled into a *paused* scheduler, identically under both
@@ -982,8 +923,6 @@ def benchmark_latency(
         raise ValueError(f"n_streams must be >= 1, got {n_streams}")
     if arrival_rate_hz <= 0:
         raise ValueError(f"arrival_rate_hz must be > 0, got {arrival_rate_hz}")
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
     constraint = constraint or Constraint.max_mae(5.60)
     virtual = clock is not None
     clock = clock if clock is not None else time.monotonic
@@ -1001,37 +940,17 @@ def benchmark_latency(
     rng = np.random.default_rng(seed)
     offsets = np.cumsum(rng.exponential(1.0 / arrival_rate_hz, size=n_windows_total))
 
-    def open_serving_scheduler(policy: str, max_batch_size: int | None):
-        return FleetScheduler(
-            experiment.runtime(),
-            constraint,
-            max_batch_size=max_batch_size,
-            use_oracle_difficulty=True,
-            policy=policy,
-            slo_s=slo_s,
-            deadline_slack_s=deadline_slack_s,
-            max_streams=n_streams,
-            clock=clock if policy == "deadline" else None,
-        )
-
-    def push_all(workload, streams, paced: bool, start: float) -> None:
-        event = 0
-        for w in range(workload[0].n_windows):
-            for subject, stream in zip(workload, streams):
-                if paced:
-                    delay = (start + offsets[event]) - clock()
-                    if delay > 0:
-                        sleep(delay)
-                stream.push(
-                    subject.ppg_windows[w],
-                    subject.accel_windows[w],
-                    activity=int(subject.activity[w]),
-                    hr=float(subject.hr[w]),
-                )
-                event += 1
-
     # ------------------------------------------------------- paced phase
-    scheduler = open_serving_scheduler("deadline", max_batch_size=None)
+    scheduler = FleetScheduler(
+        experiment.runtime(),
+        constraint,
+        use_oracle_difficulty=True,
+        policy="deadline",
+        slo_s=slo_s,
+        deadline_slack_s=deadline_slack_s,
+        max_streams=n_streams,
+        clock=clock,
+    )
     try:
         streams = [scheduler.open_stream(s.subject_id) for s in subjects]
         if virtual:
@@ -1040,7 +959,19 @@ def benchmark_latency(
             # pure function of the seed instead of thread timing.
             scheduler.pause()
         start = clock()
-        push_all(subjects, streams, paced=True, start=start)
+        event = 0
+        for w in range(n_windows_per_stream):
+            for subject, stream in zip(subjects, streams):
+                delay = (start + offsets[event]) - clock()
+                if delay > 0:
+                    sleep(delay)
+                stream.push(
+                    subject.ppg_windows[w],
+                    subject.accel_windows[w],
+                    activity=int(subject.activity[w]),
+                    hr=float(subject.hr[w]),
+                )
+                event += 1
         if virtual:
             # Virtual time stands still unless advanced: expire every
             # held deadline so the tail of the schedule dispatches (the
@@ -1084,37 +1015,37 @@ def benchmark_latency(
     order = [rec for group in zip(*chunks) for rec in group]
     n_saturated_total = sum(rec.n_windows for rec in order)
 
-    def saturated_drain(policy: str) -> float:
-        sat = FleetScheduler(
-            experiment.runtime(),
-            constraint,
-            max_batch_size=n_streams,
-            use_oracle_difficulty=True,
-            policy=policy,
-            slo_s=slo_s,
-            deadline_slack_s=deadline_slack_s,
-        )
-        try:
+    def prefilled(policy: str) -> Side:
+        def setup() -> FleetScheduler:
+            sat = FleetScheduler(
+                experiment.runtime(),
+                constraint,
+                max_batch_size=n_streams,
+                use_oracle_difficulty=True,
+                policy=policy,
+                slo_s=slo_s,
+                deadline_slack_s=deadline_slack_s,
+            )
             sat.pause()
             for rec in order:
                 sat.submit(rec.subject_id, rec)
-            begin = time.perf_counter()
+            return sat
+
+        def drain(sat: FleetScheduler) -> None:
             sat.resume()
             sat.join()
-            return time.perf_counter() - begin
-        finally:
-            sat.close()
 
+        return Side(drain, setup, FleetScheduler.close)
+
+    saturated = time_sides(
+        {"drain": prefilled("drain"), "deadline": prefilled("deadline")}, repeats
+    )
+    drain_times, deadline_times = saturated["drain"].samples, saturated["deadline"].samples
+    drain_windows_per_s = n_saturated_total / min(drain_times)
+    deadline_windows_per_s = n_saturated_total / min(deadline_times)
     # Interleaved pairs share machine state (caches, thermal phase); the
     # ratio is the best pair, so it only sinks below 1 when the deadline
     # drain is slower in *every* pair — a policy cost, not OS jitter.
-    drain_times = []
-    deadline_times = []
-    for _ in range(repeats):
-        drain_times.append(saturated_drain("drain"))
-        deadline_times.append(saturated_drain("deadline"))
-    drain_windows_per_s = n_saturated_total / min(drain_times)
-    deadline_windows_per_s = n_saturated_total / min(deadline_times)
     throughput_ratio = max(d / dl for d, dl in zip(drain_times, deadline_times))
 
     return {
@@ -1141,22 +1072,6 @@ def benchmark_latency(
     }
 
 
-def host_fingerprint() -> dict:
-    """Cores, numpy version and BLAS of the measuring host."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {
-        "cpu_count": os.cpu_count(),
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
-    }
-
-
-def _spread(values) -> dict:
-    """Median and interquartile range of a list of measurements."""
-    q25, median, q75 = np.percentile(values, [25, 50, 75])
-    return {"median": float(median), "q25": float(q25), "q75": float(q75)}
-
-
 #: ``(n_subjects, n_windows_per_subject)`` fleets :func:`benchmark_difficulty`
 #: times: the benchmark's replay fleet and its one-window-per-stream serving tick.
 DIFFICULTY_SHAPES = ((8, 537), (500, 1))
@@ -1170,8 +1085,7 @@ def benchmark_difficulty(experiment, reference) -> dict:
     A paper-sized ``ActivityClassifier`` (8 trees, depth 5) is trained on
     one synthetic subject; the fleets of :data:`DIFFICULTY_SHAPES` are cut
     from a second subject's accelerometer windows.  Three sides are timed
-    per fleet, in a rotating order within each of
-    :data:`DIFFICULTY_ROUNDS` interleaved rounds:
+    per fleet, in :data:`DIFFICULTY_ROUNDS` interleaved rounds:
 
     * ``fused`` — :meth:`~repro.core.runtime.CHRISRuntime._fleet_difficulties`,
       the one ``predict_difficulty`` call per plan the runtime makes;
@@ -1209,27 +1123,24 @@ def benchmark_difficulty(experiment, reference) -> dict:
             )
         return subjects
 
-    sides = {
-        "fused": lambda fleet: [runtime._fleet_difficulties(fleet, False)],
-        "per_subject": lambda fleet: [
-            classifier.predict_difficulty(s.accel_windows) for s in fleet
-        ],
-        "reference": lambda fleet: [reference_detector(s.accel_windows) for s in fleet],
-    }
     out: dict = {"host": host_fingerprint(), "pairs": DIFFICULTY_ROUNDS, "shapes": {}}
     for n_subjects, n_windows in DIFFICULTY_SHAPES:
         fleet = fleet_of(n_subjects, n_windows)
         total = n_subjects * n_windows
-        times: dict[str, list[float]] = {name: [] for name in sides}
-        labels: dict[str, np.ndarray] = {}
-        names = list(sides)
-        for round_ in range(DIFFICULTY_ROUNDS):
-            for name in names[round_ % 3 :] + names[: round_ % 3]:
-                start = time.perf_counter()
-                result = sides[name](fleet)
-                times[name].append(time.perf_counter() - start)
-                labels[name] = np.concatenate(result)
-        ratios = [r / f for r, f in zip(times["reference"], times["fused"])]
+        timings = time_sides(
+            {
+                "fused": Side(lambda _: [runtime._fleet_difficulties(fleet, False)]),
+                "per_subject": Side(
+                    lambda _: [classifier.predict_difficulty(s.accel_windows) for s in fleet]
+                ),
+                "reference": Side(lambda _: [reference_detector(s.accel_windows) for s in fleet]),
+            },
+            DIFFICULTY_ROUNDS,
+        )
+        labels = {name: np.concatenate(timing.result) for name, timing in timings.items()}
+        ratios = [
+            r / f for r, f in zip(timings["reference"].samples, timings["fused"].samples)
+        ]
         block = {
             "n_subjects": int(n_subjects),
             "n_windows_per_subject": int(n_windows),
@@ -1240,8 +1151,8 @@ def benchmark_difficulty(experiment, reference) -> dict:
                 and np.array_equal(labels["per_subject"], labels["reference"])
             ),
         }
-        for name in names:
-            block[f"{name}_windows_per_s"] = _spread([total / t for t in times[name]])
+        for name, timing in timings.items():
+            block[f"{name}_windows_per_s"] = _spread([total / t for t in timing.samples])
         out["shapes"][f"{n_subjects}x{n_windows}"] = block
     return out
 
@@ -1250,6 +1161,17 @@ def benchmark_difficulty(experiment, reference) -> dict:
 SERVING_SCALE_STREAMS = (100, 1_000, 10_000)
 #: Interleaved rounds :func:`benchmark_serving_scale` times per stream count.
 SERVING_SCALE_ROUNDS = 7
+
+#: Result columns both serving-scale sides must produce alike.
+_ROUTING_FIELDS = (
+    "model_names",
+    "offloaded",
+    "watch_compute_j",
+    "watch_radio_j",
+    "watch_idle_j",
+    "phone_compute_j",
+    "latency_s",
+)
 
 
 def benchmark_serving_scale(experiment) -> dict:
@@ -1266,14 +1188,14 @@ def benchmark_serving_scale(experiment) -> dict:
     * ``recording`` — with the dispatcher paused, the windows are
       ``submit``-ted as one ``N``-window recording; the same span.
 
-    Push and submit time are excluded from both, and reported apart as
-    ``push_windows_per_s``.  ``burst_to_recording`` is the per-round
-    ratio of burst to recording windows/s: both sides run the same
-    routing and models inside one pass, so what the ratio shows is the
-    per-session cost of serving ``N`` sessions instead of one, with host
-    drift cancelled.  Every statistic is a median with its interquartile
-    range; ``routing_identical`` confirms both sides routed and costed
-    every window alike.
+    Push and submit time are excluded from both, and the pushes are
+    timed apart as ``push_windows_per_s``.  ``burst_to_recording`` is the
+    per-round ratio of burst to recording windows/s: both sides run the
+    same routing and models inside one pass, so what the ratio shows is
+    the per-session cost of serving ``N`` sessions instead of one, with
+    host drift cancelled.  Every statistic is a median with its
+    interquartile range; ``routing_identical`` confirms both sides of the
+    last round routed and costed every window alike.
     """
     constraint = Constraint.max_mae(5.60)
     out: dict = {"host": host_fingerprint(), "rounds": SERVING_SCALE_ROUNDS, "shapes": {}}
@@ -1282,14 +1204,13 @@ def benchmark_serving_scale(experiment) -> dict:
         scheduler = FleetScheduler(
             experiment.runtime(), constraint, use_oracle_difficulty=True, max_streams=n_streams
         )
-        times: dict[str, list[float]] = {"burst": [], "recording": [], "push": []}
-        routing_identical = True
+        pushes: list[float] = []
+        recordings = itertools.count()
         try:
             streams = [scheduler.open_stream(f"stream-{i:05d}") for i in range(n_streams)]
 
-            def burst(round_: int) -> list:
-                start = time.perf_counter()
-                sessions = [
+            def push_all(_) -> list:
+                return [
                     stream.push(
                         recording.ppg_windows[i],
                         recording.accel_windows[i],
@@ -1298,47 +1219,40 @@ def benchmark_serving_scale(experiment) -> dict:
                     )
                     for i, stream in enumerate(streams)
                 ]
-                times["push"].append(time.perf_counter() - start)
-                return sessions
 
-            def one_recording(round_: int) -> list:
-                return [scheduler.submit(f"recording-{round_}", recording)]
+            def paused_burst() -> list:
+                scheduler.pause()
+                pushed = time_sides({"push": Side(push_all)}, 1)["push"]
+                pushes.extend(pushed.samples)
+                return pushed.result
 
-            sides = [("burst", burst), ("recording", one_recording)]
-            for round_ in range(SERVING_SCALE_ROUNDS):
-                served = {}
-                for name, side in sides[round_ % 2 :] + sides[: round_ % 2]:
-                    scheduler.pause()
-                    sessions = side(round_)
-                    start = time.perf_counter()
-                    scheduler.resume()
-                    scheduler.join()
-                    times[name].append(time.perf_counter() - start)
-                    served[name] = [session.result for session in sessions]
-                routing_identical &= all(
-                    np.array_equal(
-                        np.concatenate([getattr(r, field) for r in served["burst"]]),
-                        getattr(served["recording"][0], field),
-                    )
-                    for field in (
-                        "model_names",
-                        "offloaded",
-                        "watch_compute_j",
-                        "watch_radio_j",
-                        "watch_idle_j",
-                        "phone_compute_j",
-                        "latency_s",
-                    )
-                )
+            def paused_recording() -> list:
+                scheduler.pause()
+                return [scheduler.submit(f"recording-{next(recordings)}", recording)]
+
+            def serve(sessions: list) -> list:
+                scheduler.resume()
+                scheduler.join()
+                return [session.result for session in sessions]
+
+            timings = time_sides(
+                {"burst": Side(serve, paused_burst), "recording": Side(serve, paused_recording)},
+                SERVING_SCALE_ROUNDS,
+            )
         finally:
             scheduler.close()
-        ratios = [r / b for b, r in zip(times["burst"], times["recording"])]
+        burst, (whole,) = timings["burst"].result, timings["recording"].result
+        routing_identical = all(
+            np.array_equal(np.concatenate([getattr(r, name) for r in burst]), getattr(whole, name))
+            for name in _ROUTING_FIELDS
+        )
+        burst_s, recording_s = timings["burst"].samples, timings["recording"].samples
         out["shapes"][f"{n_streams}x1"] = {
             "n_streams": int(n_streams),
-            "burst_windows_per_s": _spread([n_streams / t for t in times["burst"]]),
-            "recording_windows_per_s": _spread([n_streams / t for t in times["recording"]]),
-            "push_windows_per_s": _spread([n_streams / t for t in times["push"]]),
-            "burst_to_recording": _spread(ratios),
+            "burst_windows_per_s": _spread([n_streams / t for t in burst_s]),
+            "recording_windows_per_s": _spread([n_streams / t for t in recording_s]),
+            "push_windows_per_s": _spread([n_streams / t for t in pushes]),
+            "burst_to_recording": _spread([r / b for b, r in zip(burst_s, recording_s)]),
             "routing_identical": bool(routing_identical),
         }
     return out
@@ -1357,36 +1271,30 @@ SETUP_CLASSIFIER_CORPUS = SyntheticDatasetConfig(
 SETUP_ROUNDS = 7
 
 
-def _setup_stages() -> dict[str, float]:
-    """Seconds of each stage of one offline set-up."""
-    times = {}
-    start = time.perf_counter()
-    corpus = SyntheticDaliaGenerator(SETUP_EXPERIMENT_CORPUS).generate_windowed()
-    classifier_train = SyntheticDaliaGenerator(SETUP_CLASSIFIER_CORPUS).generate_windowed()
-    times["synthesis_s"] = time.perf_counter() - start
+def _synthesize():
+    """The experiment corpus and the classifier corpus."""
+    return (
+        SyntheticDaliaGenerator(SETUP_EXPERIMENT_CORPUS).generate_windowed(),
+        SyntheticDaliaGenerator(SETUP_CLASSIFIER_CORPUS).generate_windowed(),
+    )
 
-    start = time.perf_counter()
-    half = len(corpus.subjects) // 2
-    train = WindowedDataset(corpus.subjects[:half]).concatenated()
+
+def _fit_classifiers(corpora) -> ActivityClassifier:
+    """Both set-up forests; returns the experiment's classifier."""
+    corpus, classifier_corpus = corpora
+    train = WindowedDataset(corpus.subjects[: len(corpus.subjects) // 2]).concatenated()
     classifier = ActivityClassifier(random_state=0).fit(train.accel_windows, train.activity)
-    train = classifier_train.concatenated()
+    train = classifier_corpus.concatenated()
     ActivityClassifier(random_state=0).fit(train.accel_windows, train.activity)
-    times["forest_fit_s"] = time.perf_counter() - start
+    return classifier
 
-    from repro.eval.experiment import build_calibrated_zoo  # experiment imports this module
 
-    start = time.perf_counter()
+def _build_zoo() -> ModelsZoo:
+    """The calibrated zoo, and TimePPG-Small/Big frozen."""
     zoo = build_calibrated_zoo(seed=0)
     for config in (TIMEPPG_SMALL_CONFIG, TIMEPPG_BIG_CONFIG):
         TimePPGPredictor(config, seed=0).freeze()
-    times["zoo_build_freeze_s"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    profiling = WindowedDataset(corpus.subjects[half:]).concatenated()
-    data = ProfilingData.from_zoo_predictions(zoo, profiling, activity_classifier=classifier)
-    ConfigurationProfiler(zoo, WearableSystem()).profile_all(data)
-    times["profiling_s"] = time.perf_counter() - start
-    return times
+    return zoo
 
 
 def benchmark_setup(reference_split_search) -> dict:
@@ -1395,7 +1303,10 @@ def benchmark_setup(reference_split_search) -> dict:
     ``stages`` holds the median and interquartile range over
     :data:`SETUP_ROUNDS` rounds of each stage of the set-up described at
     :data:`SETUP_EXPERIMENT_CORPUS` (synthesis, forest fits, zoo build
-    and TimePPG freeze, configuration profiling) and of their sum.
+    and TimePPG freeze, configuration profiling) and of their per-round
+    sum.  Each stage is a side of its own; the inputs it needs from
+    earlier stages are built once, untimed (the zoo fresh per round, so
+    every profiling pass draws the same calibrated predictions).
 
     ``forest_fit`` times the paper's 8-tree, depth-5 forest on the
     classifier corpus's features, alternating each round between the
@@ -1405,31 +1316,54 @@ def benchmark_setup(reference_split_search) -> dict:
     the per-round reference / shipped time ratios; ``nodes_identical``
     confirms both fits built the same node arrays.
     """
-    rounds_times = [_setup_stages() for _ in range(SETUP_ROUNDS)]
-    stages = {name: _spread([r[name] for r in rounds_times]) for name in rounds_times[0]}
-    stages["total_s"] = _spread([sum(r.values()) for r in rounds_times])
+    corpora = _synthesize()
+    classifier = _fit_classifiers(corpora)
+    profiling = WindowedDataset(corpora[0].subjects[len(corpora[0].subjects) // 2 :])
+    profiling = profiling.concatenated()
 
-    train = SyntheticDaliaGenerator(SETUP_CLASSIFIER_CORPUS).generate_windowed().concatenated()
+    def profile(zoo: ModelsZoo) -> None:
+        data = ProfilingData.from_zoo_predictions(zoo, profiling, activity_classifier=classifier)
+        ConfigurationProfiler(zoo, WearableSystem()).profile_all(data)
+
+    stage_timings = time_sides(
+        {
+            "synthesis_s": Side(lambda _: _synthesize()),
+            "forest_fit_s": Side(_fit_classifiers, lambda: corpora),
+            "zoo_build_freeze_s": Side(lambda _: _build_zoo()),
+            "profiling_s": Side(profile, lambda: build_calibrated_zoo(seed=0)),
+        },
+        SETUP_ROUNDS,
+    )
+    stages = {name: _spread(timing.samples) for name, timing in stage_timings.items()}
+    stages["total_s"] = _spread(
+        [sum(round_) for round_ in zip(*(t.samples for t in stage_timings.values()))]
+    )
+
+    train = corpora[1].concatenated()
     features = ActivityClassifier().extract_features(train.accel_windows)
     features = (features - features.mean(axis=0)) / (features.std(axis=0) + 1e-12)
 
-    def fit():
-        return RandomForestClassifier(n_estimators=8, max_depth=5, random_state=0).fit(
-            features, train.activity, n_classes=len(ACTIVITIES)
-        )
+    def fit_under(search):
+        def fit(_):
+            with search():
+                return RandomForestClassifier(n_estimators=8, max_depth=5, random_state=0).fit(
+                    features, train.activity, n_classes=len(ACTIVITIES)
+                )
 
-    searches = {"shipped": contextlib.nullcontext, "reference": reference_split_search}
-    times: dict[str, list[float]] = {name: [] for name in searches}
-    forests = {}
-    for round_ in range(SETUP_ROUNDS):
-        for name in list(searches)[:: 1 if round_ % 2 == 0 else -1]:
-            start = time.perf_counter()
-            with searches[name]():
-                forests[name] = fit()
-            times[name].append(time.perf_counter() - start)
-    shipped, reference = forests["shipped"], forests["reference"]
+        return Side(fit)
+
+    fits = time_sides(
+        {
+            "shipped": fit_under(contextlib.nullcontext),
+            "reference": fit_under(reference_split_search),
+        },
+        SETUP_ROUNDS,
+    )
+    shipped, reference = fits["shipped"], fits["reference"]
     nodes_identical = all(
-        np.array_equal(getattr(shipped, name), getattr(reference, name), equal_nan=True)
+        np.array_equal(
+            getattr(shipped.result, name), getattr(reference.result, name), equal_nan=True
+        )
         for name in ("_feature", "_threshold", "_left", "_right", "_value", "_roots")
     )
     return {
@@ -1438,9 +1372,9 @@ def benchmark_setup(reference_split_search) -> dict:
         "stages": stages,
         "forest_fit": {
             "n_samples": int(features.shape[0]),
-            "shipped_s": _spread(times["shipped"]),
-            "reference_s": _spread(times["reference"]),
-            "speedup": _spread([r / v for r, v in zip(times["reference"], times["shipped"])]),
+            "shipped_s": _spread(shipped.samples),
+            "reference_s": _spread(reference.samples),
+            "speedup": _spread([r / v for r, v in zip(reference.samples, shipped.samples)]),
             "nodes_identical": bool(nodes_identical),
         },
     }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Dump the runtime perf summary to ``BENCH_runtime.json``.
 
-Runs the fixed synthetic workloads of :mod:`repro.eval.benchmarking` —
+Runs the benchmarks of ``benchmarks/harness.py`` —
 the 10k-window single-subject workload through the CHRIS runtime and
 its per-window oracle, and the 50-subject x 2k-window fleet through
 per-subject ``run`` calls, ``run_many`` and the process pool (``"fleet"`` block),
@@ -51,11 +51,11 @@ from pathlib import Path
 
 _REPO = Path(__file__).resolve().parent.parent
 _SRC = _REPO / "src"
-for _path in (_SRC, _REPO):  # the repo root makes the tests' oracles importable
+for _path in (_SRC, _REPO):  # the repo root makes the harness and the tests' oracles importable
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
-from repro.eval.benchmarking import (  # noqa: E402
+from benchmarks.harness import (  # noqa: E402
     benchmark_checkpoint,
     benchmark_difficulty,
     benchmark_dtype_inference,

@@ -13,7 +13,7 @@ more than ~10% of the fleet replay.
 
 One pair of pooled runs is noisy (worker start-up, page cache), so the
 ratio pinned is the median over interleaved unstaged/checkpointed pairs
-(:func:`~repro.eval.benchmarking.benchmark_checkpoint`, 7 pairs by
+(:func:`~benchmarks.harness.benchmark_checkpoint`, 7 pairs by
 default); the range is emitted alongside.
 """
 
@@ -22,7 +22,7 @@ import json
 import pytest
 
 from benchmarks.conftest import emit
-from repro.eval.benchmarking import benchmark_checkpoint
+from benchmarks.harness import benchmark_checkpoint
 
 #: Required median checkpointed/unstaged throughput ratio on the 50x2k
 #: stateful workload.

@@ -10,7 +10,7 @@ measured: its replay fleet (8 subjects x 537 windows) and its serving
 tick (500 one-window streams).  Labels must be identical on every side.
 
 The floor is 3x on the median over interleaved rounds
-(:func:`~repro.eval.benchmarking.benchmark_difficulty`, 7 rounds).
+(:func:`~benchmarks.harness.benchmark_difficulty`, 7 rounds).
 Measured on a 2-core box: 12-14x at 8 x 537 and 11-13x at 500 x 1.
 """
 
@@ -19,7 +19,7 @@ import json
 import pytest
 
 from benchmarks.conftest import emit
-from repro.eval.benchmarking import benchmark_difficulty
+from benchmarks.harness import benchmark_difficulty
 from tests.ml.forest_oracle import difficulty_oracle
 
 #: Required median fused / per-subject-reference speedup, at both shapes.

@@ -20,7 +20,7 @@ import json
 import pytest
 
 from benchmarks.conftest import emit
-from repro.eval.benchmarking import benchmark_dtype_inference
+from benchmarks.harness import benchmark_dtype_inference
 
 #: Required float32 speedup of the batched AT detector over the float64
 #: run of the same window stack (measured ~1.25-1.6x best-of-5; the

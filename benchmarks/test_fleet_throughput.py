@@ -14,7 +14,7 @@ import json
 import pytest
 
 from benchmarks.conftest import emit
-from repro.eval.benchmarking import benchmark_fleet
+from benchmarks.harness import benchmark_fleet
 
 #: Required mega-batched-vs-sequential fleet speedup on the 50x2k workload.
 MIN_FLEET_SPEEDUP = 3.0

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from benchmarks.conftest import emit
-from repro.eval.benchmarking import benchmark_inference
+from benchmarks.harness import benchmark_inference
 
 #: Required batched-AT speedup over the scalar per-window detector on
 #: the 10k-window workload (measured ~7-9x; the floor leaves room for

@@ -25,8 +25,8 @@ import math
 import pytest
 
 from benchmarks.conftest import emit
+from benchmarks.harness import benchmark_latency
 from repro.core.scheduler import VirtualClock
-from repro.eval.benchmarking import benchmark_latency
 
 #: Completion-latency SLO for the paced phase (p95 must come in under it).
 SLO_S = 0.4

@@ -11,7 +11,7 @@ pins the floor at 5x so regressions fail loudly.
 import json
 
 from benchmarks.conftest import emit
-from repro.eval.benchmarking import benchmark_runtime
+from benchmarks.harness import benchmark_runtime
 
 #: Required runtime-vs-oracle speedup on the 10k-window workload.
 MIN_SPEEDUP = 5.0

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from benchmarks.conftest import emit
-from repro.eval.benchmarking import benchmark_scheduler
+from benchmarks.harness import benchmark_scheduler
 
 #: Required scheduler-vs-sequential speedup on the 50x2k workload.
 MIN_SCHEDULER_SPEEDUP = 3.0

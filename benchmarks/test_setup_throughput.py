@@ -9,7 +9,7 @@ classifier corpus (2 subjects x 60 s, 534 windows) and must build
 identical node arrays.
 
 The floor is 2x on the median over interleaved rounds
-(:func:`~repro.eval.benchmarking.benchmark_setup`, 7 rounds).  Measured
+(:func:`~benchmarks.harness.benchmark_setup`, 7 rounds).  Measured
 on a 2-core box: 4.4-5.8x (0.03-0.06 s vs 0.17-0.32 s per forest).
 """
 
@@ -18,7 +18,7 @@ import json
 import pytest
 
 from benchmarks.conftest import emit
-from repro.eval.benchmarking import benchmark_setup
+from benchmarks.harness import benchmark_setup
 from tests.ml.split_oracle import oracle_split_search
 
 #: Required median oracle / vectorized forest-fit time ratio.

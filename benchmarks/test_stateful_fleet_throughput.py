@@ -23,7 +23,7 @@ import json
 import pytest
 
 from benchmarks.conftest import emit
-from repro.eval.benchmarking import benchmark_stateful_fleet
+from benchmarks.harness import benchmark_stateful_fleet
 
 #: Required stacked-state-vs-per-subject-run speedup on the stateful
 #: 50x2k workload (measured 2.0-2.4x on a 2-core box; see the module docstring).

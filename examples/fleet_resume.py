@@ -35,7 +35,7 @@ from repro.core import Constraint, FleetExecutor, faults
 from repro.core.checkpoint import JOURNAL_NAME
 from repro.core.faults import corrupt_staged_shard
 from repro.eval import CalibratedExperiment
-from repro.eval.benchmarking import synthetic_fleet
+from repro.eval.workloads import synthetic_fleet
 
 
 def journal_summary(checkpoint_dir: str) -> str:

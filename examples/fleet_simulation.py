@@ -26,7 +26,7 @@ import time
 
 from repro.core import Constraint, FleetScheduler, SessionState
 from repro.eval import CalibratedExperiment
-from repro.eval.benchmarking import sequential_replay, synthetic_fleet
+from repro.eval.workloads import sequential_replay, synthetic_fleet
 from repro.hw import CostTableRegistry, WearableSystem
 
 

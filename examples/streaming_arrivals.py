@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core import Constraint, FleetScheduler
 from repro.eval import CalibratedExperiment
-from repro.eval.benchmarking import synthetic_fleet
+from repro.eval.workloads import synthetic_fleet
 
 N_STREAMS = 4
 N_WINDOWS = 80

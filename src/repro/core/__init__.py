@@ -37,7 +37,7 @@ from repro.core.configuration import (
 from repro.core.profiling import ConfigurationProfiler, ConfigurationTable, ProfilingData
 from repro.core.pareto import is_dominated, pareto_front, pareto_indices
 from repro.core.decision_engine import Constraint, ConstraintKind, DecisionEngine
-from repro.core.runtime import CHRISRuntime, FleetResult, RunResult, WindowDecision
+from repro.core.runtime import CHRISRuntime, FleetResult, RunResult
 from repro.core.fleet import FleetExecutor, SharedSubjectStore
 from repro.core.scheduler import FleetScheduler, FleetSession, SessionState
 
@@ -69,6 +69,5 @@ __all__ = [
     "ShardStatus",
     "SharedSubjectStore",
     "StagedShardError",
-    "WindowDecision",
     "faults",
 ]

@@ -64,18 +64,16 @@ runs.
 
 A fleet run is therefore decision-for-decision identical to a loop of
 per-subject :meth:`~CHRISRuntime.run` calls, and a run is identical to
-the per-window reference (one ``predict_window`` per window), which the
-tests and :func:`repro.eval.benchmarking.benchmark_runtime` reach through
-:meth:`CHRISRuntime._run_scalar_oracle`.
+the per-window reference (one ``predict_window`` per window) that the
+tests keep in ``tests/core/scalar_oracle.py``.
 
-Results are stored as a struct-of-arrays :class:`RunResult`; the familiar
-:class:`WindowDecision` objects are materialized lazily on first access to
-:attr:`RunResult.decisions`.  :meth:`CHRISRuntime.run_many` aggregates a
-fleet into a :class:`FleetResult`.  Multi-process sharding on top of
-this lives in :mod:`repro.core.fleet`; dynamically arriving/leaving
-sessions in :mod:`repro.core.scheduler`.  Zero-window subjects are legal
-in every entry point except :meth:`~CHRISRuntime.run_with_configuration`
-and contribute an empty result.
+Results are stored as a struct-of-arrays :class:`RunResult`, one column
+per per-window field; :meth:`CHRISRuntime.run_many` aggregates a fleet
+into a :class:`FleetResult`.  Multi-process sharding on top of this
+lives in :mod:`repro.core.fleet`; dynamically arriving/leaving sessions
+in :mod:`repro.core.scheduler`.  Zero-window subjects are legal in every
+entry point except :meth:`~CHRISRuntime.run_with_configuration` and
+contribute an empty result.
 
 Equivalence contract
 --------------------
@@ -132,54 +130,24 @@ from repro.ml.activity_classifier import ActivityClassifier
 from repro.models.base import FleetState
 
 
-#: Absolute tolerance (BPM) of a float64 comparison across numerics
-#: (a folded network against its unfolded evaluation forward): the only
-#: legal difference is floating-point reassociation, ~1e-12 BPM on the
-#: [30, 220] BPM range.  The bound leaves six orders of magnitude of
-#: headroom while still catching any real divergence (a different
-#: routing or a state leak shifts predictions by whole BPM).
-EQUIVALENCE_ATOL = 1e-6
-
-#: Relative tolerance companion of :data:`EQUIVALENCE_ATOL`.
-EQUIVALENCE_RTOL = 1e-9
-
 #: Per-dtype ``(atol, rtol)`` of comparisons across numerics.  Fused
 #: paths never need them — they are bit-identical to sequential replay
 #: at their own dtype.
 #:
-#: * ``"float64"`` — :data:`EQUIVALENCE_ATOL` / :data:`EQUIVALENCE_RTOL`.
+#: * ``"float64"`` — a folded network against its unfolded evaluation
+#:   forward: the only legal difference is floating-point reassociation,
+#:   ~1e-12 BPM on the [30, 220] BPM range.  ``atol=1e-6`` BPM leaves six
+#:   orders of magnitude of headroom while still catching any real
+#:   divergence (a different routing or a state leak shifts predictions
+#:   by whole BPM).
 #: * ``"float32"`` — a float32 forward against the float64 reference
 #:   re-rounds every intermediate to 24-bit significands; ``atol=1e-3``
 #:   BPM bounds that while still flagging any real divergence, which
 #:   shifts predictions by whole BPM.
 EQUIVALENCE_TOLERANCES: dict[str, tuple[float, float]] = {
-    "float64": (EQUIVALENCE_ATOL, EQUIVALENCE_RTOL),
+    "float64": (1e-6, 1e-9),
     "float32": (1e-3, 1e-5),
 }
-
-
-@dataclass(frozen=True)
-class WindowDecision:
-    """The outcome of processing one window."""
-
-    window_index: int
-    predicted_difficulty: int
-    true_difficulty: int
-    model_name: str
-    target: ExecutionTarget
-    predicted_hr: float
-    true_hr: float
-    cost: PredictionCost
-
-    @property
-    def absolute_error(self) -> float:
-        """Absolute HR error (BPM) of this prediction."""
-        return abs(self.predicted_hr - self.true_hr)
-
-    @property
-    def offloaded(self) -> bool:
-        """Whether the window was processed on the phone."""
-        return self.target is ExecutionTarget.PHONE
 
 
 def _empty_float() -> np.ndarray:
@@ -252,9 +220,7 @@ class RunResult:
 
     The per-window data lives in parallel NumPy arrays (one entry per
     window, in recording order); every aggregate metric is computed
-    vectorized from them.  :attr:`decisions` materializes the classic
-    :class:`WindowDecision` view lazily for callers that want per-window
-    objects.
+    vectorized from them.
     """
 
     configuration: ProfiledConfiguration
@@ -274,9 +240,6 @@ class RunResult:
     #: processed under one configuration; a single entry for plain runs,
     #: one entry per connection-status change for traced runs.
     configuration_segments: list[tuple[int, ProfiledConfiguration]] = field(default_factory=list)
-    _decisions: tuple[WindowDecision, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __eq__(self, other: object) -> bool:
         # The dataclass-generated __eq__ would raise on array fields; keep
@@ -293,61 +256,6 @@ class RunResult:
             for name in _RESULT_COLUMNS
         )
 
-    # ------------------------------------------------------------ lazy view
-    @property
-    def decisions(self) -> tuple[WindowDecision, ...]:
-        """Per-window decisions, materialized lazily from the arrays."""
-        if self._decisions is None:
-            self._decisions = tuple(
-                WindowDecision(
-                    window_index=int(self.window_index[i]),
-                    predicted_difficulty=int(self.predicted_difficulty[i]),
-                    true_difficulty=int(self.true_difficulty[i]),
-                    model_name=str(self.model_names[i]),
-                    target=ExecutionTarget.PHONE if self.offloaded[i] else ExecutionTarget.WATCH,
-                    predicted_hr=float(self.predicted_hr[i]),
-                    true_hr=float(self.true_hr[i]),
-                    cost=PredictionCost(
-                        model_name=str(self.model_names[i]),
-                        target=ExecutionTarget.PHONE
-                        if self.offloaded[i]
-                        else ExecutionTarget.WATCH,
-                        watch_compute_j=float(self.watch_compute_j[i]),
-                        watch_radio_j=float(self.watch_radio_j[i]),
-                        watch_idle_j=float(self.watch_idle_j[i]),
-                        phone_compute_j=float(self.phone_compute_j[i]),
-                        latency_s=float(self.latency_s[i]),
-                    ),
-                )
-                for i in range(self.n_windows)
-            )
-        return self._decisions
-
-    @classmethod
-    def from_decisions(
-        cls,
-        configuration: ProfiledConfiguration,
-        decisions: Sequence[WindowDecision],
-        configuration_segments: list[tuple[int, ProfiledConfiguration]] | None = None,
-    ) -> "RunResult":
-        """Build a result from per-window decision objects (compat helper)."""
-        return cls(
-            configuration=configuration,
-            window_index=np.array([d.window_index for d in decisions], dtype=int),
-            predicted_difficulty=np.array([d.predicted_difficulty for d in decisions], dtype=int),
-            true_difficulty=np.array([d.true_difficulty for d in decisions], dtype=int),
-            model_names=np.array([d.model_name for d in decisions], dtype=object),
-            offloaded=np.array([d.offloaded for d in decisions], dtype=bool),
-            predicted_hr=np.array([d.predicted_hr for d in decisions], dtype=float),
-            true_hr=np.array([d.true_hr for d in decisions], dtype=float),
-            watch_compute_j=np.array([d.cost.watch_compute_j for d in decisions], dtype=float),
-            watch_radio_j=np.array([d.cost.watch_radio_j for d in decisions], dtype=float),
-            watch_idle_j=np.array([d.cost.watch_idle_j for d in decisions], dtype=float),
-            phone_compute_j=np.array([d.cost.phone_compute_j for d in decisions], dtype=float),
-            latency_s=np.array([d.cost.latency_s for d in decisions], dtype=float),
-            configuration_segments=list(configuration_segments or []),
-        )
-
     # ---------------------------------------------------------- persistence
     def to_npz(self, file: "str | IO[bytes]") -> None:
         """Dump the struct-of-arrays representation to an ``.npz`` archive.
@@ -357,9 +265,7 @@ class RunResult:
         in the archive needs pickling; the configuration objects (the
         selected configuration plus the per-segment ones) travel as one
         pickled blob in a ``uint8`` array.  ``file`` may be a path or a
-        binary file object.  The lazy :attr:`decisions` cache is *not*
-        serialized — a reloaded result materializes decisions on demand
-        exactly like a freshly executed one.
+        binary file object.
         """
         payload: dict[str, np.ndarray] = {
             name: getattr(self, name) for name in _NPZ_ARRAY_FIELDS
@@ -812,57 +718,6 @@ class CHRISRuntime:
             offloaded=offload[route],
             configurations=configurations,
         )
-
-    # ------------------------------------------------------------- execution
-    def _execute_scalar(
-        self, windows: WindowedSubject, plan: _FleetPlan
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Reference per-window path: one ``predict_window`` call per window."""
-        n = windows.n_windows
-        entries = [self.zoo.entry(name) for name in self.zoo.names]
-        predicted_hr = np.empty(n, dtype=self.dtype)
-        cost_arrays = tuple(np.empty(n, dtype=float) for _ in _COST_FIELDS)
-        for i in range(n):
-            entry = entries[plan.model_codes[i]]
-            predicted_hr[i] = float(
-                entry.predictor.predict_window(
-                    windows.ppg_windows[i],
-                    windows.accel_windows[i],
-                    true_hr=float(windows.hr[i]),
-                    activity=int(windows.activity[i]),
-                )
-            )
-            if plan.offloaded[i]:
-                cost = self.system.offloaded_cost(entry.deployment)
-            else:
-                cost = self.system.local_prediction_cost(entry.deployment)
-            for array, value in zip(cost_arrays, _cost_values(cost)):
-                array[i] = value
-        return predicted_hr, cost_arrays
-
-    def _run_scalar_oracle(
-        self, windows: WindowedSubject, plan: _FleetPlan
-    ) -> RunResult:
-        """Execute one planned recording window by window (the oracle).
-
-        The per-window reference the fleet path is pinned against: one
-        ``predict_window`` call and one uncached cost computation per
-        window, through :meth:`_execute_scalar`.  It is not an execution
-        mode of the runtime; the tests and
-        :func:`repro.eval.benchmarking.benchmark_runtime` call it with a
-        one-subject plan from :meth:`_plan_fleet` (or
-        :meth:`_plan_configured` for an explicit configuration).
-        """
-        self._reset_predictors()
-        predicted_hr, costs = self._execute_scalar(windows, plan)
-        fleet = self._fleet_result(
-            plan,
-            _column([windows.activity], int),
-            _column([windows.hr], float),
-            predicted_hr,
-            costs,
-        )
-        return fleet.results[windows.subject_id]
 
     # ----------------------------------------------------------------- run
     def run(

@@ -244,10 +244,6 @@ class VirtualClock:
         with self._lock:
             self._now += float(duration_s)
 
-    def advance(self, duration_s: float) -> None:
-        """Alias of :meth:`sleep` for call sites that read better this way."""
-        self.sleep(duration_s)
-
 
 class StreamSession:
     """One serving stream (see :meth:`FleetScheduler.open_stream`).

@@ -10,7 +10,11 @@ High-level entry points used by the examples and the benchmark suite:
 * :mod:`repro.eval.crossval` — the paper's 5-fold leave-subjects-out
   protocol for training and evaluating real models end to end;
 * :mod:`repro.eval.reporting` — plain-text tables, including
-  paper-vs-measured comparison rows recorded in EXPERIMENTS.md.
+  paper-vs-measured comparison rows recorded in EXPERIMENTS.md;
+* :mod:`repro.eval.workloads` — array-built synthetic fleets, a
+  stateful twin of a calibrated zoo, and the sequential replay baseline
+  the throughput benchmarks (``benchmarks/harness.py``) and the fleet
+  equivalence tests run.
 """
 
 from repro.eval.experiment import (
@@ -28,7 +32,6 @@ from repro.eval.figures import (
     fig4_configuration_space,
     fig5_threshold_sweep,
 )
-from repro.eval.benchmarking import benchmark_runtime, synthetic_workload
 from repro.eval.crossval import CrossValidationResult, run_cross_validation
 from repro.eval.reporting import comparison_table, format_table
 
@@ -44,8 +47,6 @@ __all__ = [
     "fig3_baseline_bars",
     "fig4_configuration_space",
     "fig5_threshold_sweep",
-    "benchmark_runtime",
-    "synthetic_workload",
     "CrossValidationResult",
     "run_cross_validation",
     "comparison_table",

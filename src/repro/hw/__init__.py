@@ -43,11 +43,8 @@ from repro.hw.platform import (
     PredictionCost,
     WearableSystem,
 )
-from repro.hw.trace import EnergyBreakdown, EnergyTrace
 
 __all__ = [
-    "EnergyBreakdown",
-    "EnergyTrace",
     "CalibrationPoint",
     "ComputeDevice",
     "ExecutionResult",

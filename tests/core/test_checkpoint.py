@@ -22,7 +22,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.fleet import FleetExecutor
 from repro.core.runtime import RunResult, _NPZ_ARRAY_FIELDS
-from repro.eval.benchmarking import sequential_replay
+from repro.eval.workloads import sequential_replay
 from repro.models import MODEL_REGISTRY
 
 from tests.core.test_fleet import CONSTRAINT, assert_fleets_identical, make_runtime
@@ -123,13 +123,6 @@ class TestRunResultNpz:
             reloaded = round_trip(result)
             assert_bit_identical(result, reloaded)
             assert_results_identical(result, reloaded)
-
-    def test_lazy_decisions_rebuilt_not_serialized(self, reference_fleet):
-        result = next(iter(reference_fleet.results.values()))
-        _ = result.decisions  # materialize the cache before dumping
-        reloaded = round_trip(result)
-        assert reloaded._decisions is None
-        assert reloaded.decisions == result.decisions
 
     def test_empty_result_round_trips(self, calibrated_experiment):
         configuration = calibrated_experiment.table.configurations[0]

@@ -14,9 +14,9 @@ import copy
 import numpy as np
 
 from repro.core.decision_engine import Constraint
-from repro.core.runtime import CHRISRuntime, EQUIVALENCE_ATOL, EQUIVALENCE_RTOL
+from repro.core.runtime import EQUIVALENCE_TOLERANCES, CHRISRuntime
 from repro.core.scheduler import FleetScheduler, SessionState
-from repro.eval.benchmarking import sequential_replay
+from repro.eval.workloads import sequential_replay
 
 from tests.core.test_fleet_properties import (
     _experiment,
@@ -133,7 +133,6 @@ class TestResults:
         """A whole-BPM prediction shift must violate the documented bound."""
         reference = np.array([70.0, 120.0])
         shifted = reference + 1.0
-        assert not np.allclose(
-            shifted, reference, atol=EQUIVALENCE_ATOL, rtol=EQUIVALENCE_RTOL
-        )
+        atol, rtol = EQUIVALENCE_TOLERANCES["float64"]
+        assert not np.allclose(shifted, reference, atol=atol, rtol=rtol)
 

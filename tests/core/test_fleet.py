@@ -3,7 +3,7 @@
 Every fleet path — cross-subject mega-batching in one process
 (``run_many``) and process-pool sharding via :class:`FleetExecutor` —
 must produce a :class:`FleetResult` bit-identical to sequential
-per-subject replay (:func:`~repro.eval.benchmarking.sequential_replay`):
+per-subject replay (:func:`~repro.eval.workloads.sequential_replay`):
 same per-window decisions, predictions, costs, MAE and energy, including
 fleets with per-subject BLE connection traces.  The paths are compared
 on independent deep copies of the zoo so every run starts from identical
@@ -18,7 +18,7 @@ import pytest
 from repro.core.decision_engine import Constraint
 from repro.core.fleet import FleetExecutor, SharedSubjectStore
 from repro.core.runtime import CHRISRuntime, FleetResult
-from repro.eval.benchmarking import sequential_replay
+from repro.eval.workloads import sequential_replay
 from repro.hw.platform import CostTableRegistry, WearableSystem
 
 from tests.core.test_runtime_batched import assert_results_identical

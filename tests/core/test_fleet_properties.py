@@ -2,7 +2,7 @@
 
 The fleet correctness contract — *every* multi-subject path is
 decision-for-decision identical to sequential replay (one ``run`` per
-subject, :func:`~repro.eval.benchmarking.sequential_replay`), bit for
+subject, :func:`~repro.eval.workloads.sequential_replay`), bit for
 bit at the runtime's dtype — is pinned here across seeded randomized
 scenarios instead of a handful of hand-picked fixtures.  Hypothesis
 draws fleet compositions (subject counts and lengths, BLE traces or
@@ -47,7 +47,7 @@ from repro.core.fleet import FleetExecutor, SharedSubjectStore
 from repro.core.runtime import CHRISRuntime, EQUIVALENCE_TOLERANCES, FleetResult
 from repro.core.scheduler import FleetScheduler, SessionState
 from repro.data.dataset import WindowedSubject
-from repro.eval.benchmarking import sequential_replay, stateful_zoo
+from repro.eval.workloads import sequential_replay, stateful_zoo
 from repro.eval.experiment import CalibratedExperiment
 from repro.hw.platform import CostTableRegistry, WearableSystem
 from repro.ml.activity_classifier import ActivityClassifier

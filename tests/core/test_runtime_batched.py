@@ -2,7 +2,7 @@
 
 Every run goes through the runtime's fleet path, which must be
 *decision-for-decision* identical to the per-window oracle
-(:meth:`~repro.core.runtime.CHRISRuntime._run_scalar_oracle`): same model
+(:func:`tests.core.scalar_oracle.run_scalar_oracle`): same model
 routing, same offload targets, same predictions (the calibrated models'
 random streams are consumed in the same order), same costs.  The
 equivalence tests run the two on independent deep copies of the zoo so
@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core.decision_engine import Constraint
-from repro.core.runtime import CHRISRuntime, FleetResult, RunResult
+from repro.core.runtime import _RESULT_COLUMNS, CHRISRuntime, FleetResult, RunResult
 from repro.data.dataset import WindowedSubject
-from repro.eval.benchmarking import sequential_replay, stateful_zoo
+from repro.eval.workloads import sequential_replay, stateful_zoo
+from tests.core.scalar_oracle import run_scalar_oracle
 
 CONSTRAINT = Constraint.max_mae(6.0)
 
@@ -50,7 +51,7 @@ def oracle_run(
     """
     traces = {} if connected is None else {subject.subject_id: connected}
     plan = runtime._plan_fleet([subject], constraint, use_oracle_difficulty, traces)
-    return runtime._run_scalar_oracle(subject, plan)
+    return run_scalar_oracle(runtime, subject, plan)
 
 
 def assert_results_identical(a: RunResult, b: RunResult) -> None:
@@ -237,35 +238,6 @@ class TestStatefulOracle:
 
 
 class TestRunResultView:
-    def test_lazy_decisions_match_arrays(self, calibrated_experiment, small_dataset):
-        subject = small_dataset.subjects[2]
-        result = make_runtime(calibrated_experiment).run(
-            subject, CONSTRAINT, use_oracle_difficulty=True
-        )
-        decisions = result.decisions
-        assert len(decisions) == result.n_windows
-        for i in (0, result.n_windows // 2, result.n_windows - 1):
-            d = decisions[i]
-            assert d.window_index == i
-            assert d.model_name == str(result.model_names[i])
-            assert d.offloaded == bool(result.offloaded[i])
-            assert d.predicted_hr == float(result.predicted_hr[i])
-            assert d.cost.watch_total_j == pytest.approx(
-                float(result.watch_total_j_per_window[i])
-            )
-        # Materialized once, then cached.
-        assert result.decisions is decisions
-
-    def test_from_decisions_roundtrip(self, calibrated_experiment, small_dataset):
-        subject = small_dataset.subjects[0]
-        result = make_runtime(calibrated_experiment).run(
-            subject, CONSTRAINT, use_oracle_difficulty=True
-        )
-        rebuilt = RunResult.from_decisions(
-            result.configuration, result.decisions, result.configuration_segments
-        )
-        assert_results_identical(result, rebuilt)
-
     def test_equality_has_value_semantics(self, calibrated_experiment, small_dataset):
         """``==`` must compare contents (as the list representation did),
         not raise on the array fields."""
@@ -273,8 +245,10 @@ class TestRunResultView:
         result = make_runtime(calibrated_experiment).run(
             subject, CONSTRAINT, use_oracle_difficulty=True
         )
-        rebuilt = RunResult.from_decisions(
-            result.configuration, result.decisions, result.configuration_segments
+        rebuilt = RunResult(
+            configuration=result.configuration,
+            configuration_segments=list(result.configuration_segments),
+            **{name: getattr(result, name).copy() for name in _RESULT_COLUMNS},
         )
         assert result == rebuilt
         assert result != RunResult(configuration=result.configuration)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.decision_engine import Constraint
 from repro.core.runtime import CHRISRuntime
+from tests.core.scalar_oracle import run_scalar_oracle
 
 
 @pytest.fixture()
@@ -36,7 +37,7 @@ class TestConnectionTrace:
             subject, Constraint.max_mae(7.0), connected, use_oracle_difficulty=True
         )
         assert result.offload_fraction == 0.0
-        assert all(not d.offloaded for d in result.decisions)
+        assert not result.offloaded.any()
 
     def test_mid_run_disconnection_switches_configuration(self, runtime, small_dataset):
         subject = small_dataset.subjects[2]
@@ -46,14 +47,12 @@ class TestConnectionTrace:
         result = runtime.run_with_connection_trace(
             subject, Constraint.max_mae(6.0), connected, use_oracle_difficulty=True
         )
-        first_half = result.decisions[: n // 2]
-        second_half = result.decisions[n // 2:]
         # Offloading only ever happens while the link is up.
-        assert all(not d.offloaded for d in second_half)
-        assert any(d.offloaded for d in first_half)
+        assert not result.offloaded[n // 2:].any()
+        assert result.offloaded[: n // 2].any()
         # After the drop, the engine falls back to a local configuration whose
         # decisions may use a different (local) complex model.
-        models_second = {d.model_name for d in second_half}
+        models_second = set(result.model_names[n // 2:])
         assert models_second  # non-empty; all executed locally
         assert result.n_windows == n
 
@@ -65,8 +64,7 @@ class TestConnectionTrace:
         result = runtime.run_with_connection_trace(
             subject, Constraint.max_mae(6.0), connected, use_oracle_difficulty=True
         )
-        last_third = result.decisions[2 * n // 3:]
-        assert any(d.offloaded for d in last_third)
+        assert result.offloaded[2 * n // 3:].any()
 
     def test_system_connection_state_restored(self, runtime, small_dataset):
         subject = small_dataset.subjects[1]
@@ -93,7 +91,7 @@ def trace_run(runtime, subject, constraint, connected, scalar: bool):
         )
     traces = {subject.subject_id: connected}
     plan = runtime._plan_fleet([subject], constraint, True, traces)
-    return runtime._run_scalar_oracle(subject, plan)
+    return run_scalar_oracle(runtime, subject, plan)
 
 
 def configured_run(runtime, subject, configuration, scalar: bool):
@@ -103,7 +101,7 @@ def configured_run(runtime, subject, configuration, scalar: bool):
             subject, configuration, use_oracle_difficulty=True
         )
     plan = runtime._plan_configured(subject, configuration, True)
-    return runtime._run_scalar_oracle(subject, plan)
+    return run_scalar_oracle(runtime, subject, plan)
 
 
 @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "batched"])

@@ -18,7 +18,7 @@ from repro.core.decision_engine import Constraint
 from repro.core.runtime import CHRISRuntime
 from repro.core.scheduler import FleetScheduler, SessionState, VirtualClock
 from repro.core.zoo import ModelsZoo, ZooEntry
-from repro.eval.benchmarking import sequential_replay, stateful_zoo
+from repro.eval.workloads import sequential_replay, stateful_zoo
 from repro.data.dataset import WindowedSubject
 from repro.hw.platform import CostTableRegistry, WearableSystem
 from repro.models.adaptive_threshold import AdaptiveThresholdPredictor
@@ -659,7 +659,7 @@ class TestVirtualClock:
         assert clock() == 5.0
         clock.sleep(1.5)
         assert clock() == 6.5
-        clock.advance(0.5)
+        clock.sleep(0.5)
         assert clock() == 7.0
         with pytest.raises(ValueError, match="negative"):
             clock.sleep(-1.0)

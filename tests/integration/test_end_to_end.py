@@ -84,7 +84,10 @@ class TestRealModelEndToEnd:
         engine = DecisionEngine(table)
         runtime = CHRISRuntime(zoo, engine, system, classifier)
         result = runtime.run(test_subject, Constraint.max_energy_mj(0.6))
-        total = sum(d.cost.watch_total_j for d in result.decisions)
+        total = sum(
+            float(np.sum(column))
+            for column in (result.watch_compute_j, result.watch_radio_j, result.watch_idle_j)
+        )
         assert result.total_watch_energy_j == pytest.approx(total)
         assert result.mean_watch_energy_j == pytest.approx(total / result.n_windows)
 
