@@ -87,23 +87,26 @@ def time_sides(sides: Mapping[str, Side], rounds: int) -> dict[str, Timing]:
     Before each timed call the side's ``setup`` runs, then a full
     ``gc.collect()``, so every side starts from the same collector state
     and no collection owed to earlier garbage lands in its timing.
-    ``teardown`` runs after the timed call, also untimed.
+    ``teardown`` runs after the timed call, also untimed; a side that
+    needs every round's result, not only the last, collects it there.
 
-    The objects that exist when the outermost call starts (the caller's
-    heap: in a test run, every earlier test's survivors) are frozen out
-    of the collector until it returns.  Collections then traverse only
-    what the sides allocate, so they cost the same whatever ran before,
-    and the per-call ``gc.collect()`` takes milliseconds, not the
-    ~0.2 s a full pass over a test process's heap takes.
+    The objects that exist when the call starts (the caller's heap: in a
+    test run, every earlier test's survivors) are frozen out of the
+    collector until it returns.  Collections then traverse only what the
+    sides allocate, so they cost the same whatever ran before, and the
+    per-call ``gc.collect()`` takes milliseconds, not the ~0.2 s a full
+    pass over a test process's heap takes.  Because it freezes and thaws
+    the whole heap, the helper does not nest: it raises if the collector
+    already holds frozen objects.
     """
     if rounds <= 0:
         raise ValueError(f"rounds must be positive, got {rounds}")
+    if gc.get_freeze_count():
+        raise RuntimeError("time_sides does not nest: the collector already holds frozen objects")
     names = list(sides)
     timings = {name: Timing([]) for name in names}
-    outermost = gc.get_freeze_count() == 0
-    if outermost:
-        gc.collect()
-        gc.freeze()
+    gc.collect()
+    gc.freeze()
     try:
         for round_ in range(rounds):
             lead = round_ % len(names)
@@ -119,8 +122,7 @@ def time_sides(sides: Mapping[str, Side], rounds: int) -> dict[str, Timing]:
                     side.teardown(state)
                 timings[name].result = result
     finally:
-        if outermost:
-            gc.unfreeze()
+        gc.unfreeze()
     return timings
 
 
@@ -782,9 +784,10 @@ def benchmark_checkpoint(
       per run, paying journal writes and atomic shard staging;
     * **resume** — a run over the *completed* checkpoint directory the
       checkpointed run just left: every shard loads from verified staged
-      bytes, nothing executes.  It is timed once per pair, in the
-      checkpointed side's teardown, because it needs that side's
-      directory.
+      bytes, nothing executes.  It runs once per pair, in the
+      checkpointed side's teardown, because it needs the directory that
+      side's run left; it is timed there with its own clock stamps, not
+      as a :func:`time_sides` side.
 
     Unstaged and checkpointed runs alternate in ``pairs`` interleaved
     pairs, so each pair shares machine state (caches, frequency phase);
@@ -817,11 +820,15 @@ def benchmark_checkpoint(
         executor = FleetExecutor(runtime, max_workers=workers, checkpoint_dir=checkpoint_dir)
         return executor.run_fleet(subjects, constraint, use_oracle_difficulty=True)
 
-    resumes: list[Timing] = []
+    resume_times: list[float] = []
+    resumed = None
 
     def resume_then_remove(directory: tempfile.TemporaryDirectory) -> None:
+        nonlocal resumed
         try:
-            resumes.append(time_sides({"resume": Side(lambda _: run(directory.name))}, 1)["resume"])
+            start = perf_counter()
+            resumed = run(directory.name)
+            resume_times.append(perf_counter() - start)
         finally:
             directory.cleanup()
 
@@ -841,7 +848,7 @@ def benchmark_checkpoint(
     ratios = np.asarray(unstaged_times) / np.asarray(checkpointed_times)
     unstaged_s = float(np.median(unstaged_times))
     checkpointed_s = float(np.median(checkpointed_times))
-    resume_s = float(np.median([resume.samples[0] for resume in resumes]))
+    resume_s = float(np.median(resume_times))
     unstaged = timings["unstaged"].result
 
     return {
@@ -862,7 +869,7 @@ def benchmark_checkpoint(
         "resume_speedup": checkpointed_s / resume_s,
         "decisions_identical": bool(
             _fleets_identical(timings["checkpointed"].result, unstaged)
-            and _fleets_identical(resumes[-1].result, unstaged)
+            and _fleets_identical(resumed, unstaged)
         ),
     }
 
@@ -1188,14 +1195,14 @@ def benchmark_serving_scale(experiment) -> dict:
     * ``recording`` — with the dispatcher paused, the windows are
       ``submit``-ted as one ``N``-window recording; the same span.
 
-    Push and submit time are excluded from both, and the pushes are
-    timed apart as ``push_windows_per_s``.  ``burst_to_recording`` is the
-    per-round ratio of burst to recording windows/s: both sides run the
-    same routing and models inside one pass, so what the ratio shows is
-    the per-session cost of serving ``N`` sessions instead of one, with
-    host drift cancelled.  Every statistic is a median with its
-    interquartile range; ``routing_identical`` confirms both sides of the
-    last round routed and costed every window alike.
+    Push and submit time are excluded from both; the pushes are stamped
+    apart, in the burst side's set-up, as ``push_windows_per_s``.
+    ``burst_to_recording`` is the per-round ratio of burst to recording
+    windows/s: both sides run the same routing and models inside one
+    pass, so what the ratio shows is the per-session cost of serving
+    ``N`` sessions instead of one, with host drift cancelled.  Every statistic is a median with its
+    interquartile range; ``routing_identical`` confirms both sides routed
+    and costed every window alike in every round.
     """
     constraint = Constraint.max_mae(5.60)
     out: dict = {"host": host_fingerprint(), "rounds": SERVING_SCALE_ROUNDS, "shapes": {}}
@@ -1206,11 +1213,15 @@ def benchmark_serving_scale(experiment) -> dict:
         )
         pushes: list[float] = []
         recordings = itertools.count()
+        # Per round, each side's routing fields over its windows, in order.
+        routed: dict[str, list[list[np.ndarray]]] = {"burst": [], "recording": []}
         try:
             streams = [scheduler.open_stream(f"stream-{i:05d}") for i in range(n_streams)]
 
-            def push_all(_) -> list:
-                return [
+            def paused_burst() -> list:
+                scheduler.pause()
+                start = perf_counter()
+                sessions = [
                     stream.push(
                         recording.ppg_windows[i],
                         recording.accel_windows[i],
@@ -1219,32 +1230,42 @@ def benchmark_serving_scale(experiment) -> dict:
                     )
                     for i, stream in enumerate(streams)
                 ]
-
-            def paused_burst() -> list:
-                scheduler.pause()
-                pushed = time_sides({"push": Side(push_all)}, 1)["push"]
-                pushes.extend(pushed.samples)
-                return pushed.result
+                pushes.append(perf_counter() - start)
+                return sessions
 
             def paused_recording() -> list:
                 scheduler.pause()
                 return [scheduler.submit(f"recording-{next(recordings)}", recording)]
 
-            def serve(sessions: list) -> list:
+            def serve(_) -> None:
                 scheduler.resume()
                 scheduler.join()
-                return [session.result for session in sessions]
+
+            def keep_routing(name: str) -> Callable[[list], None]:
+                def keep(sessions: list) -> None:
+                    results = [session.result for session in sessions]
+                    routed[name].append(
+                        [
+                            np.concatenate([getattr(result, field) for result in results])
+                            for field in _ROUTING_FIELDS
+                        ]
+                    )
+
+                return keep
 
             timings = time_sides(
-                {"burst": Side(serve, paused_burst), "recording": Side(serve, paused_recording)},
+                {
+                    "burst": Side(serve, paused_burst, keep_routing("burst")),
+                    "recording": Side(serve, paused_recording, keep_routing("recording")),
+                },
                 SERVING_SCALE_ROUNDS,
             )
         finally:
             scheduler.close()
-        burst, (whole,) = timings["burst"].result, timings["recording"].result
         routing_identical = all(
-            np.array_equal(np.concatenate([getattr(r, name) for r in burst]), getattr(whole, name))
-            for name in _ROUTING_FIELDS
+            np.array_equal(burst_field, whole_field)
+            for burst, whole in zip(routed["burst"], routed["recording"], strict=True)
+            for burst_field, whole_field in zip(burst, whole)
         )
         burst_s, recording_s = timings["burst"].samples, timings["recording"].samples
         out["shapes"][f"{n_streams}x1"] = {
@@ -1271,30 +1292,34 @@ SETUP_CLASSIFIER_CORPUS = SyntheticDatasetConfig(
 SETUP_ROUNDS = 7
 
 
-def _synthesize():
-    """The experiment corpus and the classifier corpus."""
-    return (
-        SyntheticDaliaGenerator(SETUP_EXPERIMENT_CORPUS).generate_windowed(),
-        SyntheticDaliaGenerator(SETUP_CLASSIFIER_CORPUS).generate_windowed(),
-    )
+def _setup_stages() -> dict[str, float]:
+    """Seconds of each stage of one offline set-up, run end to end."""
+    times = {}
+    start = perf_counter()
+    corpus = SyntheticDaliaGenerator(SETUP_EXPERIMENT_CORPUS).generate_windowed()
+    classifier_train = SyntheticDaliaGenerator(SETUP_CLASSIFIER_CORPUS).generate_windowed()
+    times["synthesis_s"] = perf_counter() - start
 
-
-def _fit_classifiers(corpora) -> ActivityClassifier:
-    """Both set-up forests; returns the experiment's classifier."""
-    corpus, classifier_corpus = corpora
-    train = WindowedDataset(corpus.subjects[: len(corpus.subjects) // 2]).concatenated()
+    start = perf_counter()
+    half = len(corpus.subjects) // 2
+    train = WindowedDataset(corpus.subjects[:half]).concatenated()
     classifier = ActivityClassifier(random_state=0).fit(train.accel_windows, train.activity)
-    train = classifier_corpus.concatenated()
+    train = classifier_train.concatenated()
     ActivityClassifier(random_state=0).fit(train.accel_windows, train.activity)
-    return classifier
+    times["forest_fit_s"] = perf_counter() - start
 
-
-def _build_zoo() -> ModelsZoo:
-    """The calibrated zoo, and TimePPG-Small/Big frozen."""
+    start = perf_counter()
     zoo = build_calibrated_zoo(seed=0)
     for config in (TIMEPPG_SMALL_CONFIG, TIMEPPG_BIG_CONFIG):
         TimePPGPredictor(config, seed=0).freeze()
-    return zoo
+    times["zoo_build_freeze_s"] = perf_counter() - start
+
+    start = perf_counter()
+    profiling = WindowedDataset(corpus.subjects[half:]).concatenated()
+    data = ProfilingData.from_zoo_predictions(zoo, profiling, activity_classifier=classifier)
+    ConfigurationProfiler(zoo, WearableSystem()).profile_all(data)
+    times["profiling_s"] = perf_counter() - start
+    return times
 
 
 def benchmark_setup(reference_split_search) -> dict:
@@ -1303,10 +1328,10 @@ def benchmark_setup(reference_split_search) -> dict:
     ``stages`` holds the median and interquartile range over
     :data:`SETUP_ROUNDS` rounds of each stage of the set-up described at
     :data:`SETUP_EXPERIMENT_CORPUS` (synthesis, forest fits, zoo build
-    and TimePPG freeze, configuration profiling) and of their per-round
-    sum.  Each stage is a side of its own; the inputs it needs from
-    earlier stages are built once, untimed (the zoo fresh per round, so
-    every profiling pass draws the same calibrated predictions).
+    and TimePPG freeze, configuration profiling) and of the whole run
+    (``total_s``).  Each round runs the set-up end to end as one
+    :func:`time_sides` side, which times the whole; the stages are split
+    inside it with clock stamps.
 
     ``forest_fit`` times the paper's 8-tree, depth-5 forest on the
     classifier corpus's features, alternating each round between the
@@ -1316,30 +1341,14 @@ def benchmark_setup(reference_split_search) -> dict:
     the per-round reference / shipped time ratios; ``nodes_identical``
     confirms both fits built the same node arrays.
     """
-    corpora = _synthesize()
-    classifier = _fit_classifiers(corpora)
-    profiling = WindowedDataset(corpora[0].subjects[len(corpora[0].subjects) // 2 :])
-    profiling = profiling.concatenated()
+    stage_times: list[dict[str, float]] = []
+    pipeline = time_sides(
+        {"set-up": Side(lambda _: stage_times.append(_setup_stages()))}, SETUP_ROUNDS
+    )["set-up"]
+    stages = {name: _spread([r[name] for r in stage_times]) for name in stage_times[0]}
+    stages["total_s"] = _spread(pipeline.samples)
 
-    def profile(zoo: ModelsZoo) -> None:
-        data = ProfilingData.from_zoo_predictions(zoo, profiling, activity_classifier=classifier)
-        ConfigurationProfiler(zoo, WearableSystem()).profile_all(data)
-
-    stage_timings = time_sides(
-        {
-            "synthesis_s": Side(lambda _: _synthesize()),
-            "forest_fit_s": Side(_fit_classifiers, lambda: corpora),
-            "zoo_build_freeze_s": Side(lambda _: _build_zoo()),
-            "profiling_s": Side(profile, lambda: build_calibrated_zoo(seed=0)),
-        },
-        SETUP_ROUNDS,
-    )
-    stages = {name: _spread(timing.samples) for name, timing in stage_timings.items()}
-    stages["total_s"] = _spread(
-        [sum(round_) for round_ in zip(*(t.samples for t in stage_timings.values()))]
-    )
-
-    train = corpora[1].concatenated()
+    train = SyntheticDaliaGenerator(SETUP_CLASSIFIER_CORPUS).generate_windowed().concatenated()
     features = ActivityClassifier().extract_features(train.accel_windows)
     features = (features - features.mean(axis=0)) / (features.std(axis=0) + 1e-12)
 

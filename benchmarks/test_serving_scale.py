@@ -22,7 +22,7 @@ Inside full tier-1 runs the ratio was noisier: over 8 runs the lower
 quartile read 0.011-0.028 and one median fell to 0.0125, because
 collector passes over the test process's heap landed in burst rounds.  Each side now starts after a ``gc.collect()`` with that heap
 frozen out of the collector (``time_sides`` in ``harness.py``): 8 full
-runs read medians 0.030-0.036 and lower quartiles 0.027-0.030, and the
+runs read medians 0.030-0.036 and lower quartiles 0.027-0.032, and the
 per-subject planner of ``tests/core/plan_oracle.py`` put back into
 ``_plan_fleet`` still reads 0.013-0.014.
 """

@@ -85,6 +85,13 @@ def test_caller_heap_is_frozen_only_while_timing():
     assert gc.get_freeze_count() == 0
 
 
+def test_nested_calls_are_refused():
+    inner = Side(lambda _: time_sides({"inner": Side(lambda _: None)}, rounds=1))
+    with pytest.raises(RuntimeError, match="does not nest"):
+        time_sides({"outer": inner}, rounds=1)
+    assert gc.get_freeze_count() == 0
+
+
 def test_rounds_must_be_positive():
     with pytest.raises(ValueError, match="rounds"):
         time_sides({"a": Side(lambda _: None)}, rounds=0)
