@@ -5,8 +5,8 @@ The fleet engine now runs as an *online service*: sessions arrive and
 leave dynamically through a :class:`~repro.core.scheduler.FleetScheduler`
 instead of a fixed subject list, and one scheduler serves every hardware
 revision at once (per-subject
-:class:`~repro.hw.platform.WearableSystem`s, costs shared through one
-:class:`~repro.hw.platform.CostTableRegistry`).  This example simulates a
+:class:`~repro.hw.platform.WearableSystem`s, each costed once per
+revision in every batch).  This example simulates a
 day in the life of a 100-device deployment:
 
 1. build the calibrated CHRIS experiment once and start one scheduler;
@@ -27,7 +27,7 @@ import time
 from repro.core import Constraint, FleetScheduler, SessionState
 from repro.eval import CalibratedExperiment
 from repro.eval.workloads import sequential_replay, synthetic_fleet
-from repro.hw import CostTableRegistry, WearableSystem
+from repro.hw import WearableSystem
 
 
 def main() -> None:
@@ -37,9 +37,8 @@ def main() -> None:
 
     print("== one scheduler, 2 hardware revisions, dynamic arrivals ==")
     subjects = synthetic_fleet(n_subjects=100, n_windows_per_subject=500, seed=0)
-    registry = CostTableRegistry()
-    stock = WearableSystem(cost_registry=registry)
-    rev_b = WearableSystem(cost_registry=registry, offload_payload_bytes=64 * 4 * 2)
+    stock = WearableSystem()
+    rev_b = WearableSystem(offload_payload_bytes=64 * 4 * 2)
     hardware = {s.subject_id: ("stock", stock) for s in subjects[:60]}
     hardware.update({s.subject_id: ("rev-B", rev_b) for s in subjects[60:]})
     print(f"{len(subjects)} subjects: 60 stock, 40 rev-B (compressed offload)\n")
@@ -92,9 +91,9 @@ def main() -> None:
         print(f"  {label:<8} MAE {mae:.2f} BPM, "
               f"watch energy {energy * 1e3:.3f} mJ/prediction, "
               f"{100 * offload:.1f}% offloaded over {n_windows} windows")
-    print(f"cost registry: {registry.n_revisions} hardware revisions, "
-          f"{registry.n_entries} profiled (deployment, target) pairs "
-          f"— shared by all {len(subjects)} devices\n")
+    n_revisions = len({system.hardware_revision() for _, system in hardware.values()})
+    print(f"{n_revisions} hardware revisions served by one scheduler "
+          f"— {len(subjects)} devices\n")
 
     print("== scheduler drain vs sequential replay (stock sub-fleet) ==")
     timings = {}

@@ -87,9 +87,9 @@ Rule catalogue
     (closed transitively) — must follow the declared partial order.
     Also flags cyclic or self-aliasing declarations, and re-entrant
     acquisition of a non-reentrant lock (``RLock``-rooted mutexes,
-    including argless ``Condition()``, are exempt from re-entry): e.g.
-    ``CostTableRegistry.profile_system`` calls ``self.lookup()`` under
-    ``self._lock``, which only an ``RLock`` makes safe.  Helper-call
+    including argless ``Condition()``, are exempt from re-entry): e.g. a
+    method that holds ``self._lock`` and calls a same-class method that
+    takes it again is only safe on an ``RLock``.  Helper-call
     acquisitions are attributed to the call site with a ``via`` note.
 
 ``REP008`` resource lifecycle (lifecycle modules only — see

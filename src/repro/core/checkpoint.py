@@ -24,11 +24,11 @@ in its ``checkpoint_dir``:
 :class:`FleetJournal`
     Tracks per-shard lifecycle (``PENDING -> RUNNING -> DONE/FAILED``)
     together with a *fleet fingerprint* — a hash over the subject/shard
-    layout, the constraint, the zoo, the dtype and the cost
-    registry snapshot (:meth:`repro.hw.platform.CostTableRegistry.fingerprint`).
-    A restarted run resumes only when the fingerprint matches; a stale
-    journal (different fleet, different tables) is discarded and the run
-    starts clean instead of resuming into wrong results.
+    layout, the constraint, the zoo, the dtype, the hardware and the
+    prediction costs the run can look up.  A restarted run resumes only
+    when the fingerprint matches; a stale journal (different fleet,
+    different costs) is discarded and the run starts clean instead of
+    resuming into wrong results.
 
 Both structures live in one directory and are written only by the
 coordinating (parent) process; workers never touch disk.  Resume
@@ -405,7 +405,7 @@ class FleetJournal:
 
     The fingerprint hashes everything that determines the run's results:
     the per-shard subject layout, the constraint, the zoo, the dtype,
-    and the cost-registry snapshot.  A journal whose
+    the hardware and the prediction costs.  A journal whose
     fingerprint does not match the current run is *stale* and discarded;
     one that matches lets the executor trust ``DONE`` entries and
     re-execute only the rest.
@@ -429,15 +429,13 @@ class FleetJournal:
         self,
         fingerprint_payload: dict,
         shard_subjects: Sequence[Sequence[str]],
-        registry_snapshot: str,
     ) -> bool:
         """Bind the journal to a run; returns ``True`` when resuming.
 
         Resuming requires an existing journal whose fingerprint and shard
         count match the current run; anything else (no journal, foreign
-        fleet, different tables, changed shard layout) starts a fresh
-        journal with every shard ``PENDING``.  ``registry_snapshot`` (the
-        cost registry's JSON dump) is stored alongside for inspection.
+        fleet, different costs, changed shard layout) starts a fresh
+        journal with every shard ``PENDING``.
         """
         fingerprint = self.fingerprint_of(fingerprint_payload)
         existing = _load_json(self.path)
@@ -452,7 +450,6 @@ class FleetJournal:
         self._payload = {
             "version": _FORMAT_VERSION,
             "fingerprint": fingerprint,
-            "registry_snapshot": registry_snapshot,
             "shards": [
                 {
                     "status": ShardStatus.PENDING.value,

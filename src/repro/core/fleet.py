@@ -31,11 +31,9 @@ change the batch shapes of fused stateless models, and their
 row-bit-stable forwards (:mod:`repro.core.runtime`, *Equivalence
 contract*) make that invisible.
 
-Cost tables are not re-profiled per worker: the parent eagerly profiles
-its :class:`~repro.hw.platform.CostTableRegistry` for the zoo's
-deployments (every hardware revision of a heterogeneous fleet),
-serializes it to JSON, and each worker loads the table instead of
-recomputing it.
+Workers compute their own prediction costs: the runtime's per-call cost
+table holds one entry per routed ``(hardware revision, model, target)``,
+a handful of float operations per shard, so no cost state is shipped.
 
 Shard tasks deep-copy the pristine worker runtime before touching any
 state, so a worker that happens to execute several shards (pools do not
@@ -73,7 +71,7 @@ only the rest; because every shard fast-forwards predictor state from
 the fleet-wide plan regardless of *when* it runs, the resumed result is
 **bit-identical** to the uninterrupted one (pinned by the property
 suite).  A journal whose fingerprint does not match the current fleet —
-different subjects, constraint, zoo, dtype or cost tables —
+different subjects, constraint, zoo, dtype or prediction costs —
 is stale and discarded; a staged record failing its checksum is
 re-executed rather than loaded.
 """
@@ -85,6 +83,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict
 from multiprocessing import shared_memory
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -107,7 +106,8 @@ from repro.core.runtime import (
     _check_fleet_inputs,
 )
 from repro.data.dataset import WindowedSubject
-from repro.hw.platform import CostTableRegistry, WearableSystem
+from repro.hw.platform import WearableSystem
+from repro.hw.profiles import ExecutionTarget
 
 #: Worker-process state installed by :func:`_init_fleet_worker`.
 #: Deliberately lock-free (REP002 scans this module but nothing here is
@@ -233,7 +233,6 @@ class SharedSubjectStore:
 def _init_fleet_worker(
     runtime: CHRISRuntime,
     subjects: "Sequence[WindowedSubject] | None",
-    registry_json: str,
     systems: Mapping[str, WearableSystem],
     shared_manifest: "dict | None",
 ) -> None:
@@ -250,12 +249,6 @@ def _init_fleet_worker(
         _WORKER_STATE["shared_handles"] = handles
     _WORKER_STATE["runtime"] = runtime
     _WORKER_STATE["subjects"] = subjects
-    registry = CostTableRegistry.from_json(registry_json)
-    # The parent profiled every revision the fleet can touch before
-    # serializing; a miss in the worker therefore means the wrong or a
-    # partial table was shipped — fail loudly instead of re-profiling.
-    registry.strict = True
-    _WORKER_STATE["cost_registry"] = registry
     _WORKER_STATE["systems"] = systems
 
 
@@ -290,13 +283,12 @@ def _run_fleet_shard(
 ) -> list[tuple[str, RunResult]]:
     """Worker side of one shard: :func:`_replay_shard` on ``subjects[start:stop]``."""
     faults.fire("fleet.shard", shard=shard_index)
-    runtime: CHRISRuntime = copy.deepcopy(_WORKER_STATE["runtime"])
-    runtime.system.cost_registry = _WORKER_STATE["cost_registry"]
-    systems: Mapping[str, WearableSystem] = _WORKER_STATE["systems"]
-    for system in systems.values():
-        system.cost_registry = _WORKER_STATE["cost_registry"]
     return _replay_shard(
-        runtime, _WORKER_STATE["subjects"][start:stop], prior_windows, plan, systems
+        copy.deepcopy(_WORKER_STATE["runtime"]),
+        _WORKER_STATE["subjects"][start:stop],
+        prior_windows,
+        plan,
+        _WORKER_STATE["systems"],
     )
 
 
@@ -440,8 +432,6 @@ class FleetExecutor:
             # advances the parent runtime's predictor streams — with retry
             # and quarantine semantics identical to the sharded paths.
             bounds = [(0, len(subjects))]
-        else:
-            self._profile_cost_tables(systems)
         priors = self._prior_window_counts(plan, bounds)
         plan_slices = [plan[start:stop] for start, stop in bounds]
 
@@ -512,10 +502,22 @@ class FleetExecutor:
 
         Two runs share a journal exactly when this payload matches; any
         drift (subjects, shard layout, constraint, zoo, dtype,
-        connectivity, hardware, cost tables) makes an existing journal
-        stale.
+        connectivity, hardware, prediction costs) makes an existing
+        journal stale.  ``costs`` lists every cost the shards can look
+        up — each zoo entry on both targets of the default system and of
+        every distinct revision in ``systems`` — so a journal is stale
+        exactly when a staged energy/latency figure would differ.
         """
-        registry = self.runtime.system.cost_registry
+        costs: dict[str, list[dict]] = {}
+        for system in [self.runtime.system, *systems.values()]:
+            revision = repr(system.hardware_revision())
+            if revision not in costs:
+                costs[revision] = [
+                    asdict(system.cached_prediction_cost(entry.deployment, target))
+                    | {"target": target.value}
+                    for entry in self.runtime.zoo
+                    for target in ExecutionTarget
+                ]
         return {
             "subjects": [(s.subject_id, int(s.n_windows)) for s in subjects],
             "bounds": [[int(start), int(stop)] for start, stop in bounds],
@@ -529,7 +531,7 @@ class FleetExecutor:
                 for sid, system in systems.items()
             )
             + [["<default>", repr(self.runtime.system.hardware_revision())]],
-            "cost_registry": registry.fingerprint(),
+            "costs": costs,
         }
 
     def _open_checkpoint(
@@ -557,9 +559,7 @@ class FleetExecutor:
         shard_subjects = [
             [s.subject_id for s in subjects[start:stop]] for start, stop in bounds
         ]
-        resumed = journal.open_run(
-            payload, shard_subjects, self.runtime.system.cost_registry.to_json()
-        )
+        resumed = journal.open_run(payload, shard_subjects)
         if not resumed:
             stager.reset()
         loaded: dict[int, list[tuple[str, RunResult]]] = {}
@@ -644,7 +644,6 @@ class FleetExecutor:
         (``BrokenProcessPool``) charges an attempt to every shard whose
         future it broke, rebuilds the pool, and resubmits what is left.
         """
-        registry_json = self.runtime.system.cost_registry.to_json()
         context = (
             multiprocessing.get_context(self.start_method)
             if self.start_method is not None
@@ -672,7 +671,6 @@ class FleetExecutor:
                 initargs=(
                     self.runtime,
                     None if store is not None else subjects,
-                    registry_json,
                     systems,
                     store.manifest if store is not None else None,
                 ),
@@ -744,24 +742,6 @@ class FleetExecutor:
             if store is not None:
                 store.close()
                 store.unlink()
-
-    def _profile_cost_tables(
-        self, systems: Mapping[str, WearableSystem] | None = None
-    ) -> None:
-        """Eagerly profile the cost registry so workers only do table hits.
-
-        Covers the default system plus every distinct hardware revision of
-        a heterogeneous fleet — each revision is profiled exactly once.
-        """
-        deployments = [entry.deployment for entry in self.runtime.zoo]
-        registry = self.runtime.system.cost_registry
-        registry.profile_system(self.runtime.system, deployments)
-        for system in (systems or {}).values():
-            system.cost_registry.profile_system(system, deployments)
-            if system.cost_registry is not registry:
-                # Workers only receive the runtime registry's JSON; fold
-                # private registries in so their tables ship too.
-                registry.merge(system.cost_registry)
 
     # ------------------------------------------------------------ aggregate
     def run_fleet(

@@ -105,9 +105,9 @@ entry point accepts ``systems``, a per-subject-id mapping to the
 (subjects absent from the mapping use the runtime's default system).
 Difficulty prediction and model routing are hardware-independent; per
 subject, the connection status of *its* system gates configuration
-selection, and the cost table has a hardware-revision axis so each
-``(deployment, target)`` pair is looked up once per revision through the
-shared :class:`~repro.hw.platform.CostTableRegistry`.
+selection, and the per-call cost table has a hardware-revision axis so
+each routed ``(deployment, target)`` pair is costed once per revision,
+however many subjects share it.
 """
 
 from __future__ import annotations

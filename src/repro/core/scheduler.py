@@ -9,8 +9,8 @@ are :meth:`~FleetScheduler.submit`-ted at any time, may be
 :meth:`~FleetScheduler.as_completed` generator as they finish — there is
 no fixed subject list.  Each session can bring its own
 :class:`~repro.hw.platform.WearableSystem`, so one scheduler serves a
-heterogeneous device population; per-revision costs are shared through
-the system's :class:`~repro.hw.platform.CostTableRegistry`.
+heterogeneous device population; each batch computes its per-revision
+costs in the runtime's per-call cost table, so threads share no cost state.
 
 Execution model
 ---------------
@@ -834,7 +834,6 @@ class FleetScheduler:
         plan = self._runtime._plan_fleet(
             subjects, self.constraint, self.use_oracle_difficulty, traces, systems=systems
         )
-        self._profile_cost_tables(systems.values())
         # As-if-planned accounting: the stream position moves past this
         # batch now, whether or not execution ultimately succeeds — a
         # quarantined batch must not invalidate its successors.
@@ -861,18 +860,6 @@ class FleetScheduler:
         """Record that stream positions can no longer be reconstructed."""
         with self._lock:
             self._corrupted = True
-
-    def _profile_cost_tables(self, systems) -> None:
-        """Profile every revision up front so the worker thread only reads.
-
-        Registries are plain dicts shared with the worker thread; eager
-        profiling in the dispatcher thread makes every later lookup a
-        read-only hit.
-        """
-        deployments = [entry.deployment for entry in self._runtime.zoo]
-        self._runtime.system.cost_registry.profile_system(self._runtime.system, deployments)
-        for system in systems:
-            system.cost_registry.profile_system(system, deployments)
 
     def _execute_batch(
         self,

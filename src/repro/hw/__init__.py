@@ -37,9 +37,6 @@ from repro.hw.profiles import (
     deployment_for,
 )
 from repro.hw.platform import (
-    SHARED_COST_REGISTRY,
-    CostTableError,
-    CostTableRegistry,
     PredictionCost,
     WearableSystem,
 )
@@ -65,7 +62,4 @@ __all__ = [
     "deployment_for",
     "PredictionCost",
     "WearableSystem",
-    "CostTableError",
-    "CostTableRegistry",
-    "SHARED_COST_REGISTRY",
 ]

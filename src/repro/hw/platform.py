@@ -22,11 +22,7 @@ can be configured to study what happens when that assumption is dropped
 
 from __future__ import annotations
 
-import hashlib
-import json
-import threading
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.hw.ble import BLELink, WINDOW_PAYLOAD_BYTES
 from repro.hw.device import ComputeDevice
@@ -69,329 +65,6 @@ class PredictionCost:
         return self.target is ExecutionTarget.PHONE
 
 
-class CostTableError(RuntimeError):
-    """A cost-table payload is corrupt, or a strict lookup found no table.
-
-    Raised instead of silently re-profiling so fleet deployments that
-    ship serialized tables to workers fail loudly when a table is
-    corrupt, belongs to the wrong hardware revision, or only partially
-    covers the zoo.
-    """
-
-
-class CostTableRegistry:
-    """Shared per-hardware-revision prediction-cost tables.
-
-    Per-prediction costs are deterministic functions of the *hardware
-    revision* — the tuple of every system parameter the cost model reads
-    (see :meth:`WearableSystem.hardware_revision`).  A fleet of thousands
-    of simulated devices typically spans only a handful of revisions, so
-    profiling each ``(deployment, target)`` pair once per revision and
-    sharing the table across all :class:`WearableSystem` instances removes
-    the per-system re-profiling the first runtime versions did.
-
-    The registry is serializable (:meth:`to_json` / :meth:`from_json`) so
-    fleet workers in other processes can load the parent's profiled tables
-    instead of recomputing them.
-
-    A module-level instance (:data:`SHARED_COST_REGISTRY`) backs every
-    :class:`WearableSystem` that is not given a private registry — which
-    makes the registry genuinely shared mutable state: the fleet
-    scheduler's dispatcher thread profiles tables while worker threads
-    read them (and, on a cold registry, several threads may fill
-    concurrently).  Every table fill, read and serialization therefore
-    takes an internal re-entrant lock; the lock is excluded from
-    pickling/deep-copying (each copy gets a fresh one), so registries
-    still travel to pool workers and through ``copy.deepcopy`` exactly
-    as before.
-    """
-
-    def __init__(self) -> None:
-        self._tables: dict[tuple, dict[tuple[ModelDeployment, ExecutionTarget], PredictionCost]] = {}  # guarded-by: _lock
-        #: In strict mode a lookup miss raises :class:`CostTableError`
-        #: instead of profiling.  Fleet workers that load a table the
-        #: parent shipped turn this on: a miss there means the parent
-        #: shipped the wrong or a partial table, which silent
-        #: re-profiling would mask.  Set once before the registry is
-        #: shared (worker init / deserialization), never mid-run.
-        self.strict = False  # guarded-by: _lock
-        #: Guards ``_tables`` against concurrent fills/reads; re-entrant
-        #: because :meth:`profile_system` holds it across its
-        #: :meth:`lookup` calls so a profiling pass is atomic.
-        self._lock = threading.RLock()  # lock-order: _lock
-
-    def __getstate__(self) -> dict:
-        # Snapshot under the lock; the lock itself cannot (and must not)
-        # travel across pickling or deepcopy.
-        with self._lock:
-            state = dict(self.__dict__)
-            state.pop("_lock")
-            state["_tables"] = {
-                revision: dict(table) for revision, table in self._tables.items()
-            }
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------- inspection
-    @property
-    def n_revisions(self) -> int:
-        """Number of distinct hardware revisions profiled so far."""
-        with self._lock:
-            return len(self._tables)
-
-    @property
-    def n_entries(self) -> int:
-        """Total number of memoized ``(deployment, target)`` costs."""
-        with self._lock:
-            return sum(len(t) for t in self._tables.values())
-
-    def revisions(self) -> list[tuple]:
-        """The profiled hardware-revision keys."""
-        with self._lock:
-            return list(self._tables)
-
-    # ---------------------------------------------------------------- lookup
-    def lookup(  # unguarded-ok: strict
-        self,
-        system: "WearableSystem",
-        deployment: ModelDeployment,
-        target: ExecutionTarget,
-    ) -> PredictionCost:
-        """Memoized cost of one prediction on ``system``'s hardware revision.
-
-        The lock-free :attr:`strict` read at the top is deliberate
-        (``unguarded-ok`` above): the flag is configuration, flipped only
-        in worker initialization before the registry is shared — taking
-        the re-entrant lock for it on every hot-path lookup would buy
-        nothing.
-
-        Profiles the pair on first sight and returns the shared
-        :class:`PredictionCost` object afterwards — including to *other*
-        system instances of the same revision.  In :attr:`strict` mode a
-        miss raises instead of profiling (see :meth:`cost_for`).  Like
-        the cache it replaces, the lookup never consults the current BLE
-        connection state; callers only request phone costs for windows
-        planned while the link was up.
-        """
-        if self.strict:
-            return self.cost_for(system, deployment, target)
-        key = (deployment, target)
-        with self._lock:
-            table = self._tables.setdefault(system.hardware_revision(), {})
-            cost = table.get(key)
-            if cost is None:
-                if target is ExecutionTarget.WATCH:
-                    cost = system.local_prediction_cost(deployment)
-                else:
-                    cost = system.offloaded_cost(deployment)
-                table[key] = cost
-        return cost
-
-    def profile_system(
-        self, system: "WearableSystem", deployments: "list[ModelDeployment] | tuple[ModelDeployment, ...]"
-    ) -> tuple:
-        """Eagerly profile both targets of every deployment on one system.
-
-        Returns the system's revision key; after this call every lookup a
-        fleet run can make for these deployments is a pure dictionary hit,
-        so the table can be serialized and shipped to workers.  The whole
-        pass holds the registry lock (re-entrantly across the lookups),
-        so a concurrent serialization never observes a half-profiled
-        system.
-        """
-        with self._lock:
-            for deployment in deployments:
-                for target in (ExecutionTarget.WATCH, ExecutionTarget.PHONE):
-                    self.lookup(system, deployment, target)
-        return system.hardware_revision()
-
-    def cost_for(
-        self,
-        system: "WearableSystem",
-        deployment: ModelDeployment,
-        target: ExecutionTarget,
-    ) -> PredictionCost:
-        """Strict lookup: the memoized cost, or :class:`CostTableError`.
-
-        Unlike a default-mode :meth:`lookup` this never profiles on a
-        miss — fleet workers run their loaded registry with
-        :attr:`strict` enabled (see
-        :func:`repro.core.fleet._init_fleet_worker`), which routes every
-        lookup here so "the parent shipped the wrong/partial table"
-        fails loudly instead of being papered over by recomputation.
-        """
-        revision = system.hardware_revision()
-        with self._lock:
-            table = self._tables.get(revision)
-            if table is None:
-                raise CostTableError(
-                    f"no cost table for hardware revision {revision}; "
-                    f"profiled revisions: {sorted(map(str, self._tables)) or 'none'}"
-                )
-            cost = table.get((deployment, target))
-        if cost is None:
-            raise CostTableError(
-                f"cost table for hardware revision {revision} is partial: "
-                f"missing ({deployment.name!r}, {target.value!r}) "
-                f"[{len(table)} entries present]"
-            )
-        return cost
-
-    def drop(self, revision: tuple) -> None:
-        """Forget one revision's table (no-op when absent)."""
-        with self._lock:
-            self._tables.pop(revision, None)
-
-    def clear(self) -> None:
-        """Forget every profiled table."""
-        with self._lock:
-            self._tables.clear()
-
-    # ------------------------------------------------------------- serialization
-    def to_json(self) -> str:
-        """JSON dump of every profiled table.
-
-        Floats survive the round trip exactly (JSON numbers are emitted
-        with ``repr`` precision), so a table loaded in a worker process
-        produces bit-identical costs to the parent's.
-        """
-        with self._lock:
-            snapshot = {
-                revision: dict(table) for revision, table in self._tables.items()
-            }
-        payload = [
-            {
-                "revision": list(revision),
-                "entries": [
-                    {
-                        "deployment": asdict(deployment),
-                        "target": target.value,
-                        "cost": asdict(cost) | {"target": cost.target.value},
-                    }
-                    for (deployment, target), cost in table.items()
-                ],
-            }
-            for revision, table in snapshot.items()
-        ]
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CostTableRegistry":
-        """Rebuild a registry from :meth:`to_json` output.
-
-        Raises
-        ------
-        CostTableError
-            If the payload is not valid JSON or does not have the
-            :meth:`to_json` structure (missing keys, malformed
-            deployments, unknown execution targets).  Corrupt tables must
-            fail loudly: a worker that silently fell back to an empty
-            registry would re-profile costs the parent thought it had
-            shipped.
-        """
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CostTableError(f"corrupt cost-table JSON: {exc}") from exc
-        if not isinstance(payload, list):
-            raise CostTableError(
-                f"corrupt cost-table payload: expected a list of revision "
-                f"blocks, got {type(payload).__name__}"
-            )
-        registry = cls()
-        for i, block in enumerate(payload):
-            try:
-                revision = tuple(block["revision"])
-                entries = block["entries"]
-            except (TypeError, KeyError) as exc:
-                raise CostTableError(
-                    f"corrupt cost-table payload: revision block {i} has no "
-                    f"'revision'/'entries' structure ({exc!r})"
-                ) from exc
-            if not isinstance(entries, list):
-                raise CostTableError(
-                    f"corrupt cost-table payload: revision block {i} 'entries' "
-                    f"must be a list, got {type(entries).__name__}"
-                )
-            table = registry._tables.setdefault(revision, {})
-            for entry in entries:
-                try:
-                    deployment = ModelDeployment(**entry["deployment"])
-                    target = ExecutionTarget(entry["target"])
-                    cost_fields = dict(entry["cost"])
-                    cost_fields["target"] = ExecutionTarget(cost_fields["target"])
-                    table[(deployment, target)] = PredictionCost(**cost_fields)
-                except (TypeError, KeyError, ValueError) as exc:
-                    raise CostTableError(
-                        f"corrupt cost-table entry in revision {revision}: {exc!r}"
-                    ) from exc
-        return registry
-
-    def to_json_file(self, path: "str | Path") -> None:
-        """Persist the registry next to a deployment (see :meth:`from_json_file`)."""
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def from_json_file(cls, path: "str | Path") -> "CostTableRegistry":
-        """Load a registry persisted with :meth:`to_json_file`.
-
-        Raises
-        ------
-        CostTableError
-            If the file cannot be read or its content is corrupt — never
-            an empty registry, which would silently re-profile.
-        """
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise CostTableError(f"cannot read cost-table file {path}: {exc}") from exc
-        return cls.from_json(text)
-
-    def fingerprint(self) -> str:
-        """Order-independent SHA-256 over the profiled tables.
-
-        The fleet journal (:mod:`repro.core.checkpoint`) folds this into
-        its fleet fingerprint: a resume against results produced under
-        *different* cost tables must be detected as stale, because every
-        staged energy/latency figure would silently be wrong.  Entries
-        and revisions are canonicalized (sorted) before hashing, so two
-        registries holding the same tables fingerprint identically no
-        matter what order profiling filled them in.
-        """
-        payload = json.loads(self.to_json())
-        for block in payload:
-            block["entries"] = sorted(
-                json.dumps(entry, sort_keys=True) for entry in block["entries"]
-            )
-        canonical = sorted(json.dumps(block, sort_keys=True) for block in payload)
-        return hashlib.sha256("\n".join(canonical).encode("utf-8")).hexdigest()
-
-    def merge(self, other: "CostTableRegistry") -> None:
-        """Adopt every entry of ``other`` (existing entries win).
-
-        The two locks are taken sequentially (snapshot ``other``, then
-        fill ``self``), never nested, so concurrent merges in opposite
-        directions cannot deadlock.
-        """
-        with other._lock:
-            snapshot = {
-                revision: dict(table) for revision, table in other._tables.items()
-            }
-        with self._lock:
-            for revision, table in snapshot.items():
-                mine = self._tables.setdefault(revision, {})
-                for key, cost in table.items():
-                    mine.setdefault(key, cost)
-
-
-#: Registry backing every :class:`WearableSystem` without a private one:
-#: heterogeneous device populations profile each hardware revision once.
-SHARED_COST_REGISTRY = CostTableRegistry()
-
-
 class WearableSystem:
     """The two-device platform of the paper.
 
@@ -409,10 +82,6 @@ class WearableSystem:
     difficulty_detector_energy_j:
         Per-prediction MCU energy of the activity recognizer; 0 because the
         paper runs it on the accelerometer's ML core.
-    cost_registry:
-        Cost-table registry this system memoizes into; the process-wide
-        :data:`SHARED_COST_REGISTRY` when omitted, so identical hardware
-        revisions across a fleet are profiled exactly once.
     """
 
     def __init__(
@@ -423,7 +92,6 @@ class WearableSystem:
         prediction_period_s: float = PREDICTION_PERIOD_S,
         offload_payload_bytes: int = WINDOW_PAYLOAD_BYTES,
         difficulty_detector_energy_j: float = 0.0,
-        cost_registry: CostTableRegistry | None = None,
     ) -> None:
         if prediction_period_s <= 0:
             raise ValueError(f"prediction_period_s must be positive, got {prediction_period_s}")
@@ -439,7 +107,6 @@ class WearableSystem:
         self.prediction_period_s = prediction_period_s
         self.offload_payload_bytes = offload_payload_bytes
         self.difficulty_detector_energy_j = difficulty_detector_energy_j
-        self.cost_registry = cost_registry if cost_registry is not None else SHARED_COST_REGISTRY
 
     # ----------------------------------------------------------- connection
     @property
@@ -511,10 +178,10 @@ class WearableSystem:
         Per-prediction costs consult only the watch's idle power (active
         energies come from the deployment profiles) plus the BLE link and
         the scalar system parameters, all captured here by value — two
-        systems with equal revisions produce identical costs, which is the
-        key the shared :class:`CostTableRegistry` memoizes by.  Both
-        replacing a component and mutating it in place change the revision
-        and therefore miss into a fresh table on the next lookup.
+        systems with equal revisions produce identical costs, so the
+        runtime's per-call cost table costs each routed
+        ``(deployment, target)`` pair once per revision.  Both replacing a
+        component and mutating it in place change the revision.
         """
         return (
             self.prediction_period_s,
@@ -528,24 +195,21 @@ class WearableSystem:
             self.ble.packetizer.packet_overhead_bytes,
         )
 
-    def invalidate_cost_cache(self) -> None:
-        """Drop this revision's memoized prediction costs from the registry."""
-        self.cost_registry.drop(self.hardware_revision())
-
     def cached_prediction_cost(
         self, deployment: ModelDeployment, target: ExecutionTarget
     ) -> PredictionCost:
-        """Memoized per-``(deployment, target)`` prediction cost.
+        """Per-``(deployment, target)`` prediction cost, for batched dispatch.
 
-        Costs are deterministic given the system parameters, so the hot
-        batched-dispatch path looks them up in the shared
-        :class:`CostTableRegistry` (keyed by :meth:`hardware_revision`)
-        instead of rebuilding a :class:`PredictionCost` per window.  Unlike
+        The caching is the runtime's per-call cost table: it calls this
+        once per routed ``(hardware revision, model, target)``, never per
+        window, so the cost is computed directly here.  Unlike
         :meth:`prediction_cost` this never consults the *current* BLE
         connection state — callers are responsible for only requesting
         phone costs for windows planned while the link is up.
         """
-        return self.cost_registry.lookup(self, deployment, target)
+        if target is ExecutionTarget.WATCH:
+            return self.local_prediction_cost(deployment)
+        return self.offloaded_cost(deployment)
 
     # -------------------------------------------------------------- summary
     def average_watch_power_w(self, energy_per_prediction_j: float) -> float:

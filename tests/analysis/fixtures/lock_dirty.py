@@ -2,10 +2,9 @@
 
 ``snapshot`` is a regression note from the satellite audit of the real
 threaded modules: serialization/snapshot paths are where unlocked reads
-of guarded state hide (``CostTableRegistry.__getstate__`` snapshots its
-tables *under* the lock for exactly this reason, and the registry's
-``strict`` fast-path read is pragma-documented) — the checker must catch
-the unlocked variant.
+of guarded state hide (a ``__getstate__`` must snapshot guarded tables
+*under* the lock, and a deliberate lock-free read must carry an
+``unguarded-ok`` pragma) — the checker must catch the unlocked variant.
 """
 
 import threading

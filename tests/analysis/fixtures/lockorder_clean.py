@@ -20,6 +20,15 @@ class Pipeline:
                 with self._log:
                     pass
 
+    def grab_meta(self):
+        with self._meta:
+            pass
+
+    def reentrant_self_call(self):
+        # Same-class re-entry through a helper is safe on the RLock.
+        with self._meta:
+            self.grab_meta()
+
     def grab_log(self):
         with self._log:
             pass

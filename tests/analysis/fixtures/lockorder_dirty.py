@@ -47,3 +47,8 @@ class Pipeline:
         with self._meta:
             with self._meta_cv:  # PLANT: REP006
                 pass
+
+    def reentrant_self_call(self):
+        # grab_meta() takes _meta again: a deadlock on a plain Lock.
+        with self._meta:
+            self.grab_meta()  # PLANT: REP006

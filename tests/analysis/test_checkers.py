@@ -188,14 +188,6 @@ def test_real_scheduler_and_registry_declarations_present():
     }
     assert all(locks == frozenset({"_lock", "_arrivals", "_resolved"}) for locks in guarded.values())
 
-    platform = load_module(config.root, config.root / "hw" / "platform.py")
-    registry = next(
-        n for n in ast.walk(platform.tree)
-        if isinstance(n, ast.ClassDef) and n.name == "CostTableRegistry"
-    )
-    guarded = collect_guarded_declarations(platform, registry)
-    assert set(guarded) == {"_tables", "strict"}
-
 
 def test_real_hot_path_marks_present():
     from repro.analysis.engine import default_config, iter_python_files, load_module
@@ -233,31 +225,23 @@ def _copy_real_module(relpath: str, dest_root: Path, edit=lambda text: text) -> 
     return source
 
 
-def test_rep006_sees_profile_system_reentry_on_a_plain_lock(tmp_path):
-    """``CostTableRegistry.profile_system`` calls ``self.lookup()`` while
-    holding ``self._lock``.  That is only safe because the lock is an
-    RLock: with a plain Lock the call deadlocks, and REP006 must say so
-    on the call line."""
-    relpath = "hw/platform.py"
-    clean_root = tmp_path / "clean"
-    source = _copy_real_module(relpath, clean_root)
-    assert run_lint(_single_rule_config(clean_root, lock_modules=(relpath,))).new == []
-
-    assert "threading.RLock()" in source
-    plain_root = tmp_path / "plain"
-    _copy_real_module(
-        relpath, plain_root, lambda text: text.replace("threading.RLock()", "threading.Lock()")
-    )
-    report = run_lint(_single_rule_config(plain_root, lock_modules=(relpath,)))
-
-    lines = source.splitlines()
-    start = next(i for i, line in enumerate(lines) if "def profile_system(" in line)
+def test_rep006_sees_self_call_reentry_on_a_plain_lock():
+    """``reentrant_self_call`` holds ``self._meta`` and calls a same-class
+    method that takes it again: safe on the clean twin's RLock, a deadlock
+    on the dirty twin's plain Lock, and REP006 must say so on the call
+    line, naming the helper."""
+    lines = (FIXTURES / "lockorder_dirty.py").read_text(encoding="utf-8").splitlines()
+    start = lines.index("    def reentrant_self_call(self):")
     call_line = next(
-        i + 1 for i in range(start, len(lines)) if "self.lookup(" in lines[i]
+        i + 1 for i in range(start, len(lines)) if "self.grab_meta()" in lines[i]
     )
-    assert [(f.line, f.code) for f in report.new] == [(call_line, "REP006")]
-    assert "re-acquires non-reentrant lock 'self._lock'" in report.new[0].message
-    assert "profile_system" in report.new[0].message
+    findings = [
+        f for f in run_lint(fixture_config()).new
+        if f.file == "lockorder_dirty.py" and f.line == call_line
+    ]
+    assert [f.code for f in findings] == ["REP006"]
+    assert "re-acquires non-reentrant lock 'self._meta'" in findings[0].message
+    assert "grab_meta" in findings[0].message
 
 
 def test_rep001_flags_the_bpm_pin_without_its_lint_ok(tmp_path):

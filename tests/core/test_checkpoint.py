@@ -7,6 +7,7 @@ rebuilt pools, discarded stale journals, re-executed corrupt shards —
 always against the bit-identity contract with an uninterrupted run.
 """
 
+import dataclasses
 import io
 
 import numpy as np
@@ -23,6 +24,8 @@ from repro.core.checkpoint import (
 from repro.core.fleet import FleetExecutor
 from repro.core.runtime import RunResult, _NPZ_ARRAY_FIELDS
 from repro.eval.workloads import sequential_replay
+from repro.hw.platform import WearableSystem
+from repro.hw.profiles import PAPER_DEPLOYMENTS, ExecutionTarget
 from repro.models import MODEL_REGISTRY
 
 from tests.core.test_fleet import CONSTRAINT, assert_fleets_identical, make_runtime
@@ -321,37 +324,37 @@ class TestFleetJournal:
 
     def test_fresh_run_starts_pending(self, tmp_path):
         journal = FleetJournal(tmp_path)
-        assert journal.open_run(self.PAYLOAD, self.SHARDS, "{}") is False
+        assert journal.open_run(self.PAYLOAD, self.SHARDS) is False
         assert journal.statuses() == [ShardStatus.PENDING, ShardStatus.PENDING]
         assert journal.subject_ids(0) == ["s0", "s1"]
         assert journal.attempts(0) == 0
 
     def test_matching_fingerprint_resumes_with_state(self, tmp_path):
         journal = FleetJournal(tmp_path)
-        journal.open_run(self.PAYLOAD, self.SHARDS, "{}")
+        journal.open_run(self.PAYLOAD, self.SHARDS)
         journal.mark(0, ShardStatus.RUNNING, attempt=True)
         journal.mark(0, ShardStatus.DONE)
         journal.mark(1, ShardStatus.FAILED, error="boom", attempt=True)
         resumed = FleetJournal(tmp_path)
-        assert resumed.open_run(self.PAYLOAD, self.SHARDS, "{}") is True
+        assert resumed.open_run(self.PAYLOAD, self.SHARDS) is True
         assert resumed.statuses() == [ShardStatus.DONE, ShardStatus.FAILED]
         assert resumed.attempts(0) == 1
         assert resumed.shards_with(ShardStatus.FAILED) == [1]
 
     def test_foreign_fingerprint_starts_clean(self, tmp_path):
         journal = FleetJournal(tmp_path)
-        journal.open_run(self.PAYLOAD, self.SHARDS, "{}")
+        journal.open_run(self.PAYLOAD, self.SHARDS)
         journal.mark(0, ShardStatus.DONE)
         fresh = FleetJournal(tmp_path)
-        assert fresh.open_run({"fleet": "beta"}, self.SHARDS, "{}") is False
+        assert fresh.open_run({"fleet": "beta"}, self.SHARDS) is False
         assert fresh.statuses() == [ShardStatus.PENDING, ShardStatus.PENDING]
 
     def test_changed_shard_layout_starts_clean(self, tmp_path):
         journal = FleetJournal(tmp_path)
-        journal.open_run(self.PAYLOAD, self.SHARDS, "{}")
+        journal.open_run(self.PAYLOAD, self.SHARDS)
         journal.mark(1, ShardStatus.DONE)
         fresh = FleetJournal(tmp_path)
-        assert fresh.open_run(self.PAYLOAD, [["s0", "s1", "s2"]], "{}") is False
+        assert fresh.open_run(self.PAYLOAD, [["s0", "s1", "s2"]]) is False
         assert fresh.statuses() == [ShardStatus.PENDING]
 
     def test_queries_require_open_run(self, tmp_path):
@@ -490,6 +493,77 @@ class TestCheckpointedExecution:
             )
         assert plan.armed() == 0
         assert_fleets_identical(reference_fleet, fleet)
+
+    @staticmethod
+    def serial_executor(experiment, directory):
+        """The 4-shard checkpointed executor, running its shards in-process."""
+        return checkpointed_executor(experiment, directory, max_workers=1, shards_per_worker=4)
+
+    @staticmethod
+    def spy_shard_runs(monkeypatch) -> list[int]:
+        """Record the index of every shard the in-process runner executes."""
+        executed: list[int] = []
+        execute = FleetExecutor._execute_shard_local
+
+        def spy(self, index, *args):
+            executed.append(index)
+            return execute(self, index, *args)
+
+        monkeypatch.setattr(FleetExecutor, "_execute_shard_local", spy)
+        return executed
+
+    def test_costing_another_device_keeps_the_journal_valid(
+        self, calibrated_experiment, small_dataset, tmp_path, monkeypatch
+    ):
+        """Costing an unrelated device between a run and its rerun must not
+        make the journal stale: every shard loads, none executes."""
+        directory = tmp_path / "ckpt"
+        first = self.serial_executor(calibrated_experiment, directory).run_fleet(
+            small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
+        )
+        WearableSystem(offload_payload_bytes=4099).cached_prediction_cost(
+            PAPER_DEPLOYMENTS["AT"], ExecutionTarget.PHONE
+        )
+        executed = self.spy_shard_runs(monkeypatch)
+        second = self.serial_executor(calibrated_experiment, directory).run_fleet(
+            small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
+        )
+        assert executed == []
+        assert_fleets_identical(first, second)
+        for sid in first.subject_ids:
+            assert_bit_identical(first.results[sid], second.results[sid])
+
+    def test_cost_drift_makes_the_journal_stale(
+        self, calibrated_experiment, small_dataset, tmp_path, monkeypatch
+    ):
+        """A zoo entry whose watch energy changed between a run and its
+        rerun changes staged costs: every shard must re-execute."""
+        first = self.serial_executor(calibrated_experiment, tmp_path / "ckpt").run_fleet(
+            small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
+        )
+        local_model = next(
+            str(name)
+            for result in first.results.values()
+            for name, offloaded in zip(result.model_names, result.offloaded)
+            if not offloaded
+        )
+
+        def drifted(directory):
+            executor = self.serial_executor(calibrated_experiment, directory)
+            entry = executor.runtime.zoo.entry(local_model)
+            entry.deployment = dataclasses.replace(
+                entry.deployment,
+                watch_active_energy_j=2.0 * entry.deployment.watch_active_energy_j,
+            )
+            return executor.run_fleet(
+                small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
+            )
+
+        executed = self.spy_shard_runs(monkeypatch)
+        rerun = drifted(tmp_path / "ckpt")
+        assert executed == [0, 1, 2, 3]
+        assert_fleets_identical(drifted(tmp_path / "fresh"), rerun)
+        assert not np.array_equal(first.mean_watch_energy_j, rerun.mean_watch_energy_j)
 
     def test_crash_during_staging_resumes_cleanly(
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path

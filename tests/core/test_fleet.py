@@ -19,7 +19,8 @@ from repro.core.decision_engine import Constraint
 from repro.core.fleet import FleetExecutor, SharedSubjectStore
 from repro.core.runtime import CHRISRuntime, FleetResult
 from repro.eval.workloads import sequential_replay
-from repro.hw.platform import CostTableRegistry, WearableSystem
+from repro.hw.platform import WearableSystem
+from repro.hw.profiles import ExecutionTarget
 
 from tests.core.test_runtime_batched import assert_results_identical
 
@@ -333,23 +334,19 @@ class TestFleetExecutor:
 
 class TestHeterogeneousFleets:
     def make_systems(self, small_dataset):
-        registry = CostTableRegistry()
-        stock = WearableSystem(cost_registry=registry)
-        compressed = WearableSystem(
-            cost_registry=registry, offload_payload_bytes=64 * 4 * 2
-        )
-        systems = {
+        stock = WearableSystem()
+        compressed = WearableSystem(offload_payload_bytes=64 * 4 * 2)
+        return {
             subject.subject_id: compressed if i % 2 else stock
             for i, subject in enumerate(small_dataset.subjects)
         }
-        return registry, systems
 
     def test_mixed_revisions_in_one_run_identical_to_sequential(
         self, calibrated_experiment, small_dataset
     ):
         """One executor now serves a mixed-revision population directly —
         no more one-executor-per-revision (cf. examples/fleet_simulation)."""
-        registry, systems = self.make_systems(small_dataset)
+        systems = self.make_systems(small_dataset)
         sequential = sequential_replay(
             make_runtime(calibrated_experiment),
             small_dataset.subjects,
@@ -369,7 +366,6 @@ class TestHeterogeneousFleets:
             systems=systems,
         )
         assert_fleets_identical(sequential, pooled)
-        assert registry.n_revisions == 2
         # The revisions genuinely differ on offloaded windows.
         stock_result = pooled.results[small_dataset.subjects[0].subject_id]
         rev_b_result = pooled.results[small_dataset.subjects[1].subject_id]
@@ -377,6 +373,35 @@ class TestHeterogeneousFleets:
         rev_b_radio = rev_b_result.watch_radio_j[rev_b_result.offloaded]
         assert stock_radio.size and rev_b_radio.size
         assert rev_b_radio.max() < stock_radio.min()
+
+    def test_costs_once_per_routed_revision_model_target(
+        self, calibrated_experiment, small_dataset, monkeypatch
+    ):
+        """The runtime's per-call cost table is the only cost cache: one
+        ``cached_prediction_cost`` call per distinct routed
+        ``(hardware revision, model, target)``, never one per window."""
+        systems = self.make_systems(small_dataset)
+        calls = []
+        cost = WearableSystem.cached_prediction_cost
+
+        def counting(system, deployment, target):
+            calls.append(
+                (system.hardware_revision(), deployment.name, target is ExecutionTarget.PHONE)
+            )
+            return cost(system, deployment, target)
+
+        monkeypatch.setattr(WearableSystem, "cached_prediction_cost", counting)
+        fleet = make_runtime(calibrated_experiment).run_many(
+            small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True, systems=systems
+        )
+        routed = {
+            (systems[sid].hardware_revision(), str(name), bool(offloaded))
+            for sid, result in fleet.results.items()
+            for name, offloaded in zip(result.model_names, result.offloaded)
+        }
+        assert len({revision for revision, _, _ in routed}) == 2
+        assert len(calls) == len(routed)
+        assert set(calls) == routed
 
     def test_systems_for_unknown_subject_rejected(
         self, calibrated_experiment, small_dataset

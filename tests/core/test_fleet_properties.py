@@ -49,7 +49,7 @@ from repro.core.scheduler import FleetScheduler, SessionState
 from repro.data.dataset import WindowedSubject
 from repro.eval.workloads import sequential_replay, stateful_zoo
 from repro.eval.experiment import CalibratedExperiment
-from repro.hw.platform import CostTableRegistry, WearableSystem
+from repro.hw.platform import WearableSystem
 from repro.ml.activity_classifier import ActivityClassifier
 from repro.models.timeppg import TimePPGConfig, TimePPGPredictor
 from repro.signal.windowing import DEFAULT_WINDOW_SPEC
@@ -128,20 +128,14 @@ def _classifier() -> ActivityClassifier:
 
 @functools.lru_cache(maxsize=4)
 def _hardware(kind: str) -> WearableSystem:
-    """Hardware revisions of the heterogeneous population (shared registry)."""
-    registry = _hardware_registry()
+    """Hardware revisions of the heterogeneous population."""
     if kind == "stock":
-        return WearableSystem(cost_registry=registry)
+        return WearableSystem()
     if kind == "compressed":
-        return WearableSystem(cost_registry=registry, offload_payload_bytes=64 * 4 * 2)
+        return WearableSystem(offload_payload_bytes=64 * 4 * 2)
     if kind == "fast-period":
-        return WearableSystem(cost_registry=registry, prediction_period_s=1.5)
+        return WearableSystem(prediction_period_s=1.5)
     raise KeyError(kind)
-
-
-@functools.lru_cache(maxsize=1)
-def _hardware_registry() -> CostTableRegistry:
-    return CostTableRegistry()
 
 
 def make_subject(subject_id: str, n_windows: int, seed: int) -> WindowedSubject:

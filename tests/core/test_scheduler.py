@@ -20,7 +20,7 @@ from repro.core.scheduler import FleetScheduler, SessionState, VirtualClock
 from repro.core.zoo import ModelsZoo, ZooEntry
 from repro.eval.workloads import sequential_replay, stateful_zoo
 from repro.data.dataset import WindowedSubject
-from repro.hw.platform import CostTableRegistry, WearableSystem
+from repro.hw.platform import WearableSystem
 from repro.models.adaptive_threshold import AdaptiveThresholdPredictor
 from repro.models.base import FleetState
 from repro.signal.windowing import DEFAULT_WINDOW_SPEC
@@ -337,11 +337,8 @@ class TestValidationAndFailure:
 
 class TestHeterogeneousSessions:
     def test_mixed_revisions_share_one_registry(self, calibrated_experiment):
-        registry = CostTableRegistry()
-        stock = WearableSystem(cost_registry=registry)
-        compressed = WearableSystem(
-            cost_registry=registry, offload_payload_bytes=64 * 4 * 2
-        )
+        stock = WearableSystem()
+        compressed = WearableSystem(offload_payload_bytes=64 * 4 * 2)
         subjects = [make_subject(f"h{i}", seed=10 + i) for i in range(4)]
         systems = {"h0": stock, "h1": compressed, "h2": compressed}
         with make_scheduler(calibrated_experiment) as scheduler:
@@ -351,7 +348,6 @@ class TestHeterogeneousSessions:
             ]
             scheduler.join()
         assert all(s.state is SessionState.DONE for s in sessions)
-        assert registry.n_revisions == 2
         reference = sequential_replay(
             make_runtime(calibrated_experiment),
             subjects,
@@ -369,9 +365,7 @@ class TestHeterogeneousSessions:
         less radio energy than the stock session's, in one scheduler run."""
         subject = make_subject("stock-dev", n_windows=80, seed=21)
         twin = make_subject("rev-b-dev", n_windows=80, seed=21)
-        compressed = WearableSystem(
-            cost_registry=CostTableRegistry(), offload_payload_bytes=64
-        )
+        compressed = WearableSystem(offload_payload_bytes=64)
         with make_scheduler(calibrated_experiment) as scheduler:
             stock_session = scheduler.submit("stock-dev", subject)
             rev_b_session = scheduler.submit("rev-b-dev", twin, system=compressed)
