@@ -83,9 +83,10 @@ There is one contract: every fused path — ``run_many``,
 **bit-identical** to sequential replay at the runtime's dtype.  Fusing
 a stateless predictor across subjects is sound because its batch
 lowering is row-bit-stable: the TimePPG TCNs run every inference
-forward of :mod:`repro.nn.layers` one GEMM per window and one
-vector-matrix product per dense row, so a window's prediction does not
-depend on the windows batched with it.  The property suite
+convolution of :mod:`repro.nn.layers` as fixed-shape GEMMs over
+zero-filled 16-window tiles and one vector-matrix product per dense
+row, so a window's prediction does not depend on the windows batched
+with it.  The property suite
 (``tests/core/test_fleet_properties.py``) pins the contract across
 worker counts, arrivals, retirements and both dtypes, with a real TCN
 whose predictions are not clipped.
@@ -1001,21 +1002,18 @@ class CHRISRuntime:
         counts = np.diff(plan.offsets).tolist()
         predicted_hr = np.empty(plan.n_windows, dtype=self.dtype)
 
-        def gather(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def picks(mask: np.ndarray) -> list[tuple[WindowedSubject, np.ndarray | None]]:
+            """Each subject with a masked window, and its row mask (``None``: all rows)."""
             hits = np.bincount(window_subjects[mask], minlength=plan.n_subjects).tolist()
-            picks = [
+            return [
                 (subjects[i], None if hit == counts[i] else mask[bounds[i] : bounds[i + 1]])
                 for i, hit in enumerate(hits)
                 if hit
             ]
-            return tuple(
-                np.concatenate(
-                    [
-                        getattr(s, field) if rows is None else getattr(s, field)[rows]
-                        for s, rows in picks
-                    ]
-                )
-                for field in ("ppg_windows", "accel_windows")
+
+        def gather(picked: list, field: str) -> np.ndarray:
+            return np.concatenate(
+                [getattr(s, field) if rows is None else getattr(s, field)[rows] for s, rows in picked]
             )
 
         for code, name in enumerate(self.zoo.names):
@@ -1029,7 +1027,10 @@ class CHRISRuntime:
             if idx.size == 0:
                 continue
             if predictor.REQUIRES_SIGNALS:
-                ppg, accel = gather(mask)
+                picked = picks(mask)
+                ppg = gather(picked, "ppg_windows")
+                # PPG-only models (AT) get no accelerometer copy.
+                accel = gather(picked, "accel_windows") if predictor.READS_ACCELEROMETER else None
             else:
                 # Signal-free predictors only need the batch length: one
                 # window of any non-empty subject, broadcast over the group.

@@ -52,6 +52,8 @@ class AdaptiveThresholdPredictor(HeartRatePredictor):
     # must go through the stacked-state predict_fleet, not naive window
     # batching.
     FLEET_BATCHABLE = False
+    #: Peaks are found on the PPG alone.
+    READS_ACCELEROMETER = False
 
     def __init__(
         self,

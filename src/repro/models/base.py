@@ -265,6 +265,14 @@ class HeartRatePredictor:
     #: skip materializing per-group copies of the large signal arrays.
     REQUIRES_SIGNALS: bool = True
 
+    #: Whether :meth:`predict` reads the accelerometer windows.  Models
+    #: that track HR from PPG alone set this to ``False`` (and must then
+    #: report ``info.uses_accelerometer == False``); the batched runtime
+    #: then passes ``accel_windows=None`` instead of gathering their
+    #: windows' acceleration.  A class attribute, because :attr:`info`
+    #: recounts the model's operations on every read.
+    READS_ACCELEROMETER: bool = True
+
     #: Whether back-to-back runs can be fused into one batched
     #: :meth:`predict` call.  ``True`` requires that :meth:`reset` does not
     #: influence predictions (no per-run temporal state is consumed by

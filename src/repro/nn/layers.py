@@ -17,23 +17,30 @@ Inference mode
 ``forward(x, training=False)`` is a true inference mode, not merely a
 flag: layers skip (and drop) their backward caches, :class:`Dropout`
 allocates no mask, and :class:`Conv1d` lowers the (dilated, strided)
-convolution to one GEMM per window — a zero-copy
-:func:`numpy.lib.stride_tricks.sliding_window_view` im2col
-(:meth:`Conv1d.im2col`) gathered into fresh columns, then one stacked
-``matmul`` against the flattened kernel.  Layers keep no scratch
-buffers between calls.  For frozen networks,
-:func:`repro.nn.network.fold_batchnorm` additionally folds every
-``Conv → BatchNorm`` pair into the convolution weights.
+convolution to one GEMM per tile of :data:`TILE_WINDOWS` windows — an
+im2col (:meth:`Conv1d.im2col`) built by one strided slab copy per
+kernel tap into fresh tile columns, then one stacked ``matmul`` against
+the flattened kernel.  A single tile's output is handed on as a view
+over its channel-major GEMM result, and elementwise layers keep that
+layout, so the next convolution's tap slabs read contiguous rows and no
+layer pays a transpose.  Layers keep no scratch buffers between calls.
+For frozen networks, :func:`repro.nn.network.fold_batchnorm`
+additionally folds every ``Conv → BatchNorm`` pair into the convolution
+weights.
 
 Inference forwards are **row-bit-stable**: a window's output bits do
 not depend on the batch it is computed in (its size, or the window's
-position).  A stacked ``matmul`` picks its BLAS kernel from the
-per-window matrix shape, never from the batch size, so :class:`Conv1d`
-runs the same GEMM for every window and :class:`Dense` the same
-vector-matrix product for every row; everything else is elementwise or
-reduces within a row.  This is what lets the fleet engine fuse
-different subjects' windows into one forward and still reproduce
-per-subject replay bit for bit.
+position).  Every convolution GEMM has the fixed tile shape ``(out_ch,
+in_ch * kernel) @ (in_ch * kernel, TILE_WINDOWS * l_out)`` — the windows
+a partial tile lacks are zero-filled columns — so BLAS takes one path
+whatever the batch, and a window's bits depend only on its own column
+block.  (A GEMM whose N follows the batch is not stable: OpenBLAS
+switches kernels for small N and gives a window different bits once two
+or three windows share it.)  :class:`Dense` runs the same vector-matrix
+product for every row; everything else is elementwise or reduces within
+a row.  This is what lets the fleet engine fuse different subjects'
+windows into one forward and still reproduce per-subject replay bit for
+bit.
 """
 
 from __future__ import annotations
@@ -41,6 +48,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dtypes import as_floating, resolve_dtype
+
+#: Windows per inference GEMM: :class:`Conv1d` lowers every eval forward
+#: to one ``(out_ch, in_ch * kernel) @ (in_ch * kernel, TILE_WINDOWS *
+#: l_out)`` GEMM per tile of this many windows, zero-filling the windows
+#: a partial tile lacks.
+TILE_WINDOWS = 16
 
 
 class Layer:
@@ -199,15 +212,20 @@ class Conv1d(Layer):
             )
         return (self.out_channels, self.output_length(length))
 
-    def _pad(self, x: np.ndarray) -> tuple[np.ndarray, int, int]:
-        """Zero-pad ``x`` along time: ``(padded, pad_left, l_out)``."""
-        length = x.shape[-1]
+    def _geometry(self, length: int) -> tuple[int, int, int]:
+        """``(pad_left, pad_right, l_out)`` for an input of ``length`` samples."""
         pad_left, pad_right = self._padding_amount(length)
         l_out = self.output_length(length)
         if l_out <= 0:
             raise ValueError(
                 f"input length {length} too short for kernel span {self.effective_kernel}"
             )
+        return pad_left, pad_right, l_out
+
+    def _pad(self, x: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """Zero-pad ``x`` along time: ``(padded, pad_left, l_out)``."""
+        length = x.shape[-1]
+        pad_left, pad_right, l_out = self._geometry(length)
         if pad_left or pad_right:
             padded = np.empty(x.shape[:2] + (pad_left + length + pad_right,), dtype=x.dtype)
             padded[:, :, :pad_left] = 0
@@ -217,25 +235,79 @@ class Conv1d(Layer):
         return x, pad_left, l_out
 
     def im2col(self, x: np.ndarray) -> np.ndarray:  # hot-path
-        """Inference im2col of a ``(batch, in_ch, length)`` input.
+        """Inference im2col of a ``(batch, in_ch, length)`` input, in tiles.
 
-        Pads ``x``, exposes every (dilated) kernel tap of every (strided)
-        output position through a zero-copy sliding-window view, and
-        gathers the taps into fresh ``(batch, in_ch * kernel, l_out)``
-        columns in ``x``'s dtype, so the convolution is one ``matmul``
-        with the kernel flattened to ``(out_ch, in_ch * kernel)``.  The
-        int8 engine (:meth:`repro.nn.quantization.QuantizedSequential.forward_integer`)
+        Returns fresh ``(ceil(batch / TILE_WINDOWS), in_ch * kernel,
+        TILE_WINDOWS * l_out)`` columns in ``x``'s dtype: tile ``t``'s
+        column ``w * l_out + p`` holds every (dilated) kernel tap of
+        output position ``p`` of window ``t * TILE_WINDOWS + w``, so the
+        convolution is one fixed-shape GEMM per tile against the kernel
+        flattened to ``(out_ch, in_ch * kernel)``.  The columns are built
+        by one strided slab copy per kernel tap straight from ``x``,
+        whatever its strides (a channel-major :meth:`lowered_matmul` view
+        reads contiguous rows).  Padding taps and the windows a partial tile
+        lacks are zero-filled, so a partial tile is still a full tile.
+        The int8 engine
+        (:meth:`repro.nn.quantization.QuantizedSequential.forward_integer`)
         feeds it int32 codes.
         """
-        x_padded, _, l_out = self._pad(x)
-        view = np.lib.stride_tricks.sliding_window_view(
-            x_padded, self.effective_kernel, axis=2
+        batch, channels, length = x.shape
+        pad_left, _, l_out = self._geometry(length)
+        full, rest = divmod(batch, TILE_WINDOWS)
+        n_tiles = full + (rest > 0)
+        cols = np.empty(
+            (n_tiles, channels * self.kernel_size, TILE_WINDOWS * l_out), dtype=x.dtype
         )
-        # (batch, in_ch, l_out, kernel): strided output positions, dilated taps.
-        view = view[:, :, : (l_out - 1) * self.stride + 1 : self.stride, :: self.dilation]
-        return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(
-            x.shape[0], self.in_channels * self.kernel_size, l_out
-        )
+        # (tile, in_ch, tap, window, position) view of the columns.
+        taps = cols.reshape(n_tiles, channels, self.kernel_size, TILE_WINDOWS, l_out)
+        # (columns, (tile, window, in_ch, length) source) pairs: the full
+        # tiles, then the partial one, whose absent windows are zeros.
+        blocks = []
+        if full:
+            head = x[: full * TILE_WINDOWS].reshape(full, TILE_WINDOWS, channels, length)
+            blocks.append((taps[:full], head))
+        if rest:
+            taps[full:, :, :, rest:] = 0
+            blocks.append((taps[full:, :, :, :rest], x[full * TILE_WINDOWS :][None]))
+        stride = self.stride
+        for tap in range(self.kernel_size):  # loop-ok: per kernel tap
+            offset = tap * self.dilation - pad_left
+            # Output positions [lo, hi) read inside the input; the rest
+            # read padding.
+            lo = min(l_out, max(0, -(offset // stride)))
+            hi = min(l_out, max(lo, (length - 1 - offset) // stride + 1))
+            taps[:, :, tap, :, :lo] = 0
+            taps[:, :, tap, :, hi:] = 0
+            if hi == lo:
+                continue
+            reads = slice(lo * stride + offset, (hi - 1) * stride + offset + 1, stride)
+            for columns, source in blocks:  # loop-ok: full tiles, then the partial tile
+                columns[:, :, tap, :, lo:hi] = source[:, :, :, reads].transpose(0, 2, 1, 3)
+        return cols
+
+    def lowered_matmul(self, weight: np.ndarray, x: np.ndarray) -> np.ndarray:  # hot-path
+        """``weight @ im2col(x)`` per tile, as ``(batch, out_ch, l_out)`` windows.
+
+        ``weight`` is the kernel flattened to ``(out_ch, in_ch * kernel)``
+        in the columns' dtype.  One stacked ``matmul`` runs the same
+        fixed-shape GEMM for every tile.  A single tile's windows come
+        back as a view over its channel-major result (the next
+        convolution's tap slabs then read contiguous rows); several
+        tiles' as a window-major copy.
+        """
+        batch = x.shape[0]
+        cols = self.im2col(x)
+        if cols.dtype.kind != "f":
+            # numpy's integer matmul has no BLAS kernel; its loop sums
+            # along in_ch * kernel innermost, so give it those contiguous.
+            cols = np.ascontiguousarray(cols.transpose(0, 2, 1)).transpose(0, 2, 1)
+        out = np.matmul(weight, cols)
+        n_tiles, channels, columns = out.shape
+        l_out = columns // TILE_WINDOWS
+        tiles = out.reshape(n_tiles, channels, TILE_WINDOWS, l_out).transpose(0, 2, 1, 3)
+        if n_tiles == 1:
+            return tiles[0, :batch]
+        return tiles.reshape(n_tiles * TILE_WINDOWS, channels, l_out)[:batch]
 
     # ------------------------------------------------------------- compute
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -270,16 +342,16 @@ class Conv1d(Layer):
         return out
 
     def _forward_gemm(self, x: np.ndarray) -> np.ndarray:  # hot-path
-        """Inference lowering: :meth:`im2col` + one GEMM per window.
+        """Inference lowering: :meth:`im2col` + one GEMM per tile.
 
-        ``matmul`` of the 2-D kernel against the stacked
-        ``(batch, in_ch * kernel, l_out)`` columns runs the same BLAS
-        GEMM once per window, so a window's output does not depend on
-        its batch.  The columns are built fresh on every call: a cached
-        buffer would pin a whole batch's columns per layer between calls.
+        Every GEMM has the shape ``(out_ch, in_ch * kernel) @ (in_ch *
+        kernel, TILE_WINDOWS * l_out)`` whatever the batch, so BLAS takes
+        one path and a window's output bits depend only on its own
+        columns, never on its batch or its place in a tile.  The columns
+        are built fresh on every call: a cached buffer would pin a tile's
+        columns per layer between calls.
         """
-        weight = self.params["weight"].reshape(self.out_channels, -1)
-        out = np.matmul(weight, self.im2col(x))
+        out = self.lowered_matmul(self.params["weight"].reshape(self.out_channels, -1), x)
         if self.use_bias:
             out += self.params["bias"][None, :, None]
         return out

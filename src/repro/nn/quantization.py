@@ -213,10 +213,12 @@ class QuantizedSequential:
                     acc = centered @ w_codes.astype(np.int32).T
                     bias = layer.params["bias"][None, :]
                 else:
-                    # Zero-padding the centered codes contributes exactly
-                    # zero to every accumulator tap.
+                    # The float forward's tile columns: zero-padding the
+                    # centered codes (and a partial tile's absent
+                    # windows) contributes exactly zero to every
+                    # accumulator, and integer sums are exact in any order.
                     weight = w_codes.reshape(layer.out_channels, -1).astype(np.int32)
-                    acc = np.matmul(weight, layer.im2col(centered))
+                    acc = layer.lowered_matmul(weight, centered)
                     bias = layer.params["bias"][None, :, None]
                 out_spec = self.activation_specs[i]
                 # Requantize: double-precision scale product + bias,

@@ -51,28 +51,16 @@ from repro.eval.workloads import sequential_replay, stateful_zoo
 from repro.eval.experiment import CalibratedExperiment
 from repro.hw.platform import WearableSystem
 from repro.ml.activity_classifier import ActivityClassifier
-from repro.models.timeppg import TimePPGConfig, TimePPGPredictor
+from repro.models.timeppg import TimePPGPredictor
 from repro.signal.windowing import DEFAULT_WINDOW_SPEC
 
 from tests.core.test_runtime_batched import assert_results_identical
+from tests.nn.conv_oracle import TINY_TIMEPPG_CONFIG
 
 CONSTRAINT = Constraint.max_mae(6.0)
-WINDOW_LENGTH = 16
-
-#: A real (signal-reading) TimePPG variant small enough for the property
-#: suite's 16-sample windows; its forward is the genuine BLAS-backed TCN,
-#: which is what fusing windows across subjects must not perturb.  The
-#: hidden dense layer is wide enough for BLAS's gemv and gemm kernels to
-#: round differently: a lowering that picks its kernel by batch size
-#: fails the suite.
-TINY_TIMEPPG_CONFIG = TimePPGConfig(
-    name="TimePPG-Big",
-    input_length=WINDOW_LENGTH,
-    block_channels=(4, 8, 32),
-    kernel_size=3,
-    head_pool=1,
-    head_hidden=8,
-)
+#: The windows of :data:`TINY_TIMEPPG_CONFIG`, a real (signal-reading,
+#: BLAS-backed) TCN: fusing windows across subjects must not perturb it.
+WINDOW_LENGTH = TINY_TIMEPPG_CONFIG.input_length
 
 
 def tiny_timeppg(seed: int) -> TimePPGPredictor:

@@ -16,8 +16,11 @@ import pytest
 
 from repro.core.decision_engine import Constraint
 from repro.core.runtime import _RESULT_COLUMNS, CHRISRuntime, FleetResult, RunResult
+from repro.core.zoo import ModelsZoo, ZooEntry
 from repro.data.dataset import WindowedSubject
 from repro.eval.workloads import sequential_replay, stateful_zoo
+from repro.models.adaptive_threshold import AdaptiveThresholdPredictor
+from repro.models.base import HeartRatePredictor
 from tests.core.scalar_oracle import run_scalar_oracle
 
 CONSTRAINT = Constraint.max_mae(6.0)
@@ -324,3 +327,48 @@ class TestRunMany:
         replayed = make_runtime(calibrated_experiment).run_many([], CONSTRAINT)
         assert replayed.n_subjects == 0
         assert np.isnan(replayed.mae_bpm)
+
+
+def _predictor_classes(cls=HeartRatePredictor):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _predictor_classes(sub)
+
+
+class TestAccelerometerGather:
+    """PPG-only models get ``accel=None``, not a copy of every window's acceleration."""
+
+    def test_ppg_only_classes_report_no_accelerometer(self):
+        ppg_only = [c for c in _predictor_classes() if not c.READS_ACCELEROMETER]
+        assert AdaptiveThresholdPredictor in ppg_only
+        for cls in ppg_only:
+            assert cls().info.uses_accelerometer is False, cls.__name__
+
+    def test_real_at_receives_no_accelerometer(self, calibrated_experiment, small_dataset):
+        zoo = ModelsZoo()
+        for entry in calibrated_experiment.zoo:
+            predictor = AdaptiveThresholdPredictor() if entry.name == "AT" else entry.predictor
+            zoo.add(ZooEntry(predictor=predictor, deployment=entry.deployment))
+
+        def run(reads_accelerometer: bool):
+            runtime = make_runtime(calibrated_experiment, zoo)
+            at = runtime.zoo.entry("AT").predictor
+            at.READS_ACCELEROMETER = reads_accelerometer
+            received = []
+            predict_fleet = at.predict_fleet
+
+            def spy(ppg, accel, **kwargs):
+                received.append(accel)
+                return predict_fleet(ppg, accel, **kwargs)
+
+            at.predict_fleet = spy
+            fleet = runtime.run_many(small_dataset.subjects, CONSTRAINT)
+            return fleet, received
+
+        fleet, received = run(reads_accelerometer=False)
+        gathered, received_gathered = run(reads_accelerometer=True)
+        assert received and all(accel is None for accel in received)
+        assert received_gathered and all(accel is not None for accel in received_gathered)
+        assert fleet.subject_ids == gathered.subject_ids
+        for subject_id in fleet.subject_ids:
+            assert_results_identical(fleet.results[subject_id], gathered.results[subject_id])

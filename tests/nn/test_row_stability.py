@@ -19,19 +19,27 @@ from repro.models.timeppg import (
     TIMEPPG_SMALL_CONFIG,
     build_timeppg_network,
 )
-from repro.nn.layers import Conv1d, Dense
+from repro.nn.layers import TILE_WINDOWS, Conv1d, Dense
 from repro.nn.network import fold_batchnorm
 from repro.nn.quantization import quantize_network
 
-BATCH_SIZES = (1, 2, 3, 17, 64, 150)
+from tests.nn.conv_oracle import TINY_TIMEPPG_CONFIG
+
+#: Around the tile boundaries (15, 16, 17, 33) and well past them.
+BATCH_SIZES = (1, 2, 3, 15, 16, 17, 33, 64, 150)
 N_WINDOWS = max(BATCH_SIZES)
-CONFIGS = {"small": TIMEPPG_SMALL_CONFIG, "big": TIMEPPG_BIG_CONFIG}
+CONFIGS = {"small": TIMEPPG_SMALL_CONFIG, "big": TIMEPPG_BIG_CONFIG, "tiny": TINY_TIMEPPG_CONFIG}
 
 
 @pytest.fixture(scope="module")
 def windows() -> np.ndarray:
     """TimePPG-shaped inputs: (windows, 4 channels, 256 samples)."""
     return np.random.default_rng(11).standard_normal((N_WINDOWS, 4, 256))
+
+
+def inputs(variant: str, windows: np.ndarray) -> np.ndarray:
+    """The module's windows, cut to ``variant``'s input length."""
+    return np.ascontiguousarray(windows[:, :, : CONFIGS[variant].input_length])
 
 
 def assert_row_stable(forward, x: np.ndarray) -> None:
@@ -49,33 +57,69 @@ def assert_row_stable(forward, x: np.ndarray) -> None:
         )
 
 
+def assert_position_free(forward, x: np.ndarray, seed: int) -> None:
+    """One window has the same bits at every position of a tile.
+
+    The window sits at position ``p`` (0-15) among random companions,
+    in a full tile and in the partial tile that ends at it.
+    """
+    rng = np.random.default_rng(seed)
+    alone = forward(x[:1])
+    for position in range(TILE_WINDOWS):
+        batch = rng.standard_normal((TILE_WINDOWS,) + x.shape[1:]).astype(x.dtype)
+        batch[position] = x[0]
+        for n in (TILE_WINDOWS, position + 1):
+            np.testing.assert_array_equal(
+                forward(batch[:n])[position : position + 1],
+                alone,
+                err_msg=f"position {position} of a {n}-window batch",
+            )
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("variant", sorted(CONFIGS))
 def test_frozen_timeppg_forward_is_row_stable(windows, variant, dtype):
     frozen = fold_batchnorm(build_timeppg_network(CONFIGS[variant], seed=1), dtype=dtype)
     assert_row_stable(
-        lambda batch: frozen.forward(batch, training=False), windows.astype(dtype)
+        lambda batch: frozen.forward(batch, training=False), inputs(variant, windows).astype(dtype)
+    )
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("variant", sorted(CONFIGS))
+def test_frozen_timeppg_forward_is_free_of_tile_position(windows, variant, dtype):
+    frozen = fold_batchnorm(build_timeppg_network(CONFIGS[variant], seed=1), dtype=dtype)
+    assert_position_free(
+        lambda batch: frozen.forward(batch, training=False),
+        inputs(variant, windows).astype(dtype),
+        seed=len(variant),
     )
 
 
 @pytest.mark.parametrize("variant", sorted(CONFIGS))
 def test_unfrozen_eval_forward_is_row_stable(windows, variant):
     network = build_timeppg_network(CONFIGS[variant], seed=2)
-    assert_row_stable(lambda batch: network.forward(batch, training=False), windows)
+    assert_row_stable(
+        lambda batch: network.forward(batch, training=False), inputs(variant, windows)
+    )
 
 
 def _quantized(variant: str, windows: np.ndarray):
     network = build_timeppg_network(CONFIGS[variant], seed=3)
-    return quantize_network(network, windows[:32], fold_bn=True)
+    return quantize_network(network, inputs(variant, windows)[:32], fold_bn=True)
 
 
 @pytest.mark.parametrize("variant", sorted(CONFIGS))
 def test_quantized_forward_is_row_stable(windows, variant):
-    assert_row_stable(_quantized(variant, windows).forward, windows)
+    assert_row_stable(_quantized(variant, windows).forward, inputs(variant, windows))
 
 
 def test_integer_forward_is_row_stable(windows):
-    assert_row_stable(_quantized("small", windows).forward_integer, windows)
+    assert_row_stable(_quantized("small", windows).forward_integer, inputs("small", windows))
+
+
+def test_tiny_integer_forward_is_row_stable(windows):
+    assert_row_stable(_quantized("tiny", windows).forward_integer, inputs("tiny", windows))
 
 
 class TestLayers:
